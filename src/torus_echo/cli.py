@@ -21,7 +21,7 @@ import numpy as np
 
 from .classical import classical_nm_grid, diffusion_coefficient, phase_portrait
 from .echo import fidelity_pure, fidelity_trace, save_series
-from .maps import GuardError, MATRIX_GUARD, MapSpec, PerturbedPair
+from .maps import GuardError, MapSpec, PerturbedPair
 from .measures import NmResult
 from .scans import (
     PhaseGrid,
@@ -69,6 +69,14 @@ def _config_echo(cmd: str, args: argparse.Namespace) -> str:
     return f"torus-echo {cmd} " + " ".join(pairs)
 
 
+def finite_float(raw: str) -> float:
+    """Float option type that rejects nan and inf before any compute starts."""
+    val = float(raw)
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"not a finite number: {raw!r}")
+    return val
+
+
 def _parse_bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -108,7 +116,7 @@ def _apply_config(sub: argparse.ArgumentParser, entries: dict[str, str]) -> None
         elif action.type is not None:
             try:
                 defaults[key] = action.type(raw)
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise CliError(f"config key {key}: {exc}") from exc
         else:
             defaults[key] = raw
@@ -190,9 +198,9 @@ def _grid_values(args, prefix: str) -> tuple[float, ...]:
         if lo is not None or hi is not None or npts is not None:
             raise CliError(f"give either --{prefix}-values or a --{prefix}-min range, not both")
         try:
-            grid = tuple(float(tok) for tok in values.split(",") if tok.strip())
-        except ValueError:
-            raise CliError(f"--{prefix}-values must be a comma list of numbers")
+            grid = tuple(finite_float(tok) for tok in values.split(",") if tok.strip())
+        except (ValueError, argparse.ArgumentTypeError):
+            raise CliError(f"--{prefix}-values must be a comma list of finite numbers")
         if not grid:
             raise CliError(f"--{prefix}-values is empty")
         return grid
@@ -333,7 +341,7 @@ def _maybe_plot(args, kind: str, inputs: list[str], stem: str) -> list[str]:
 def _cmd_fidelity(args) -> list[str]:
     _positive(args, ["n", "t"])
     pair = PerturbedPair.from_dkh(
-        MapSpec(args.map, args.n, args.k, k2=args.k2, centered_p=args.centered_p),
+        MapSpec(args.map, args.n, args.k, k2=args.k2),
         args.dkh,
     )
     if args.kind == "trace":
@@ -360,7 +368,6 @@ def _sweep_common(args, kind: str) -> tuple[SweepSpec, str]:
         t_max=args.t,
         kind=kind,
         s=getattr(args, "s", 16),
-        centered_p=args.centered_p,
     )
     tag = f"{_grid_tag('k', k_grid)}_{_grid_tag('dkh', dkh_grid)}_n{args.n}_t{args.t}"
     return spec, tag
@@ -400,8 +407,7 @@ def _cmd_avg_mp_sweep(args) -> list[str]:
 
 def _cmd_phase_scan(args) -> list[str]:
     _positive(args, ["n", "t", "s"])
-    grid = scan_phase_space(args.map, args.k, args.dkh, args.n, args.t, args.s,
-                            centered_p=args.centered_p)
+    grid = scan_phase_space(args.map, args.k, args.dkh, args.n, args.t, args.s)
     stem = (
         f"phase_scan_{args.map}_k{_fmt(args.k)}_dkh{_fmt(args.dkh)}"
         f"_n{args.n}_t{args.t}_s{args.s}"
@@ -418,8 +424,7 @@ def _cmd_line_scan(args) -> list[str]:
     qs = np.linspace(args.q0, args.q1, args.points)
     ps = np.linspace(args.p0, args.p1, args.points)
     points = [PhasePoint(q, p) for q, p in zip(qs, ps)]
-    scanned = line_scan(args.map, args.k, args.dkh, args.n, args.t, points,
-                        centered_p=args.centered_p)
+    scanned = line_scan(args.map, args.k, args.dkh, args.n, args.t, points)
     stem = f"line_scan_{args.map}_k{_fmt(args.k)}_dkh{_fmt(args.dkh)}_n{args.n}_t{args.t}"
     path = _out_path(args, stem + ".csv")
     rows = [f"{pt.q!r},{pt.p!r},{val!r}" for pt, val in scanned]
@@ -486,8 +491,6 @@ def _cmd_gamma_curve(args) -> list[str]:
 
 def _cmd_short_time_check(args) -> list[str]:
     _positive(args, ["n"])
-    if args.n > MATRIX_GUARD:
-        raise GuardError(f"N={args.n} exceeds the dense-matrix guard N<={MATRIX_GUARD}")
     result = short_time_check(args.map, args.k, args.dkh, args.n)
     print(
         f"short-time-check {args.map} K={_fmt(args.k)} dkh={_fmt(args.dkh)} N={args.n}: "
@@ -514,30 +517,28 @@ def _add_common(sub: argparse.ArgumentParser, *, seeded: bool = False) -> None:
 def _add_map_args(sub: argparse.ArgumentParser, *, single_k: bool) -> None:
     sub.add_argument("--map", choices=("sm", "hm"))
     if single_k:
-        sub.add_argument("--k", type=float)
+        sub.add_argument("--k", type=finite_float)
     else:
-        sub.add_argument("--k", type=float, help="single kick strength")
+        sub.add_argument("--k", type=finite_float, help="single kick strength")
         sub.add_argument("--k-values", help="comma list of kick strengths")
-        sub.add_argument("--k-min", type=float)
-        sub.add_argument("--k-max", type=float)
+        sub.add_argument("--k-min", type=finite_float)
+        sub.add_argument("--k-max", type=finite_float)
         sub.add_argument("--k-points", type=int)
-    sub.add_argument("--k2", type=float, default=None,
+    sub.add_argument("--k2", type=finite_float, default=None,
                      help="hm momentum kick strength (default: --k)")
 
 
 def _add_quantum_args(sub: argparse.ArgumentParser, *, dkh_grid: bool = False) -> None:
     sub.add_argument("--n", type=int, help="Hilbert space dimension")
     sub.add_argument("--t", type=int, help="number of kicks")
-    sub.add_argument("--centered-p", action="store_true",
-                     help="centered momentum grid for the sm drift")
     if dkh_grid:
-        sub.add_argument("--dkh", type=float, help="single scaled perturbation")
+        sub.add_argument("--dkh", type=finite_float, help="single scaled perturbation")
         sub.add_argument("--dkh-values", help="comma list")
-        sub.add_argument("--dkh-min", type=float)
-        sub.add_argument("--dkh-max", type=float)
+        sub.add_argument("--dkh-min", type=finite_float)
+        sub.add_argument("--dkh-max", type=finite_float)
         sub.add_argument("--dkh-points", type=int)
     else:
-        sub.add_argument("--dkh", type=float,
+        sub.add_argument("--dkh", type=finite_float,
                          help="scaled perturbation strength")
 
 
@@ -552,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_map_args(sub, single_k=True)
     _add_quantum_args(sub)
     sub.add_argument("--kind", choices=("pure", "trace"), default="trace")
-    sub.add_argument("--q0", type=float, default=0.5, help="coherent center (pure)")
-    sub.add_argument("--p0", type=float, default=0.5)
+    sub.add_argument("--q0", type=finite_float, default=0.5, help="coherent center (pure)")
+    sub.add_argument("--p0", type=finite_float, default=0.5)
     _add_common(sub)
     sub.set_defaults(func=_cmd_fidelity)
 
@@ -580,10 +581,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("line-scan", help="pure measure along a phase-space segment")
     _add_map_args(sub, single_k=True)
     _add_quantum_args(sub)
-    sub.add_argument("--q0", type=float)
-    sub.add_argument("--p0", type=float)
-    sub.add_argument("--q1", type=float)
-    sub.add_argument("--p1", type=float)
+    sub.add_argument("--q0", type=finite_float)
+    sub.add_argument("--p0", type=finite_float)
+    sub.add_argument("--q1", type=finite_float)
+    sub.add_argument("--p1", type=finite_float)
     sub.add_argument("--points", type=int)
     _add_common(sub)
     sub.set_defaults(func=_cmd_line_scan)
@@ -604,21 +605,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("classical-nm", help="grid-averaged classical measure vs K")
     _add_map_args(sub, single_k=False)
-    sub.add_argument("--delta-k", type=float, default=1e-3)
+    sub.add_argument("--delta-k", type=finite_float, default=1e-3)
     sub.add_argument("--t", type=int, default=20000)
     sub.add_argument("--grid", type=int, default=32, help="initial-condition grid side")
     _add_common(sub)
     sub.set_defaults(func=_cmd_classical_nm)
 
     sub = subs.add_parser("gamma-curve", help="short-time rate curve Gamma(dkh)")
-    sub.add_argument("--dkh-max", type=float, default=12.0)
+    sub.add_argument("--dkh-max", type=finite_float, default=12.0)
     sub.add_argument("--points", type=int, default=1200)
     _add_common(sub)
     sub.set_defaults(func=_cmd_gamma_curve)
 
     sub = subs.add_parser("short-time-check", help="measured vs predicted t=1 rate")
     _add_map_args(sub, single_k=True)
-    sub.add_argument("--dkh", type=float)
+    sub.add_argument("--dkh", type=finite_float)
     sub.add_argument("--n", type=int)
     _add_common(sub)
     sub.set_defaults(func=_cmd_short_time_check)

@@ -2,9 +2,10 @@
 
 f(t) = <psi| U1^dag(t) U0(t) |psi> for pure initial states, and the maximally
 mixed average <f(t)> = Tr[U1^dag(t) U0(t)] / N for the trace variant.  Both
-run the two propagations side by side, one kick per step, and record the
-overlap after every kick; nothing is recomputed when measures are extracted
-later from a stored series.
+run the two propagations side by side, one kick per step, and reduce the
+overlaps after every kick to one value, so memory does not grow with the
+number of kicks; nothing is recomputed when measures are extracted later
+from a stored series.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import MATRIX_GUARD, GuardError, PerturbedPair, drift_phase, kick_phase
+from .maps import PerturbedPair, check_dense, drift_phase, evolve_columns, kick_phase
 from .torus import PhasePoint, TorusState, coherent_state
 
 __all__ = [
@@ -56,26 +57,21 @@ class FidelitySeries:
         return np.arange(self.values.shape[0])
 
 
-def _overlap_series(pair: PerturbedPair, start: np.ndarray, t_max: int) -> np.ndarray:
-    """Run both propagations from `start` and collect overlaps per kick.
+def _overlap_rows(pair: PerturbedPair, start: np.ndarray, t_max: int):
+    """Run both propagations from `start` and yield the overlaps per kick.
 
-    start has one column per initial state; the returned array has shape
-    (t_max + 1, columns) with row 0 pinned to exactly 1.
+    start has one column per initial state; row t holds <b_t|a_t> for every
+    column, t = 0 .. t_max, with row 0 pinned to exactly 1.
     """
     kick0, drift0 = kick_phase(pair.u0), drift_phase(pair.u0)
     kick1, drift1 = kick_phase(pair.u1), drift_phase(pair.u1)
-    k0, d0 = kick0[:, None], drift0[:, None]
-    k1, d1 = kick1[:, None], drift1[:, None]
-
-    a = np.array(start, dtype=complex)
-    b = a.copy()
-    out = np.empty((t_max + 1, a.shape[1]), dtype=complex)
-    out[0] = 1.0
-    for t in range(1, t_max + 1):
-        a = np.fft.ifft(d0 * np.fft.fft(k0 * a, axis=0, norm="ortho"), axis=0, norm="ortho")
-        b = np.fft.ifft(d1 * np.fft.fft(k1 * b, axis=0, norm="ortho"), axis=0, norm="ortho")
-        out[t] = np.sum(np.conj(b) * a, axis=0)
-    return out
+    a = b = np.asarray(start, dtype=complex)
+    del start  # an identity built for this call is freed after the first kick
+    yield np.ones(a.shape[1], dtype=complex)
+    for _ in range(t_max):
+        a = evolve_columns(a, kick0, drift0)
+        b = evolve_columns(b, kick1, drift1)
+        yield np.sum(np.conj(b) * a, axis=0)
 
 
 def fidelity_from_state(pair: PerturbedPair, state: TorusState, t_max: int) -> FidelitySeries:
@@ -84,7 +80,8 @@ def fidelity_from_state(pair: PerturbedPair, state: TorusState, t_max: int) -> F
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     if state.n != pair.n:
         raise ValueError(f"state dimension {state.n} does not match pair {pair.n}")
-    values = _overlap_series(pair, state.amps[:, None], t_max)[:, 0]
+    rows = _overlap_rows(pair, state.amps[:, None], t_max)
+    values = np.fromiter((row[0] for row in rows), complex, t_max + 1)
     return FidelitySeries(values=values, kind="pure", pair=pair)
 
 
@@ -99,9 +96,9 @@ def fidelity_trace(pair: PerturbedPair, t_max: int) -> FidelitySeries:
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     n = pair.n
-    if n > MATRIX_GUARD:
-        raise GuardError(f"N={n} exceeds the dense-matrix guard N<={MATRIX_GUARD}")
-    values = _overlap_series(pair, np.eye(n, dtype=complex), t_max).sum(axis=1) / n
+    check_dense(n)
+    rows = _overlap_rows(pair, np.eye(n, dtype=complex), t_max)
+    values = np.fromiter((row.sum() / n for row in rows), complex, t_max + 1)
     return FidelitySeries(values=values, kind="trace", pair=pair)
 
 

@@ -5,10 +5,8 @@ Two one-parameter families, applied by split-operator steps:
   sm : U = exp(-i p^2 / (2 hbar)) . exp(-i (N K / 2 pi) cos(2 pi q))
   hm : U = exp(+i N K2 cos(2 pi p)) . exp(+i N K1 cos(2 pi q))
 
-On the default momentum grid p_k = k/N the sm drift phase is pi k^2 / N,
-the only choice that stays single valued under k -> k + N.  A centered grid
-(k in [-N/2, N/2)) for the sm drift is available as an option and is off by
-default.
+On the momentum grid p_k = k/N the sm drift phase is pi k^2 / N, the only
+choice that stays single valued under k -> k + N.
 
 The kick amplitudes are fixed by the classical limit.  A diagonal factor
 exp(-i V(q)/hbar) with hbar = 1/(2 pi N) shifts momentum by -V'(q), so the
@@ -60,15 +58,13 @@ class MapSpec:
     """One quantized map: family, dimension and kick strengths.
 
     For the hm family ``k`` multiplies the position kick and ``k2`` the
-    momentum kick; ``k2`` defaults to ``k``.  ``centered_p`` switches the sm
-    drift to the centered momentum grid.
+    momentum kick; ``k2`` defaults to ``k``.
     """
 
     family: str
     n: int
     k: float
     k2: float | None = None
-    centered_p: bool = False
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -142,9 +138,6 @@ def drift_phase(spec: MapSpec) -> np.ndarray:
     """Diagonal momentum factor, indexed by FFT frequency k."""
     k = np.arange(spec.n, dtype=float)
     if spec.family == "sm":
-        if spec.centered_p:
-            k = k.copy()
-            k[k >= spec.n / 2] -= spec.n
         return np.exp(-1j * math.pi * k * k / spec.n)
     p = k / spec.n
     return np.exp(1j * spec.n * spec.k2 * np.cos(2.0 * math.pi * p))
@@ -152,9 +145,9 @@ def drift_phase(spec: MapSpec) -> np.ndarray:
 
 def evolve_columns(amps: np.ndarray, kick: np.ndarray, drift: np.ndarray) -> np.ndarray:
     """One split-operator step on a vector or on each column of a matrix."""
-    shaped = (kick, drift) if amps.ndim == 1 else (kick[:, None], drift[:, None])
-    out = np.fft.fft(shaped[0] * amps, axis=0, norm="ortho")
-    return np.fft.ifft(shaped[1] * out, axis=0, norm="ortho")
+    k, d = (kick, drift) if amps.ndim == 1 else (kick[:, None], drift[:, None])
+    # one expression, so the spectrum is released before the ifft allocates
+    return np.fft.ifft(d * np.fft.fft(k * amps, axis=0, norm="ortho"), axis=0, norm="ortho")
 
 
 def apply_map(spec: MapSpec, state: TorusState) -> TorusState:
@@ -164,11 +157,14 @@ def apply_map(spec: MapSpec, state: TorusState) -> TorusState:
     return TorusState(evolve_columns(state.amps, kick_phase(spec), drift_phase(spec)))
 
 
+def check_dense(n: int) -> None:
+    """Refuse, before allocating, an N x N complex array with N > MATRIX_GUARD."""
+    if n > MATRIX_GUARD:
+        raise GuardError(f"N={n} exceeds the dense-matrix guard N<={MATRIX_GUARD}")
+
+
 def build_matrix(spec: MapSpec) -> np.ndarray:
     """Dense N x N matrix of the map; column j is the image of basis state j."""
-    if spec.n > MATRIX_GUARD:
-        raise GuardError(
-            f"N={spec.n} exceeds the dense-matrix guard N<={MATRIX_GUARD}"
-        )
+    check_dense(spec.n)
     eye = np.eye(spec.n, dtype=complex)
     return evolve_columns(eye, kick_phase(spec), drift_phase(spec))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -19,6 +20,7 @@ __all__ = [
     "FluctuationStats",
     "NmResult",
     "measure",
+    "measure_rows",
     "measure_value",
     "measure_vs_time",
     "fluctuation_stats",
@@ -64,6 +66,14 @@ def measure_value(absvals: np.ndarray) -> float:
     """2 * sum of all positive one-step increments of |f|."""
     diffs = np.diff(np.asarray(absvals, dtype=float))
     return float(2.0 * diffs[diffs > 0.0].sum())
+
+
+def measure_rows(rows) -> np.ndarray:
+    """measure_value of each column, from rows |f(t)| fed in time order."""
+    total = 0.0
+    for prev, row in pairwise(rows):
+        total = total + np.maximum(row - prev, 0.0)
+    return 2.0 * total
 
 
 def measure(series: FidelitySeries) -> NmResult:

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .echo import _overlap_series, fidelity_trace
+from .echo import _overlap_rows, fidelity_trace
 from .maps import MapSpec, PerturbedPair
-from .measures import NmResult, measure, measure_value
+from .measures import NmResult, measure, measure_rows
 from .torus import PhasePoint, coherent_amplitudes
 
 __all__ = [
@@ -49,7 +49,6 @@ class SweepSpec:
     t_max: int
     kind: str = "trace"
     s: int = 16
-    centered_p: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k_values", tuple(float(k) for k in self.k_values))
@@ -88,21 +87,19 @@ class PhaseGrid:
         object.__setattr__(self, "values", values)
 
 
-def _pair(family: str, k: float, dkh: float, n: int, centered_p: bool) -> PerturbedPair:
-    spec = MapSpec(family=family, n=n, k=k, centered_p=centered_p)
+def _pair(family: str, k: float, dkh: float, n: int) -> PerturbedPair:
+    spec = MapSpec(family=family, n=n, k=k)
     return PerturbedPair.from_dkh(spec, dkh)
 
 
 def _measure_columns(pair: PerturbedPair, columns: np.ndarray, t_max: int) -> np.ndarray:
-    """Pure-state measure per column, evolved in bounded blocks."""
+    """Pure-state measure per column, in bounded blocks, summed kick by kick."""
     n, total = columns.shape
     block = max(1, _BLOCK_ELEMENTS // n)
     out = np.empty(total)
     for lo in range(0, total, block):
-        vals = _overlap_series(pair, columns[:, lo : lo + block], t_max)
-        out[lo : lo + block] = [
-            measure_value(np.abs(vals[:, c])) for c in range(vals.shape[1])
-        ]
+        rows = _overlap_rows(pair, columns[:, lo : lo + block], t_max)
+        out[lo : lo + block] = measure_rows(np.abs(row) for row in rows)
     return out
 
 
@@ -121,12 +118,11 @@ def scan_phase_space(
     n: int,
     t_max: int,
     s: int,
-    centered_p: bool = False,
 ) -> PhaseGrid:
     """Pure-state measure for coherent states on the s x s center grid."""
     if s < 1:
         raise ValueError(f"grid side must be >= 1, got {s}")
-    pair = _pair(family, k, dkh, n, centered_p)
+    pair = _pair(family, k, dkh, n)
     centers = [PhasePoint(i / s, j / s) for i in range(s) for j in range(s)]
     flat = _measure_columns(pair, _coherent_columns(n, centers), t_max)
     return PhaseGrid(
@@ -142,12 +138,11 @@ def line_scan(
     n: int,
     t_max: int,
     points: list[PhasePoint],
-    centered_p: bool = False,
 ) -> list[tuple[PhasePoint, float]]:
     """Pure-state measure along an arbitrary list of coherent centers."""
     if not points:
         raise ValueError("line scan needs at least one point")
-    pair = _pair(family, k, dkh, n, centered_p)
+    pair = _pair(family, k, dkh, n)
     values = _measure_columns(pair, _coherent_columns(n, points), t_max)
     return list(zip(points, [float(v) for v in values]))
 
@@ -157,14 +152,14 @@ def grid_average(grid: PhaseGrid) -> float:
 
 
 def _trace_cell(args) -> NmResult:
-    family, k, dkh, n, t_max, centered_p = args
-    series = fidelity_trace(_pair(family, k, dkh, n, centered_p), t_max)
+    family, k, dkh, n, t_max = args
+    series = fidelity_trace(_pair(family, k, dkh, n), t_max)
     return measure(series)
 
 
 def _average_cell(args) -> NmResult:
-    family, k, dkh, n, t_max, s, centered_p = args
-    grid = scan_phase_space(family, k, dkh, n, t_max, s, centered_p)
+    family, k, dkh, n, t_max, s = args
+    grid = scan_phase_space(family, k, dkh, n, t_max, s)
     return NmResult(
         k=k, dkh=dkh, n=n, t_max=t_max, kind="pure-average",
         value=grid_average(grid),
@@ -193,7 +188,7 @@ def _run_cells(fn, cell_args, workers, progress):
 def sweep_mm(spec: SweepSpec, workers: int = 1, progress=None) -> list[NmResult]:
     """Trace-measure sweep over the (K, dkh) rectangle, row-major in K."""
     args = [
-        (spec.family, k, d, spec.n, spec.t_max, spec.centered_p)
+        (spec.family, k, d, spec.n, spec.t_max)
         for (k, d) in spec.cells()
     ]
     return _run_cells(_trace_cell, args, workers, progress)
@@ -207,7 +202,7 @@ def sweep_avg_mp(spec: SweepSpec, workers: int = 1, progress=None) -> list[NmRes
     the last bit.
     """
     args = [
-        (spec.family, k, d, spec.n, spec.t_max, spec.s, spec.centered_p)
+        (spec.family, k, d, spec.n, spec.t_max, spec.s)
         for (k, d) in spec.cells()
     ]
     return _run_cells(_average_cell, args, workers, progress)

@@ -73,7 +73,7 @@ class TorusState:
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:
             raise ValueError(f"state norm {norm!r} is not 1 within 1e-8")
 
     @property

@@ -267,8 +267,8 @@ def test_11_invariant_bundle_is_fast():
 
     assert measure_value(np.array([1.0, 0.4, 0.7, 0.2, 0.5, 0.5])) == pytest.approx(1.2)
 
-    rho_plus = np.outer(bloch_state(1, 0, 0), bloch_state(1, 0, 0).conj())
-    rho_minus = np.outer(bloch_state(-1, 0, 0), bloch_state(-1, 0, 0).conj())
+    rho_plus = bloch_state(1, 0, 0)
+    rho_minus = bloch_state(-1, 0, 0)
     assert trace_distance(rho_plus, rho_plus) == pytest.approx(0.0, abs=1e-14)
     assert trace_distance(rho_plus, rho_minus) == pytest.approx(1.0, abs=1e-12)
 

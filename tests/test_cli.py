@@ -110,6 +110,23 @@ def test_matrix_guard_returns_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("torus-echo:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("fidelity", "--map", "sm", "--k", 1.0, "--dkh", 1, "--n", 32, "--t", 5,
+     "--kind", "pure", "--q0", "nan"),
+    ("line-scan", "--map", "sm", "--k", 1.0, "--dkh", 1, "--n", 32, "--t", 5,
+     "--q0", "nan", "--p0", 0.5, "--q1", 1.0, "--p1", 0.5, "--points", 3),
+    ("diffusion", "--map", "sm", "--k-values", "nan,inf", "--horizon", 10,
+     "--orbits", 10),
+    ("classical-nm", "--map", "sm", "--k", 1.0, "--delta-k", "nan", "--t", 10,
+     "--grid", 2),
+    ("gamma-curve", "--dkh-max", "nan", "--points", 5),
+], ids=["fidelity-q0", "line-scan-q0", "diffusion-k-values", "classical-nm-delta-k",
+        "gamma-curve-dkh-max"])
+def test_non_finite_floats_exit_2_before_compute(tmp_path, argv):
+    assert run(*argv, "--out-dir", tmp_path) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_domain_errors_map_to_2(tmp_path):
     rc = run("fidelity", "--map", "sm", "--k", 1.0, "--dkh", 1, "--n", 1,
              "--t", 5, "--out-dir", tmp_path)
@@ -134,14 +151,15 @@ def test_config_supplies_defaults_and_flags_override(tmp_path):
         "k = 0.7\n"
         "t = 10\n"
         "dkh = 1.5\n"
-        "centered-p = yes\n"
+        "plot = yes\n"
     )
     rc = run("fidelity", "--config", cfg, "--map", "sm", "--n", 32,
              "--k", 0.9, "--out-dir", tmp_path)
     assert rc == 0
     path = tmp_path / "fidelity_sm_k0.9_dkh1.5_n32_t10_trace.csv"
     assert path.exists()
-    assert "centered_p=True" in read_lines(path)[0]
+    assert "plot=True" in read_lines(path)[0]
+    assert (tmp_path / "fidelity_sm_k0.9_dkh1.5_n32_t10_trace.gp").exists()
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
@@ -342,6 +360,13 @@ def test_short_time_check_prints_a_summary(tmp_path, capsys):
     assert "diverged=False" in captured.out
     assert "wrote" not in captured.out
     assert list(tmp_path.iterdir()) == []
+
+
+def test_short_time_check_guard_returns_1(tmp_path, capsys):
+    rc = run("short-time-check", "--map", "sm", "--k", 2.5, "--dkh", 2,
+             "--n", 16384, "--out-dir", tmp_path)
+    assert rc == 1
+    assert "exceeds the dense-matrix guard" in capsys.readouterr().err
 
 
 def test_out_dir_is_created_on_demand(tmp_path):

@@ -1,9 +1,11 @@
 """Sweep engines and phase-space imaging of the pure-state measure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from torus_echo.echo import fidelity_pure
+from torus_echo.echo import fidelity_pure, fidelity_trace
 from torus_echo.maps import MapSpec, PerturbedPair
 from torus_echo.measures import measure_value
 from torus_echo.scans import (
@@ -70,6 +72,30 @@ def test_grid_cells_match_direct_evaluation():
         series = fidelity_pure(pair, PhasePoint(i / 4, j / 4), 50)
         direct = measure_value(np.abs(series.values))
         assert abs(grid.values[i, j] - direct) < 1e-12
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("route,columns", [("trace", 64), ("scan", 16)])
+def test_peak_memory_does_not_grow_with_horizon(route, columns):
+    # overlaps are reduced kick by kick; a (T+1) x columns complex buffer
+    # would add 16 * columns bytes per kick, and the allowance is an eighth
+    pair = PerturbedPair.from_dkh(MapSpec(family="sm", n=64, k=0.9), 2.0)
+    runs = {
+        "trace": lambda t: fidelity_trace(pair, t),
+        "scan": lambda t: scan_phase_space("sm", 0.9, 2.0, 64, t, 4),
+    }
+    run = runs[route]
+    run(1)  # the first call fills one-off caches
+    short, long = _peak_bytes(lambda: run(50)), _peak_bytes(lambda: run(800))
+    assert long - short < (800 - 50) * 16 * columns / 8
 
 
 def test_line_scan_returns_points_in_order():

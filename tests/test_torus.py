@@ -48,6 +48,11 @@ def test_state_rejects_unnormalized_amplitudes():
         TorusState(np.array([1.0, 1.0]))
 
 
+def test_state_rejects_nan_amplitudes():
+    with pytest.raises(ValueError):
+        TorusState(np.full(4, np.nan, dtype=complex))
+
+
 def test_dft_of_delta_is_flat():
     out = dft(basis_state(8, 0))
     np.testing.assert_allclose(np.abs(out.amps), np.full(8, 1 / np.sqrt(8)),
