@@ -36,9 +36,16 @@ class ClassicalState:
     wrapped: bool = True
 
 
-def _check_family(family: str) -> None:
+def _check_params(family: str, k, k2, delta_k=0.0):
+    """Validate the family and the map constants; returns k2 (default k)."""
     if family not in FAMILIES:
         raise ValueError(f"unknown map family {family!r}")
+    if k2 is None:
+        k2 = k
+    for label, val in (("K", k), ("K2", k2), ("delta_k", delta_k)):
+        if not math.isfinite(val):
+            raise ValueError(f"{label} must be finite, got {val}")
+    return k2
 
 
 def _step(family, k, k2, x, p, wx, wp):
@@ -62,9 +69,7 @@ def _step(family, k, k2, x, p, wx, wp):
 
 def step_classical(family: str, k: float, k2: float | None, state: ClassicalState) -> ClassicalState:
     """Advance a single classical state by one kick period."""
-    _check_family(family)
-    if k2 is None:
-        k2 = k
+    k2 = _check_params(family, k, k2)
     x, p = state.x % 1.0, state.p % 1.0
     wx, wp = state.x - x, state.p - p
     xw, pw, wx, wp = _step(family, k, k2, x, p, wx, wp)
@@ -79,9 +84,7 @@ def iterate(family, k, k2, x0, p0, steps, wrapped=True):
     Returns (xs, ps) with shape (steps + 1,) + shape(x0); unwrapped output
     adds the winding numbers back in.
     """
-    _check_family(family)
-    if k2 is None:
-        k2 = k
+    k2 = _check_params(family, k, k2)
     x = np.asarray(x0, dtype=float) % 1.0
     p = np.asarray(p0, dtype=float) % 1.0
     wx = np.asarray(x0, dtype=float) - x
@@ -104,7 +107,7 @@ def phase_portrait(family, k, k2=None, n_orbits=100, steps=300, seed=0):
     condition per cell, so portraits cover uniformly at any orbit count.
     Returns an array of (x, p) rows, orbits concatenated.
     """
-    _check_family(family)
+    _check_params(family, k, k2)
     if n_orbits < 1 or steps < 1:
         raise ValueError("n_orbits and steps must be >= 1")
     rng = np.random.default_rng(seed)
@@ -119,9 +122,7 @@ def phase_portrait(family, k, k2=None, n_orbits=100, steps=300, seed=0):
 
 def diffusion_coefficient(family, k, k2=None, horizon=16000, n_orbits=4000, seed=0):
     """Momentum diffusion rate <(p_t - p_0)^2> / t at t = horizon, on the plane."""
-    _check_family(family)
-    if k2 is None:
-        k2 = k
+    k2 = _check_params(family, k, k2)
     if horizon < 1 or n_orbits < 1:
         raise ValueError("horizon and n_orbits must be >= 1")
     rng = np.random.default_rng(seed)
@@ -167,9 +168,7 @@ def _nm_batch(family, k, k2, delta_k, x0, p0, t_max):
 
 def classical_nm(family, k, k2, delta_k, q0, p0, t_max):
     """Classical non-Markovianity of one initial condition."""
-    _check_family(family)
-    if k2 is None:
-        k2 = k
+    k2 = _check_params(family, k, k2, delta_k)
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     value = _nm_batch(family, k, k2, delta_k, np.array([q0]), np.array([p0]), t_max)
@@ -178,9 +177,7 @@ def classical_nm(family, k, k2, delta_k, q0, p0, t_max):
 
 def classical_nm_grid(family, k, k2, delta_k, grid_side, t_max):
     """Mean classical measure over a grid of cell-center initial conditions."""
-    _check_family(family)
-    if k2 is None:
-        k2 = k
+    k2 = _check_params(family, k, k2, delta_k)
     if grid_side < 1 or t_max < 1:
         raise ValueError("grid_side and t_max must be >= 1")
     centers = (np.arange(grid_side) + 0.5) / grid_side

@@ -47,6 +47,8 @@ class FidelitySeries:
         object.__setattr__(self, "values", values)
         if self.kind not in ("pure", "trace"):
             raise ValueError(f"unknown series kind {self.kind!r}")
+        if not np.isfinite(values).all():
+            raise ValueError("fidelity values must be finite")
 
     @property
     def t_max(self) -> int:

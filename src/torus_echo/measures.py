@@ -132,7 +132,8 @@ def fluctuation_stats(
     window = np.abs(series.values[t0 : t1 + 1])
     mean = float(window.mean())
     variance = float(window.var())
-    counts, edges = np.histogram(window, bins=bins, range=(0.0, 1.0))
+    # |f| may exceed 1 by rounding; such values belong in the top bin
+    counts, edges = np.histogram(np.minimum(window, 1.0), bins=bins, range=(0.0, 1.0))
     centered = window - mean
     power = np.abs(np.fft.rfft(centered)) ** 2
     freq = np.fft.rfftfreq(window.shape[0], d=1.0)

@@ -85,8 +85,8 @@ def bessel_j0(x):
 
 def gamma_rate(dkh: float) -> float:
     """Predicted decay rate -ln|J0(dkh)|; inf when dkh sits on a J0 zero."""
-    if dkh < 0.0:
-        raise ValueError(f"dkh must be >= 0, got {dkh}")
+    if not (math.isfinite(dkh) and dkh >= 0.0):
+        raise ValueError(f"dkh must be finite and >= 0, got {dkh}")
     j = abs(bessel_j0(dkh))
     if j < DIVERGENCE_FLOOR:
         return math.inf

@@ -1,5 +1,7 @@
 """Classical kicked maps: orbits, portraits, diffusion, trajectory measure."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,19 @@ def test_classical_measure_positive_on_generic_orbit():
 def test_classical_measure_grid_average_runs():
     value = classical_nm_grid("sm", 0.9, None, 1e-3, 8, 500)
     assert np.isfinite(value) and value >= 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: classical_nm_grid("sm", 1.0, None, math.nan, 2, 10),
+    lambda: classical_nm_grid("sm", math.nan, None, 0.01, 2, 10),
+    lambda: classical_nm_grid("hm", 0.3, math.inf, 0.01, 2, 10),
+    lambda: classical_nm("sm", 1.0, None, -math.inf, 0.2, 0.3, 10),
+    lambda: diffusion_coefficient("sm", math.nan, horizon=10, n_orbits=10),
+    lambda: phase_portrait("sm", math.nan, n_orbits=4, steps=5),
+    lambda: iterate("hm", 0.3, math.nan, [0.1], [0.2], 5),
+    lambda: step_classical("sm", math.inf, None, ClassicalState(x=0.2, p=0.3)),
+], ids=["nm-grid-delta_k", "nm-grid-K", "nm-grid-K2", "nm-delta_k", "diffusion-K",
+        "portrait-K", "iterate-K2", "step-K"])
+def test_non_finite_map_constants_are_rejected(call):
+    with pytest.raises(ValueError, match="must be finite"):
+        call()

@@ -32,6 +32,18 @@ def test_series_kind_is_validated():
         FidelitySeries(np.ones(3, dtype=complex), kind="other")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
+def test_series_values_must_be_finite(tmp_path, bad):
+    values = np.array([1.0, 0.5, bad, 0.3], dtype=complex)
+    with pytest.raises(ValueError, match="finite"):
+        FidelitySeries(values, kind="trace")
+    path = tmp_path / "series.csv"
+    rows = [f"{t},{v.real!r},{v.imag!r},{abs(v)!r}" for t, v in enumerate(values.tolist())]
+    path.write_text("\n".join(["# kind=trace", "t,re_f,im_f,abs_f", *rows]) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        load_series(path)
+
+
 @pytest.mark.parametrize("family,k", [("sm", 1.1), ("hm", 0.3)])
 def test_zero_perturbation_keeps_unit_fidelity(family, k):
     pair = PerturbedPair.from_base(MapSpec(family=family, n=64, k=k), 0.0)

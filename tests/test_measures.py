@@ -125,6 +125,17 @@ def test_fluctuations_of_constant_window():
     assert stats.hist_counts.sum() == 64
 
 
+def test_histogram_counts_values_rounded_above_one():
+    # at dkh = 0 |f| stays at 1, and most kicks overshoot it by ~1e-15
+    pair = PerturbedPair.from_dkh(MapSpec(family="sm", n=64, k=1.1), 0.0)
+    series = fidelity_trace(pair, 50)
+    assert (np.abs(series.values) > 1.0).any()
+    stats = fluctuation_stats(series, 0, 50)
+    assert stats.hist_counts.sum() == 51
+    assert stats.hist_counts[-1] == 51
+    assert stats.mean == np.abs(series.values).mean()
+
+
 def test_sinusoid_lands_in_single_spectral_bin():
     t = np.arange(100)
     series = _series(0.5 + 0.1 * np.cos(2 * np.pi * t / 16))

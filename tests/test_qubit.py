@@ -1,9 +1,12 @@
 """Dephasing channel, trace distance, and the sampled measure bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from torus_echo.echo import FidelitySeries
+from torus_echo.echo import FidelitySeries, fidelity_trace
+from torus_echo.maps import MapSpec, PerturbedPair
 from torus_echo.qubit import (
     apply_channel,
     blp_sampled,
@@ -16,6 +19,22 @@ from torus_echo.qubit import (
 
 def _series(absvals):
     return FidelitySeries(np.asarray(absvals, dtype=complex), kind="pure")
+
+
+def _blp_loop(series, n_pairs, seed):
+    """Sampled measure pair by pair and kick by kick, from the 2x2 matrices."""
+    best = 0.0
+    for na, nb in random_pure_pairs(n_pairs, seed):
+        rho_a, rho_b = bloch_state(*na), bloch_state(*nb)
+        gain = 0.0
+        d_prev = trace_distance(rho_a, rho_b)
+        for f in series.values[1:]:
+            d = trace_distance(apply_channel(f, rho_a), apply_channel(f, rho_b))
+            if d > d_prev:
+                gain += d - d_prev
+            d_prev = d
+        best = max(best, 2.0 * gain)
+    return best
 
 
 def _random_states(count, seed):
@@ -31,6 +50,9 @@ def test_bloch_state_poles_and_equator():
                                atol=1e-15)
     with pytest.raises(ValueError):
         bloch_state(1.0, 1.0, 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            bloch_state(bad, 0.0, 0.0)
 
 
 def test_bloch_states_are_valid_density_matrices():
@@ -125,3 +147,40 @@ def test_sampled_measure_never_exceeds_closed_form():
     for _ in range(5):
         series = _series(rng.uniform(0, 1, size=12))
         assert blp_sampled(series, n_pairs=60, seed=2) <= closed_form(series) + 1e-9
+
+
+def _trace_series(k, t_max):
+    return fidelity_trace(PerturbedPair.from_dkh(MapSpec("sm", 64, k), 1.0), t_max)
+
+
+@pytest.mark.parametrize("case", ["regular", "chaotic", "complex-phase", "first-below-one"])
+@pytest.mark.parametrize("n_pairs,seed", [(60, 7), (1, 1)])
+def test_sampled_measure_matches_pair_loop(case, n_pairs, seed):
+    rng = np.random.default_rng(11)
+    if case == "regular":
+        series = _trace_series(0.5, 120)
+    elif case == "chaotic":
+        series = _trace_series(2.5, 120)
+    elif case == "complex-phase":
+        phases = np.exp(2j * np.pi * rng.uniform(size=80))
+        series = FidelitySeries(rng.uniform(0, 1, size=80) * phases, kind="pure")
+    else:
+        # row 0 is the undephased pair, whatever the stored f(0) says
+        series = _series(np.r_[0.2, 0.9, rng.uniform(0, 1, size=60)])
+    assert blp_sampled(series, n_pairs, seed) == pytest.approx(
+        _blp_loop(series, n_pairs, seed), abs=1e-12)
+
+
+def test_sampled_measure_memory_does_not_grow_with_horizon():
+    n_pairs = 500
+    peaks = {}
+    for t_max in (200, 5000):
+        series = _series(np.random.default_rng(t_max).uniform(0, 1, size=t_max + 1))
+        tracemalloc.start()
+        try:
+            blp_sampled(series, n_pairs=n_pairs, seed=0)
+            peaks[t_max] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a pairs x T float buffer at T=5000 would be 20 MB
+    assert peaks[5000] - peaks[200] < n_pairs * 5000 * 8 / 8

@@ -106,3 +106,11 @@ def test_short_time_check_flags_divergence():
     result = short_time_check("sm", 2.5, J0_ZEROS[0], 500)
     assert result.diverged
     assert math.isnan(result.residual)
+
+
+@pytest.mark.parametrize("dkh", [math.nan, math.inf, -math.inf])
+def test_gamma_rejects_non_finite_dkh(dkh):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        gamma_rate(dkh)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        gamma_curve([1.0, dkh])
