@@ -2,19 +2,20 @@
 
 f(t) = <psi| U1^dag(t) U0(t) |psi> for pure initial states, and the maximally
 mixed average <f(t)> = Tr[U1^dag(t) U0(t)] / N for the trace variant.  Both
-run the two propagations side by side, one kick per step, and reduce the
-overlaps after every kick to one value, so memory does not grow with the
-number of kicks; nothing is recomputed when measures are extracted later
-from a stored series.
+run the two propagations side by side, one kick per step, with one initial
+state per row, and reduce the overlaps after every kick to one value, so
+memory does not grow with the number of kicks; nothing is recomputed when
+measures are extracted later from a stored series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .maps import PerturbedPair, check_dense, drift_phase, evolve_columns, kick_phase
+from .maps import PerturbedPair, check_dense, drift_phase, evolve, kick_phase
 from .torus import PhasePoint, TorusState, coherent_state
 
 __all__ = [
@@ -47,8 +48,8 @@ class FidelitySeries:
         object.__setattr__(self, "values", values)
         if self.kind not in ("pure", "trace"):
             raise ValueError(f"unknown series kind {self.kind!r}")
-        if not np.isfinite(values).all():
-            raise ValueError("fidelity values must be finite")
+        if not (values.size and np.isfinite(values).all()):
+            raise ValueError("fidelity values must be finite and non-empty")
 
     @property
     def t_max(self) -> int:
@@ -59,21 +60,26 @@ class FidelitySeries:
         return np.arange(self.values.shape[0])
 
 
-def _overlap_rows(pair: PerturbedPair, start: np.ndarray, t_max: int):
-    """Run both propagations from `start` and yield the overlaps per kick.
+def _overlaps(pair: PerturbedPair, start: np.ndarray, t_max: int, reduce):
+    """Run both propagations from `start` and yield reduce(b_t, a_t) per kick.
 
-    start has one column per initial state; row t holds <b_t|a_t> for every
-    column, t = 0 .. t_max, with row 0 pinned to exactly 1.
+    start holds one initial state per row; a_t = U0^t start and b_t = U1^t start
+    row by row, t = 1 .. t_max.  Only this generator holds a_t and b_t, so
+    each is freed as soon as its successor exists.
     """
     kick0, drift0 = kick_phase(pair.u0), drift_phase(pair.u0)
     kick1, drift1 = kick_phase(pair.u1), drift_phase(pair.u1)
     a = b = np.asarray(start, dtype=complex)
     del start  # an identity built for this call is freed after the first kick
-    yield np.ones(a.shape[1], dtype=complex)
     for _ in range(t_max):
-        a = evolve_columns(a, kick0, drift0)
-        b = evolve_columns(b, kick1, drift1)
-        yield np.sum(np.conj(b) * a, axis=0)
+        a = evolve(a, kick0, drift0)
+        b = evolve(b, kick1, drift1)
+        yield reduce(b, a)
+
+
+def _row_overlaps(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """<bra_i|ket_i> for every row i."""
+    return np.einsum("ij,ij->i", bra.conj(), ket)
 
 
 def fidelity_from_state(pair: PerturbedPair, state: TorusState, t_max: int) -> FidelitySeries:
@@ -82,8 +88,8 @@ def fidelity_from_state(pair: PerturbedPair, state: TorusState, t_max: int) -> F
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     if state.n != pair.n:
         raise ValueError(f"state dimension {state.n} does not match pair {pair.n}")
-    rows = _overlap_rows(pair, state.amps[:, None], t_max)
-    values = np.fromiter((row[0] for row in rows), complex, t_max + 1)
+    rows = _overlaps(pair, state.amps[None, :], t_max, _row_overlaps)
+    values = np.fromiter(chain([1.0], (row[0] for row in rows)), complex, t_max + 1)
     return FidelitySeries(values=values, kind="pure", pair=pair)
 
 
@@ -94,13 +100,13 @@ def fidelity_pure(pair: PerturbedPair, center: PhasePoint, t_max: int) -> Fideli
 
 
 def fidelity_trace(pair: PerturbedPair, t_max: int) -> FidelitySeries:
-    """Basis-averaged series Tr[U1^dag(t) U0(t)] / N by column evolution."""
+    """Basis-averaged series Tr[U1^dag(t) U0(t)] / N by evolving the basis."""
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     n = pair.n
     check_dense(n)
-    rows = _overlap_rows(pair, np.eye(n, dtype=complex), t_max)
-    values = np.fromiter((row.sum() / n for row in rows), complex, t_max + 1)
+    traces = _overlaps(pair, np.eye(n, dtype=complex), t_max, np.vdot)
+    values = np.fromiter(chain([n], traces), complex, t_max + 1) / n
     return FidelitySeries(values=values, kind="trace", pair=pair)
 
 

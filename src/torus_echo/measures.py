@@ -69,7 +69,7 @@ def measure_value(absvals: np.ndarray) -> float:
 
 
 def measure_rows(rows) -> np.ndarray:
-    """measure_value of each column, from rows |f(t)| fed in time order."""
+    """measure_value per series, from rows |f(t)| (one entry per series) in time order."""
     total = 0.0
     for prev, row in pairwise(rows):
         total = total + np.maximum(row - prev, 0.0)

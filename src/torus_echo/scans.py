@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .echo import _overlap_rows, fidelity_trace
+from .echo import _overlaps, _row_overlaps, fidelity_trace
 from .maps import MapSpec, PerturbedPair
 from .measures import NmResult, measure, measure_rows
-from .torus import PhasePoint, coherent_amplitudes
+from .torus import PhasePoint, coherent_state
 
 __all__ = [
     "PhaseGrid",
@@ -30,7 +31,7 @@ __all__ = [
     "sweep_mm",
 ]
 
-# Column budget per evolution block, to bound the working set.
+# Element budget per evolution block of states, to bound the working set.
 _BLOCK_ELEMENTS = 1 << 21
 
 
@@ -92,23 +93,20 @@ def _pair(family: str, k: float, dkh: float, n: int) -> PerturbedPair:
     return PerturbedPair.from_dkh(spec, dkh)
 
 
-def _measure_columns(pair: PerturbedPair, columns: np.ndarray, t_max: int) -> np.ndarray:
-    """Pure-state measure per column, in bounded blocks, summed kick by kick."""
-    n, total = columns.shape
+def _measure_columns(pair: PerturbedPair, states: np.ndarray, t_max: int) -> np.ndarray:
+    """Pure-state measure per row, in bounded blocks, summed kick by kick."""
+    total, n = states.shape
     block = max(1, _BLOCK_ELEMENTS // n)
     out = np.empty(total)
     for lo in range(0, total, block):
-        rows = _overlap_rows(pair, columns[:, lo : lo + block], t_max)
-        out[lo : lo + block] = measure_rows(np.abs(row) for row in rows)
+        rows = _overlaps(pair, states[lo : lo + block], t_max, _row_overlaps)
+        out[lo : lo + block] = measure_rows(chain([1.0], map(np.abs, rows)))
     return out
 
 
 def _coherent_columns(n: int, centers: list[PhasePoint]) -> np.ndarray:
-    cols = np.empty((n, len(centers)), dtype=complex)
-    for j, c in enumerate(centers):
-        amps = coherent_amplitudes(n, c)
-        cols[:, j] = amps / np.linalg.norm(amps)
-    return cols
+    """One normalized coherent state per row."""
+    return np.array([coherent_state(n, c).amps for c in centers])
 
 
 def scan_phase_space(

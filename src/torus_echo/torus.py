@@ -104,8 +104,8 @@ def idft(state: TorusState) -> TorusState:
     return TorusState(np.fft.ifft(state.amps, norm="ortho"))
 
 
-def coherent_amplitudes(n: int, center: PhasePoint) -> np.ndarray:
-    """Raw coherent-state amplitudes before normalization.
+def coherent_state(n: int, center: PhasePoint) -> TorusState:
+    """Normalized minimum-uncertainty wave packet at the given center.
 
     Gaussian of circular width ~1/sqrt(N) centered at (q0, p0), periodized
     over the three nearest images m = -1, 0, 1.  Image m carries the plane
@@ -117,12 +117,6 @@ def coherent_amplitudes(n: int, center: PhasePoint) -> np.ndarray:
         gauss = np.exp(-math.pi * n * (q - center.q - m) ** 2)
         phase = np.exp(2j * math.pi * n * center.p * (q - m))
         amps += gauss * phase
-    return amps
-
-
-def coherent_state(n: int, center: PhasePoint) -> TorusState:
-    """Normalized minimum-uncertainty wave packet at the given center."""
-    amps = coherent_amplitudes(n, center)
     return TorusState(amps / np.linalg.norm(amps))
 
 

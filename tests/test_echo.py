@@ -44,6 +44,15 @@ def test_series_values_must_be_finite(tmp_path, bad):
         load_series(path)
 
 
+def test_empty_series_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="non-empty"):
+        FidelitySeries(np.array([], dtype=complex), kind="trace")
+    path = tmp_path / "series.csv"
+    path.write_text("# kind=trace\nt,re_f,im_f,abs_f\n")
+    with pytest.raises(ValueError, match="non-empty"):
+        load_series(path)
+
+
 @pytest.mark.parametrize("family,k", [("sm", 1.1), ("hm", 0.3)])
 def test_zero_perturbation_keeps_unit_fidelity(family, k):
     pair = PerturbedPair.from_base(MapSpec(family=family, n=64, k=k), 0.0)

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torus_echo.echo import fidelity_pure, fidelity_trace
+from torus_echo import scans
+from torus_echo.echo import _overlaps, fidelity_pure, fidelity_trace
 from torus_echo.maps import MapSpec, PerturbedPair
 from torus_echo.measures import measure_value
 from torus_echo.scans import (
@@ -106,6 +107,22 @@ def test_line_scan_returns_points_in_order():
     assert abs(out[0][1] - grid.values[1, 2]) < 1e-12
     with pytest.raises(ValueError):
         line_scan("sm", 0.9, 2.0, 64, 50, [])
+
+
+def test_blocked_scan_matches_unsplit_scan(monkeypatch):
+    # 16 coherent states at N=64 in blocks of 5 rows: 5, 5, 5 and a ragged 1
+    whole = scan_phase_space("sm", 0.9, 2.0, 64, 50, 4)
+    sizes = []
+
+    def spy(pair, start, t_max, reduce):
+        sizes.append(start.shape[0])
+        return _overlaps(pair, start, t_max, reduce)
+
+    monkeypatch.setattr(scans, "_BLOCK_ELEMENTS", 5 * 64)
+    monkeypatch.setattr(scans, "_overlaps", spy)
+    split = scan_phase_space("sm", 0.9, 2.0, 64, 50, 4)
+    assert sizes == [5, 5, 5, 1]
+    assert np.abs(split.values - whole.values).max() < 1e-13
 
 
 def test_scan_is_deterministic():
