@@ -6,68 +6,4 @@ backflow measure of the induced qubit dephasing channel, together with the
 classical diagnostics used to locate the chaos border.
 """
 
-from .torus import (
-    HilbertDim,
-    PhasePoint,
-    TorusState,
-    basis_state,
-    coherent_state,
-    dft,
-    idft,
-    overlap,
-)
-from .maps import (
-    GuardError,
-    MATRIX_GUARD,
-    MapSpec,
-    PerturbedPair,
-    apply_map,
-    build_matrix,
-)
-from .echo import (
-    FidelitySeries,
-    fidelity_from_state,
-    fidelity_pure,
-    fidelity_trace,
-    load_series,
-    save_series,
-)
-from .measures import (
-    FluctuationStats,
-    NmResult,
-    fluctuation_stats,
-    measure,
-    measure_value,
-    measure_vs_time,
-)
-from .qubit import apply_channel, blp_sampled, bloch_state, trace_distance
-from .scans import (
-    PhaseGrid,
-    SweepSpec,
-    grid_average,
-    line_scan,
-    load_grid,
-    save_grid,
-    save_grid_pgm,
-    scan_phase_space,
-    sweep_avg_mp,
-    sweep_mm,
-)
-from .classical import (
-    ClassicalState,
-    classical_nm,
-    classical_nm_grid,
-    diffusion_coefficient,
-    iterate,
-    phase_portrait,
-    step_classical,
-)
-from .semiclassics import (
-    ShortTimeCheck,
-    bessel_j0,
-    gamma_curve,
-    gamma_rate,
-    short_time_check,
-)
-
 __version__ = "0.1.0"

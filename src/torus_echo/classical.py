@@ -12,28 +12,12 @@ and chaotic orbits cannot be split by argument-reduction noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .maps import FAMILIES
 
-__all__ = [
-    "ClassicalState",
-    "classical_nm",
-    "classical_nm_grid",
-    "diffusion_coefficient",
-    "iterate",
-    "phase_portrait",
-    "step_classical",
-]
-
-
-@dataclass(frozen=True)
-class ClassicalState:
-    x: float
-    p: float
-    wrapped: bool = True
+__all__ = ["classical_nm_grid", "diffusion_coefficient", "iterate", "phase_portrait"]
 
 
 def _check_params(family: str, k, k2, delta_k=0.0):
@@ -65,17 +49,6 @@ def _step(family, k, k2, x, p, wx, wp):
         xw = xn % 1.0
         wx = wx + (xn - xw)
     return xw, pw, wx, wp
-
-
-def step_classical(family: str, k: float, k2: float | None, state: ClassicalState) -> ClassicalState:
-    """Advance a single classical state by one kick period."""
-    k2 = _check_params(family, k, k2)
-    x, p = state.x % 1.0, state.p % 1.0
-    wx, wp = state.x - x, state.p - p
-    xw, pw, wx, wp = _step(family, k, k2, x, p, wx, wp)
-    if state.wrapped:
-        return ClassicalState(x=float(xw), p=float(pw), wrapped=True)
-    return ClassicalState(x=float(xw + wx), p=float(pw + wp), wrapped=False)
 
 
 def iterate(family, k, k2, x0, p0, steps, wrapped=True):
@@ -164,15 +137,6 @@ def _nm_batch(family, k, k2, delta_k, x0, p0, t_max):
         nm += np.where(f > f_prev, f - f_prev, 0.0)
         f_prev = f
     return nm
-
-
-def classical_nm(family, k, k2, delta_k, q0, p0, t_max):
-    """Classical non-Markovianity of one initial condition."""
-    k2 = _check_params(family, k, k2, delta_k)
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
-    value = _nm_batch(family, k, k2, delta_k, np.array([q0]), np.array([p0]), t_max)
-    return float(value[0])
 
 
 def classical_nm_grid(family, k, k2, delta_k, grid_side, t_max):

@@ -103,28 +103,19 @@ def _read_config(path: str) -> dict[str, str]:
     return entries
 
 
-def _apply_config(sub: argparse.ArgumentParser, entries: dict[str, str]) -> None:
-    """Install config values as subparser defaults, with option typing."""
-    actions = {a.dest: a for a in sub._actions}
-    defaults = {}
+def _config_tokens(args: argparse.Namespace, entries: dict[str, str]) -> list[str]:
+    """Config entries as option tokens; the first parse tells which keys exist."""
+    tokens = []
     for key, raw in entries.items():
-        action = actions.get(key)
-        if action is None:
+        if key in ("cmd", "func") or not hasattr(args, key):
             raise CliError(f"unknown config key: {key}")
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            defaults[key] = _parse_bool(raw)
-        elif action.type is not None:
-            try:
-                defaults[key] = action.type(raw)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise CliError(f"config key {key}: {exc}") from exc
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool):
+            if _parse_bool(raw):
+                tokens.append(flag)
         else:
-            defaults[key] = raw
-        if action.choices is not None and defaults[key] not in action.choices:
-            raise CliError(
-                f"config key {key}: {defaults[key]!r} not in {sorted(action.choices)}"
-            )
-    sub.set_defaults(**defaults)
+            tokens.append(f"{flag}={raw}")
+    return tokens
 
 
 # Flags every subcommand must end up with after the config merge; grid
@@ -151,17 +142,6 @@ def _check_required(args: argparse.Namespace) -> None:
     ]
     if missing:
         raise CliError(f"{args.cmd}: missing {', '.join(missing)}")
-
-
-def _find_config(argv: list[str]) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise CliError("--config needs a file path")
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
 
 
 def _resolve_threads(args: argparse.Namespace) -> int:
@@ -446,12 +426,13 @@ def _cmd_classical_portrait(args) -> list[str]:
 def _cmd_diffusion(args) -> list[str]:
     _positive(args, ["horizon", "orbits"])
     k_grid = _grid_values(args, "k")
+    progress = _progress_printer("diffusion")
     rows = []
     for i, k in enumerate(k_grid):
         d = diffusion_coefficient(args.map, k, k2=args.k2, horizon=args.horizon,
                                   n_orbits=args.orbits, seed=args.seed)
         rows.append(f"{k!r},{args.horizon},{d!r}")
-        print(f"diffusion: cell {i + 1}/{len(k_grid)}", file=sys.stderr, flush=True)
+        progress(i, len(k_grid))
     stem = f"diffusion_{args.map}_{_grid_tag('k', k_grid)}_h{args.horizon}"
     path = _out_path(args, stem + ".csv")
     _write_rows(path, _config_echo("diffusion", args), "K,horizon,D", rows)
@@ -461,11 +442,12 @@ def _cmd_diffusion(args) -> list[str]:
 def _cmd_classical_nm(args) -> list[str]:
     _positive(args, ["t", "grid"])
     k_grid = _grid_values(args, "k")
+    progress = _progress_printer("classical-nm")
     rows = []
     for i, k in enumerate(k_grid):
         val = classical_nm_grid(args.map, k, args.k2, args.delta_k, args.grid, args.t)
         rows.append(f"{k!r},{args.t},{val!r}")
-        print(f"classical-nm: cell {i + 1}/{len(k_grid)}", file=sys.stderr, flush=True)
+        progress(i, len(k_grid))
     stem = f"classical_nm_{args.map}_{_grid_tag('k', k_grid)}_t{args.t}"
     path = _out_path(args, stem + ".csv")
     _write_rows(path, _config_echo("classical-nm", args), "K,T,value", rows)
@@ -631,16 +613,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        # config values become subparser defaults before the single parse,
-        # so explicit flags keep precedence over config-file keys
-        subs = next(
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        cmd = next((tok for tok in argv if tok in subs.choices), None)
-        config = _find_config(argv)
-        if cmd is not None and config is not None:
-            _apply_config(subs.choices[cmd], _read_config(config))
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # config entries go in right after the subcommand, so the explicit
+            # flags that follow them take precedence
+            at = argv.index(args.cmd) + 1
+            tokens = _config_tokens(args, _read_config(args.config))
+            args = parser.parse_args(argv[:at] + tokens + argv[at:])
         _check_required(args)
         start = time.monotonic()
         written = args.func(args)

@@ -10,6 +10,7 @@ measures are extracted later from a stored series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -54,10 +55,6 @@ class FidelitySeries:
     @property
     def t_max(self) -> int:
         return self.values.shape[0] - 1
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.values.shape[0])
 
 
 def _overlaps(pair: PerturbedPair, start: np.ndarray, t_max: int, reduce):
@@ -119,7 +116,11 @@ def save_series(series: FidelitySeries, path, header: str | None = None) -> None
     lines.append("t,re_f,im_f,abs_f")
     for t, v in enumerate(series.values):
         v = complex(v)
-        lines.append(f"{t},{v.real!r},{v.imag!r},{abs(v)!r}")
+        try:
+            modulus = abs(v)
+        except OverflowError:  # both parts near the top of the double range
+            modulus = math.inf
+        lines.append(f"{t},{v.real!r},{v.imag!r},{modulus!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

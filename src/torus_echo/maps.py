@@ -78,10 +78,6 @@ class MapSpec:
             object.__setattr__(self, "k2", self.k)
 
     @property
-    def hbar(self) -> float:
-        return 1.0 / (2.0 * math.pi * self.n)
-
-    @property
     def dkh_unit(self) -> float:
         """Shift of the perturbed kick strength that makes dkh = 1."""
         if self.family == "sm":

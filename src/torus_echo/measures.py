@@ -16,16 +16,7 @@ import numpy as np
 
 from .echo import FidelitySeries
 
-__all__ = [
-    "FluctuationStats",
-    "NmResult",
-    "measure",
-    "measure_rows",
-    "measure_value",
-    "measure_vs_time",
-    "fluctuation_stats",
-    "rise_segments",
-]
+__all__ = ["NmResult", "measure", "measure_rows", "measure_value", "rise_segments"]
 
 
 @dataclass(frozen=True)
@@ -95,55 +86,3 @@ def measure(series: FidelitySeries) -> NmResult:
         segments=segments,
     )
 
-
-def measure_vs_time(series: FidelitySeries) -> np.ndarray:
-    """Running value of the measure after each kick; length T + 1."""
-    diffs = np.diff(np.abs(series.values))
-    out = np.zeros(series.values.shape[0])
-    out[1:] = 2.0 * np.cumsum(np.where(diffs > 0.0, diffs, 0.0))
-    return out
-
-
-@dataclass(frozen=True)
-class FluctuationStats:
-    """Statistics of |f| on an inclusive kick window [t0, t1]."""
-
-    t0: int
-    t1: int
-    mean: float
-    variance: float
-    hist_counts: np.ndarray
-    hist_edges: np.ndarray
-    spectrum_freq: np.ndarray
-    spectrum_power: np.ndarray
-
-
-def fluctuation_stats(
-    series: FidelitySeries, t0: int, t1: int, bins: int = 20
-) -> FluctuationStats:
-    """Moments, histogram and power spectrum of |f(t)| for t0 <= t <= t1.
-
-    The spectrum is the squared modulus of the discrete transform of the
-    mean-subtracted window, at its native length; frequencies are reported
-    in cycles per kick.
-    """
-    if not 0 <= t0 < t1 <= series.t_max:
-        raise ValueError(f"empty or out-of-range window [{t0}, {t1}]")
-    window = np.abs(series.values[t0 : t1 + 1])
-    mean = float(window.mean())
-    variance = float(window.var())
-    # |f| may exceed 1 by rounding; such values belong in the top bin
-    counts, edges = np.histogram(np.minimum(window, 1.0), bins=bins, range=(0.0, 1.0))
-    centered = window - mean
-    power = np.abs(np.fft.rfft(centered)) ** 2
-    freq = np.fft.rfftfreq(window.shape[0], d=1.0)
-    return FluctuationStats(
-        t0=t0,
-        t1=t1,
-        mean=mean,
-        variance=variance,
-        hist_counts=counts,
-        hist_edges=edges,
-        spectrum_freq=freq,
-        spectrum_power=power,
-    )

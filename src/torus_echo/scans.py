@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -93,20 +93,25 @@ def _pair(family: str, k: float, dkh: float, n: int) -> PerturbedPair:
     return PerturbedPair.from_dkh(spec, dkh)
 
 
-def _measure_columns(pair: PerturbedPair, states: np.ndarray, t_max: int) -> np.ndarray:
-    """Pure-state measure per row, in bounded blocks, summed kick by kick."""
-    total, n = states.shape
+def _measure_columns(pair: PerturbedPair, centers, t_max: int) -> np.ndarray:
+    """Pure-state measure per coherent center, in bounded blocks, summed kick by kick.
+
+    Each block builds its own start states, one per row, so they too stay
+    within the block budget; no name here holds them, so they are freed
+    after the first kick.
+    """
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    n = pair.n
     block = max(1, _BLOCK_ELEMENTS // n)
-    out = np.empty(total)
-    for lo in range(0, total, block):
-        rows = _overlaps(pair, states[lo : lo + block], t_max, _row_overlaps)
-        out[lo : lo + block] = measure_rows(chain([1.0], map(np.abs, rows)))
-    return out
-
-
-def _coherent_columns(n: int, centers: list[PhasePoint]) -> np.ndarray:
-    """One normalized coherent state per row."""
-    return np.array([coherent_state(n, c).amps for c in centers])
+    centers = iter(centers)
+    values = []
+    while chunk := list(islice(centers, block)):
+        rows = _overlaps(
+            pair, np.array([coherent_state(n, c).amps for c in chunk]), t_max, _row_overlaps
+        )
+        values.append(measure_rows(chain([1.0], map(np.abs, rows))))
+    return np.concatenate(values)
 
 
 def scan_phase_space(
@@ -121,8 +126,8 @@ def scan_phase_space(
     if s < 1:
         raise ValueError(f"grid side must be >= 1, got {s}")
     pair = _pair(family, k, dkh, n)
-    centers = [PhasePoint(i / s, j / s) for i in range(s) for j in range(s)]
-    flat = _measure_columns(pair, _coherent_columns(n, centers), t_max)
+    centers = (PhasePoint(i / s, j / s) for i in range(s) for j in range(s))
+    flat = _measure_columns(pair, centers, t_max)
     return PhaseGrid(
         family=family, k=k, dkh=dkh, n=n, t_max=t_max, s=s,
         values=flat.reshape(s, s),
@@ -141,7 +146,7 @@ def line_scan(
     if not points:
         raise ValueError("line scan needs at least one point")
     pair = _pair(family, k, dkh, n)
-    values = _measure_columns(pair, _coherent_columns(n, points), t_max)
+    values = _measure_columns(pair, points, t_max)
     return list(zip(points, [float(v) for v in values]))
 
 

@@ -13,41 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "HilbertDim",
-    "PhasePoint",
-    "TorusState",
-    "basis_state",
-    "coherent_state",
-    "dft",
-    "idft",
-    "overlap",
-]
-
-
-@dataclass(frozen=True)
-class HilbertDim:
-    """Dimension of the torus Hilbert space; fixes the grid and hbar."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.n}")
-
-    @property
-    def hbar(self) -> float:
-        return 1.0 / (2.0 * math.pi * self.n)
-
-    def position_grid(self) -> np.ndarray:
-        return np.arange(self.n) / self.n
-
-    def momentum_grid(self, centered: bool = False) -> np.ndarray:
-        """Momentum values by FFT index; centered folds k >= N/2 to k - N."""
-        k = np.arange(self.n, dtype=float)
-        if centered:
-            k[k >= self.n / 2] -= self.n
-        return k / self.n
+__all__ = ["PhasePoint", "TorusState", "coherent_state"]
 
 
 @dataclass(frozen=True)
@@ -80,29 +46,6 @@ class TorusState:
     def n(self) -> int:
         return self.amps.shape[0]
 
-    @property
-    def dim(self) -> HilbertDim:
-        return HilbertDim(self.n)
-
-
-def basis_state(n: int, j: int) -> TorusState:
-    """Position eigenstate |j> on the N-point grid."""
-    if not 0 <= j < n:
-        raise ValueError(f"basis index {j} outside 0..{n - 1}")
-    amps = np.zeros(n, dtype=complex)
-    amps[j] = 1.0
-    return TorusState(amps)
-
-
-def dft(state: TorusState) -> TorusState:
-    """Forward transform, position to momentum representation."""
-    return TorusState(np.fft.fft(state.amps, norm="ortho"))
-
-
-def idft(state: TorusState) -> TorusState:
-    """Inverse transform, momentum back to position representation."""
-    return TorusState(np.fft.ifft(state.amps, norm="ortho"))
-
 
 def coherent_state(n: int, center: PhasePoint) -> TorusState:
     """Normalized minimum-uncertainty wave packet at the given center.
@@ -118,10 +61,3 @@ def coherent_state(n: int, center: PhasePoint) -> TorusState:
         phase = np.exp(2j * math.pi * n * center.p * (q - m))
         amps += gauss * phase
     return TorusState(amps / np.linalg.norm(amps))
-
-
-def overlap(a: TorusState, b: TorusState) -> complex:
-    """Inner product <a|b>, conjugating the first argument."""
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    return complex(np.vdot(a.amps, b.amps))

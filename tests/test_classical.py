@@ -6,43 +6,47 @@ import numpy as np
 import pytest
 
 from torus_echo.classical import (
-    ClassicalState,
-    classical_nm,
+    _nm_batch,
     classical_nm_grid,
     diffusion_coefficient,
     iterate,
     phase_portrait,
-    step_classical,
 )
 
 
+def _step(family, k, k2, x, p):
+    """One wrapped step of a single initial condition."""
+    xs, ps = iterate(family, k, k2, x, p, steps=1)
+    return xs[1], ps[1]
+
+
 def test_free_standard_map_shears():
-    out = step_classical("sm", 0.0, None, ClassicalState(x=0.2, p=0.3))
-    assert abs(out.x - 0.5) < 1e-12
-    assert abs(out.p - 0.3) < 1e-12
+    x, p = _step("sm", 0.0, None, 0.2, 0.3)
+    assert abs(x - 0.5) < 1e-12
+    assert abs(p - 0.3) < 1e-12
 
 
 def test_standard_map_hand_step():
     # K=1 from (0.25, 0): kick sin(pi/2) = 1 gives p' = 1/(2*pi), then
     # x' = 0.25 + p'
-    out = step_classical("sm", 1.0, None, ClassicalState(x=0.25, p=0.0))
-    assert abs(out.p - 0.1591549) < 1e-7
-    assert abs(out.x - 0.4091549) < 1e-7
+    x, p = _step("sm", 1.0, None, 0.25, 0.0)
+    assert abs(p - 0.1591549) < 1e-7
+    assert abs(x - 0.4091549) < 1e-7
 
 
 def test_kickless_harper_is_identity():
-    out = step_classical("hm", 0.0, 0.0, ClassicalState(x=0.37, p=0.61))
-    assert abs(out.x - 0.37) < 1e-12 and abs(out.p - 0.61) < 1e-12
+    x, p = _step("hm", 0.0, 0.0, 0.37, 0.61)
+    assert abs(x - 0.37) < 1e-12 and abs(p - 0.61) < 1e-12
 
 
 def test_step_wraps_to_unit_square():
-    out = step_classical("sm", 2.5, None, ClassicalState(x=0.9, p=0.8))
-    assert 0.0 <= out.x < 1.0 and 0.0 <= out.p < 1.0
+    x, p = _step("sm", 2.5, None, 0.9, 0.8)
+    assert 0.0 <= x < 1.0 and 0.0 <= p < 1.0
 
 
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
-        step_classical("xx", 1.0, None, ClassicalState(x=0.1, p=0.1))
+        _step("xx", 1.0, None, 0.1, 0.1)
 
 
 @pytest.mark.parametrize("family,k", [("sm", 1.2), ("hm", 0.3)])
@@ -129,13 +133,13 @@ def test_diffusion_seed_invariance_within_bracket():
 
 
 def test_classical_measure_trivial_cases():
-    assert classical_nm("sm", 1.3, None, 0.0, 0.2, 0.7, 500) == 0.0
+    assert _nm_batch("sm", 1.3, 1.3, 0.0, [0.2], [0.7], 500)[0] == 0.0
     # (0, 0) is fixed for every K, so fiducial and perturbed orbits agree
-    assert classical_nm("sm", 1.3, None, 1e-3, 0.0, 0.0, 500) == 0.0
+    assert _nm_batch("sm", 1.3, 1.3, 1e-3, [0.0], [0.0], 500)[0] == 0.0
 
 
 def test_classical_measure_positive_on_generic_orbit():
-    value = classical_nm("sm", 0.9, None, 1e-3, 0.3, 0.6, 2000)
+    value = _nm_batch("sm", 0.9, 0.9, 1e-3, [0.3], [0.6], 2000)[0]
     assert value > 0.0
 
 
@@ -148,11 +152,11 @@ def test_classical_measure_grid_average_runs():
     lambda: classical_nm_grid("sm", 1.0, None, math.nan, 2, 10),
     lambda: classical_nm_grid("sm", math.nan, None, 0.01, 2, 10),
     lambda: classical_nm_grid("hm", 0.3, math.inf, 0.01, 2, 10),
-    lambda: classical_nm("sm", 1.0, None, -math.inf, 0.2, 0.3, 10),
+    lambda: classical_nm_grid("sm", 1.0, None, -math.inf, 2, 10),
     lambda: diffusion_coefficient("sm", math.nan, horizon=10, n_orbits=10),
     lambda: phase_portrait("sm", math.nan, n_orbits=4, steps=5),
     lambda: iterate("hm", 0.3, math.nan, [0.1], [0.2], 5),
-    lambda: step_classical("sm", math.inf, None, ClassicalState(x=0.2, p=0.3)),
+    lambda: iterate("sm", math.inf, None, 0.2, 0.3, 1),
 ], ids=["nm-grid-delta_k", "nm-grid-K", "nm-grid-K2", "nm-delta_k", "diffusion-K",
         "portrait-K", "iterate-K2", "step-K"])
 def test_non_finite_map_constants_are_rejected(call):

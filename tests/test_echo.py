@@ -13,7 +13,7 @@ from torus_echo.echo import (
 )
 from torus_echo.maps import MATRIX_GUARD, GuardError, MapSpec, PerturbedPair, build_matrix
 from torus_echo.measures import measure
-from torus_echo.torus import PhasePoint, basis_state, coherent_state, idft
+from torus_echo.torus import PhasePoint, TorusState, coherent_state
 
 
 def _pair(family, k, n, dkh):
@@ -104,7 +104,7 @@ def test_trace_equals_position_basis_average():
     trace = fidelity_trace(pair, t).values
     avg = np.zeros(t + 1, dtype=complex)
     for j in range(n):
-        avg += fidelity_from_state(pair, basis_state(n, j), t).values
+        avg += fidelity_from_state(pair, TorusState(np.eye(n)[j]), t).values
     np.testing.assert_allclose(trace, avg / n, atol=1e-10)
 
 
@@ -114,7 +114,8 @@ def test_trace_equals_momentum_basis_average():
     trace = fidelity_trace(pair, t).values
     avg = np.zeros(t + 1, dtype=complex)
     for j in range(n):
-        avg += fidelity_from_state(pair, idft(basis_state(n, j)), t).values
+        momentum_j = np.exp(2j * np.pi * j * np.arange(n) / n) / np.sqrt(n)
+        avg += fidelity_from_state(pair, TorusState(momentum_j), t).values
     np.testing.assert_allclose(trace, avg / n, atol=1e-10)
 
 

@@ -11,7 +11,12 @@ from torus_echo.maps import (
     apply_map,
     build_matrix,
 )
-from torus_echo.torus import TorusState, basis_state, idft
+from torus_echo.torus import TorusState
+
+
+def _momentum_state(n, k):
+    # momentum eigenstate |p_k> in the position representation
+    return TorusState(np.exp(2j * np.pi * k * np.arange(n) / n) / np.sqrt(n))
 
 
 def test_map_spec_validation():
@@ -46,7 +51,7 @@ def test_perturbation_placement():
 def test_free_standard_map_is_momentum_diagonal():
     # a momentum eigenstate only picks up the drift phase exp(-i*pi*k^2/N)
     n, k = 16, 5
-    state = idft(basis_state(n, k))
+    state = _momentum_state(n, k)
     out = apply_map(MapSpec(family="sm", n=n, k=0.0), state)
     np.testing.assert_allclose(np.abs(out.amps), np.abs(state.amps), atol=1e-12)
     np.testing.assert_allclose(out.amps, np.exp(-1j * np.pi * k**2 / n) * state.amps,
@@ -54,7 +59,7 @@ def test_free_standard_map_is_momentum_diagonal():
 
 
 def test_kickless_harper_is_identity():
-    state = idft(basis_state(16, 3))
+    state = _momentum_state(16, 3)
     out = apply_map(MapSpec(family="hm", n=16, k=0.0, k2=0.0), state)
     assert abs(abs(np.vdot(out.amps, state.amps)) - 1.0) < 1e-12
 
@@ -69,7 +74,7 @@ def test_two_site_standard_map_matches_hand_computation():
                            [(1 + 1j) * a, (1 - 1j) * b]])
     spec = MapSpec(family="sm", n=2, k=k)
     np.testing.assert_allclose(build_matrix(spec), hand, atol=1e-12)
-    out = apply_map(spec, basis_state(2, 0))
+    out = apply_map(spec, TorusState(np.eye(2)[0]))
     np.testing.assert_allclose(out.amps, hand[:, 0], atol=1e-12)
 
 
@@ -132,7 +137,7 @@ def test_echo_operator_harper_map():
 
 def test_iterated_map_matches_matrix_power():
     spec = MapSpec(family="sm", n=32, k=1.7)
-    state = basis_state(32, 7)
+    state = TorusState(np.eye(32)[7])
     for _ in range(5):
         state = apply_map(spec, state)
     column = np.linalg.matrix_power(build_matrix(spec), 5)[:, 7]

@@ -1,17 +1,11 @@
-"""Measure extraction from fidelity series and fluctuation statistics."""
+"""Measure extraction from fidelity series."""
 
 import numpy as np
 import pytest
 
 from torus_echo.echo import FidelitySeries, fidelity_trace
 from torus_echo.maps import MapSpec, PerturbedPair
-from torus_echo.measures import (
-    fluctuation_stats,
-    measure,
-    measure_value,
-    measure_vs_time,
-    rise_segments,
-)
+from torus_echo.measures import measure, measure_value, rise_segments
 from torus_echo.qubit import blp_sampled
 
 
@@ -70,16 +64,20 @@ def test_result_carries_labels_and_segment_sum():
     assert all(ends[i] <= starts[i + 1] for i in range(len(starts) - 1))
 
 
+def _prefix(absvals):
+    """Measure of every prefix f(0..t), t = 0..T."""
+    return np.array([measure_value(absvals[: t + 1]) for t in range(len(absvals))])
+
+
 def test_prefix_values():
-    series = _series([1.0, 0.5, 0.8, 0.3, 0.6])
-    np.testing.assert_allclose(measure_vs_time(series), [0, 0, 0.6, 0.6, 1.2],
-                               atol=1e-12)
+    np.testing.assert_allclose(_prefix(np.array([1.0, 0.5, 0.8, 0.3, 0.6])),
+                               [0, 0, 0.6, 0.6, 1.2], atol=1e-12)
 
 
 def test_prefix_is_nondecreasing_and_ends_at_measure():
     rng = np.random.default_rng(8)
     series = _series(rng.uniform(0, 1, size=200))
-    prefix = measure_vs_time(series)
+    prefix = _prefix(np.abs(series.values))
     assert np.all(np.diff(prefix) >= 0)
     assert abs(prefix[-1] - measure(series).value) < 1e-12
     assert prefix[0] == 0.0
@@ -107,50 +105,13 @@ def test_measure_dominates_sampled_estimate():
     assert measure(series).value >= blp_sampled(series, n_pairs=40, seed=3) - 1e-9
 
 
-def test_fluctuation_window_is_inclusive_and_validated():
-    series = _series(np.linspace(1.0, 0.5, 21))
-    stats = fluctuation_stats(series, 3, 5)
-    assert stats.hist_counts.sum() == 3
-    for t0, t1 in [(5, 5), (5, 3), (-1, 4), (0, 99)]:
-        with pytest.raises(ValueError):
-            fluctuation_stats(series, t0, t1)
-
-
-def test_fluctuations_of_constant_window():
-    series = _series(np.full(65, 0.8))
-    stats = fluctuation_stats(series, 0, 63)
-    assert stats.mean == pytest.approx(0.8, abs=1e-15)
-    assert stats.variance < 1e-30
-    assert stats.spectrum_power.max() < 1e-24
-    assert stats.hist_counts.sum() == 64
-
-
-def test_histogram_counts_values_rounded_above_one():
-    # at dkh = 0 |f| stays at 1, and most kicks overshoot it by ~1e-15
-    pair = PerturbedPair.from_dkh(MapSpec(family="sm", n=64, k=1.1), 0.0)
-    series = fidelity_trace(pair, 50)
-    assert (np.abs(series.values) > 1.0).any()
-    stats = fluctuation_stats(series, 0, 50)
-    assert stats.hist_counts.sum() == 51
-    assert stats.hist_counts[-1] == 51
-    assert stats.mean == np.abs(series.values).mean()
-
-
-def test_sinusoid_lands_in_single_spectral_bin():
-    t = np.arange(100)
-    series = _series(0.5 + 0.1 * np.cos(2 * np.pi * t / 16))
-    stats = fluctuation_stats(series, 0, 63)
-    dominant = int(np.argmax(stats.spectrum_power))
-    assert stats.spectrum_freq[dominant] == pytest.approx(1 / 16)
-    others = np.delete(stats.spectrum_power, dominant)
-    assert stats.spectrum_power[dominant] > 100 * others.max()
-
-
 def test_chaotic_series_growth_turns_linear():
     # once |f| saturates at its fluctuation floor, rises accumulate at a
     # steady rate; a line fits the late prefix to within a few percent
     pair = PerturbedPair.from_dkh(MapSpec(family="sm", n=256, k=10.0), 2.0)
-    prefix = measure_vs_time(fidelity_trace(pair, 2000))
+    absvals = np.abs(fidelity_trace(pair, 2000).values)
+    prefix = np.concatenate([[0.0], 2.0 * np.cumsum(np.maximum(np.diff(absvals), 0.0))])
+    assert prefix[-1] == pytest.approx(measure_value(absvals), rel=1e-12)
     window = prefix[500:2001]
     t = np.arange(500, 2001, dtype=float)
     slope, intercept = np.polyfit(t, window, 1)

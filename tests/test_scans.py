@@ -99,6 +99,20 @@ def test_peak_memory_does_not_grow_with_horizon(route, columns):
     assert long - short < (800 - 50) * 16 * columns / 8
 
 
+def test_start_states_are_built_per_block(monkeypatch):
+    # 64-row blocks at N=64: going from s=8 to s=32 adds 960 coherent states,
+    # 0.98 MB of complex start rows if they were all built up front; the
+    # allowance is a quarter of that
+    monkeypatch.setattr(scans, "_BLOCK_ELEMENTS", 1 << 12)
+
+    def scan(s):
+        return scan_phase_space("sm", 0.9, 2.0, 64, 5, s)
+
+    scan(2)  # the first call fills one-off caches
+    small, large = _peak_bytes(lambda: scan(8)), _peak_bytes(lambda: scan(32))
+    assert large - small < (32**2 - 8**2) * 64 * 16 / 4
+
+
 def test_line_scan_returns_points_in_order():
     points = [PhasePoint(0.25, 0.5), PhasePoint(0.75, 0.0)]
     out = line_scan("sm", 0.9, 2.0, 64, 50, points)
@@ -107,6 +121,8 @@ def test_line_scan_returns_points_in_order():
     assert abs(out[0][1] - grid.values[1, 2]) < 1e-12
     with pytest.raises(ValueError):
         line_scan("sm", 0.9, 2.0, 64, 50, [])
+    with pytest.raises(ValueError, match="t_max"):
+        line_scan("sm", 0.9, 2.0, 64, 0, points)
 
 
 def test_blocked_scan_matches_unsplit_scan(monkeypatch):
