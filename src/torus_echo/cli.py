@@ -6,6 +6,10 @@ validates its configuration before any computation starts, writes CSV files
 whose first line echoes the resolved config, and can emit a gnuplot script
 next to each output.  Reruns with the same config are byte identical.
 
+One table, _COMMANDS, gives each subcommand's runner, help text and options;
+the argparse parser, the config-file merge and the required/count checks
+are all read from it.
+
 Exit codes: 0 success, 2 configuration error, 1 resource guard violation.
 """
 
@@ -16,15 +20,14 @@ import math
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .classical import classical_nm_grid, diffusion_coefficient, phase_portrait
 from .echo import fidelity_pure, fidelity_trace, save_series
 from .maps import GuardError, MapSpec, PerturbedPair
-from .measures import NmResult
 from .scans import (
-    PhaseGrid,
     SweepSpec,
     line_scan,
     save_grid,
@@ -41,14 +44,6 @@ __all__ = ["main"]
 THREADS_ENV = "TORUS_ECHO_THREADS"
 
 
-class CliError(Exception):
-    """Configuration or input problem; carries the exit code."""
-
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
-
-
 def _fmt(v) -> str:
     """Compact value for filenames and config echoes."""
     if isinstance(v, float):
@@ -56,17 +51,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _config_echo(cmd: str, args: argparse.Namespace) -> str:
-    skip = {"func", "config"}
-    pairs = []
-    for key in sorted(vars(args)):
-        if key in skip or key == "cmd":
-            continue
-        val = getattr(args, key)
-        if val is None:
-            continue
-        pairs.append(f"{key}={_fmt(val)}")
-    return f"torus-echo {cmd} " + " ".join(pairs)
+def _config_echo(args: argparse.Namespace) -> str:
+    pairs = [
+        f"{key}={_fmt(val)}"
+        for key, val in sorted(vars(args).items())
+        if key != "cmd" and val is not None
+    ]
+    return f"torus-echo {args.cmd} " + " ".join(pairs)
 
 
 def finite_float(raw: str) -> float:
@@ -89,7 +80,7 @@ def _parse_bool(raw: str) -> bool:
 def _read_config(path: str) -> dict[str, str]:
     """Flat `key = value` text; # starts a comment, blank lines ignored."""
     if not os.path.exists(path):
-        raise CliError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     entries: dict[str, str] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -97,102 +88,54 @@ def _read_config(path: str) -> dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected key = value")
+                raise ValueError(f"{path}:{lineno}: expected key = value")
             key, val = line.split("=", 1)
             entries[key.strip().replace("-", "_")] = val.strip()
     return entries
 
 
-def _config_tokens(args: argparse.Namespace, entries: dict[str, str]) -> list[str]:
-    """Config entries as option tokens; the first parse tells which keys exist."""
-    tokens = []
-    for key, raw in entries.items():
-        if key in ("cmd", "func") or not hasattr(args, key):
-            raise CliError(f"unknown config key: {key}")
-        flag = "--" + key.replace("_", "-")
-        if isinstance(getattr(args, key), bool):
-            if _parse_bool(raw):
-                tokens.append(flag)
-        else:
-            tokens.append(f"{flag}={raw}")
-    return tokens
-
-
-# Flags every subcommand must end up with after the config merge; grid
-# parameters (K, dkh of the sweeps) are validated by _grid_values instead.
-_REQUIRED = {
-    "fidelity": ("map", "k", "n", "t", "dkh"),
-    "nm-sweep": ("map", "n", "t"),
-    "avg-mp-sweep": ("map", "n", "t"),
-    "phase-scan": ("map", "k", "n", "t", "dkh", "s"),
-    "line-scan": ("map", "k", "n", "t", "dkh", "q0", "p0", "q1", "p1", "points"),
-    "classical-portrait": ("map", "k"),
-    "diffusion": ("map",),
-    "classical-nm": ("map",),
-    "gamma-curve": (),
-    "short-time-check": ("map", "k", "dkh", "n"),
-}
-
-
-def _check_required(args: argparse.Namespace) -> None:
-    missing = [
-        "--" + name.replace("_", "-")
-        for name in _REQUIRED[args.cmd]
-        if getattr(args, name, None) is None
-    ]
-    if missing:
-        raise CliError(f"{args.cmd}: missing {', '.join(missing)}")
-
-
 def _resolve_threads(args: argparse.Namespace) -> int:
-    if getattr(args, "threads", None) is not None:
-        hint = args.threads
-    else:
-        raw = os.environ.get(THREADS_ENV)
-        if raw is None:
-            hint = 1
-        else:
-            try:
-                hint = int(raw)
-            except ValueError:
-                raise CliError(f"{THREADS_ENV} must be an integer, got {raw!r}")
+    hint = args.threads
+    if hint is None:
+        raw = os.environ.get(THREADS_ENV, "1")
+        try:
+            hint = int(raw)
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
     if hint < 1:
-        raise CliError(f"thread hint must be >= 1, got {hint}")
+        raise ValueError(f"thread hint must be >= 1, got {hint}")
     return hint
 
 
-def _positive(args: argparse.Namespace, names: list[str]) -> None:
-    for name in names:
-        val = getattr(args, name, None)
-        if val is not None and val < 1:
-            raise CliError(f"--{name.replace('_', '-')} must be >= 1, got {val}")
-
-
 def _grid_values(args, prefix: str) -> tuple[float, ...]:
-    """Resolve a parameter grid from --<p>-values or --<p>-min/max/points."""
-    values = getattr(args, f"{prefix}_values", None)
-    lo = getattr(args, f"{prefix}_min", None)
-    hi = getattr(args, f"{prefix}_max", None)
-    npts = getattr(args, f"{prefix}_points", None)
+    """Resolve a parameter grid from --<p>, --<p>-values or --<p>-min/max/points."""
+    single = getattr(args, prefix)
+    values = getattr(args, f"{prefix}_values")
+    lo = getattr(args, f"{prefix}_min")
+    hi = getattr(args, f"{prefix}_max")
+    npts = getattr(args, f"{prefix}_points")
+    ranged = lo is not None or hi is not None or npts is not None
+    forms = [form for form, on in ((f"--{prefix}", single is not None),
+                                   (f"--{prefix}-values", values is not None),
+                                   (f"a --{prefix}-min range", ranged)) if on]
+    if len(forms) > 1:
+        raise ValueError(f"give either {forms[0]} or {forms[1]}, not both")
+    if single is not None:
+        return (single,)
     if values is not None:
-        if lo is not None or hi is not None or npts is not None:
-            raise CliError(f"give either --{prefix}-values or a --{prefix}-min range, not both")
         try:
             grid = tuple(finite_float(tok) for tok in values.split(",") if tok.strip())
         except (ValueError, argparse.ArgumentTypeError):
-            raise CliError(f"--{prefix}-values must be a comma list of finite numbers")
+            raise ValueError(f"--{prefix}-values must be a comma list of finite numbers")
         if not grid:
-            raise CliError(f"--{prefix}-values is empty")
+            raise ValueError(f"--{prefix}-values is empty")
         return grid
-    if lo is None and hi is None and npts is None:
-        single = getattr(args, prefix, None)
-        if single is None:
-            raise CliError(f"missing --{prefix} or --{prefix}-min/--{prefix}-max/--{prefix}-points")
-        return (float(single),)
+    if not ranged:
+        raise ValueError(f"missing --{prefix} or --{prefix}-min/--{prefix}-max/--{prefix}-points")
     if lo is None or hi is None or npts is None:
-        raise CliError(f"--{prefix}-min, --{prefix}-max and --{prefix}-points go together")
+        raise ValueError(f"--{prefix}-min, --{prefix}-max and --{prefix}-points go together")
     if npts < 1:
-        raise CliError(f"--{prefix}-points must be >= 1, got {npts}")
+        raise ValueError(f"--{prefix}-points must be >= 1, got {npts}")
     if npts == 1:
         return (float(lo),)
     return tuple(float(v) for v in np.linspace(lo, hi, npts))
@@ -216,18 +159,12 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out_dir, name)
 
 
-def _write_rows(path: str, echo: str, header: str, rows: list[str]) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# {echo}\n{header}\n")
-        fh.write("\n".join(rows) + ("\n" if rows else ""))
+_RESULT_HEADER = "K,deltaK_over_hbar,N,T,kind,value"
 
 
-def _write_results(path: str, echo: str, results: list[NmResult]) -> None:
-    rows = [
-        f"{r.k!r},{r.dkh!r},{r.n},{r.t_max},{r.kind},{r.value!r}"
-        for r in results
-    ]
-    _write_rows(path, echo, "K,deltaK_over_hbar,N,T,kind,value", rows)
+def _gamma_rows(dkh_values: np.ndarray) -> list[str]:
+    curve = gamma_curve(dkh_values)
+    return [f"{float(d)!r},{float(g)!r}" for d, g in zip(dkh_values, curve)]
 
 
 # ---------------------------------------------------------------------------
@@ -236,60 +173,36 @@ def _write_results(path: str, echo: str, results: list[NmResult]) -> None:
 
 _GP_PRELUDE = 'set datafile separator ","\nset terminal pngcairo size 900,700\n'
 
+# kind -> (set-up lines, x label, y label, plot clause after the file name)
+_PLOTS = {
+    "series": ("set key autotitle columnhead\nset logscale y\n", "t (kicks)", "|f|",
+               'using 1:4 with lines title "|f|"'),
+    "curve": ("set key autotitle columnhead\n", "K", "measure",
+              'using 1:6 with linespoints title "measure"'),
+    "heatmap": ("unset key\nset size square\nset palette gray\n", "q", "p",
+                "matrix with image"),
+    "line": ("set key autotitle columnhead\n", "q0", "measure",
+             'using 1:3 with linespoints title "measure"'),
+    "portrait": ("unset key\nset size square\nset xrange [0:1]\nset yrange [0:1]\n",
+                 "x", "p", "using 1:2 with dots"),
+    "diffusion": ("set key autotitle columnhead\nset logscale y\n", "K", "D",
+                  'using 1:3 with linespoints title "D"'),
+    "classical": ("set key autotitle columnhead\n", "K", "measure",
+                  'using 1:3 with linespoints title "measure"'),
+    "gamma": ("set key autotitle columnhead\nceil = 10.0\nset yrange [0:ceil]\n",
+              "dkh", "Gamma", 'using 1:($2 > ceil ? ceil : $2) with lines title "Gamma"'),
+}
 
-def emit_plot_script(kind: str, inputs: list[str], out_path: str) -> None:
-    """Write a self-contained gnuplot script rendering the given files.
+
+def _maybe_plot(args, kind: str, inputs: list[str], stem: str) -> list[str]:
+    """With --plot, write <stem>.gp, a gnuplot script rendering the inputs.
 
     Inputs are referenced by bare filename, so the script runs from the
-    directory it lives in.  A missing input is a configuration error.
+    directory it lives in.
     """
-    for path in inputs:
-        if not os.path.exists(path):
-            raise CliError(f"plot input not found: {path}")
+    if not args.plot:
+        return []
     names = [os.path.basename(p) for p in inputs]
-    png = os.path.splitext(os.path.basename(out_path))[0] + ".png"
-    body = {
-        "series": (
-            "set key autotitle columnhead\nset logscale y\n"
-            'set xlabel "t (kicks)"\nset ylabel "|f|"\n'
-            f'plot "{names[0]}" using 1:4 with lines title "|f|"\n'
-        ),
-        "curve": (
-            "set key autotitle columnhead\n"
-            'set xlabel "K"\nset ylabel "measure"\n'
-            f'plot "{names[0]}" using 1:6 with linespoints title "measure"\n'
-        ),
-        "heatmap": (
-            "unset key\nset size square\nset palette gray\n"
-            'set xlabel "q"\nset ylabel "p"\n'
-            f'plot "{names[0]}" matrix with image\n'
-        ),
-        "line": (
-            "set key autotitle columnhead\n"
-            'set xlabel "q0"\nset ylabel "measure"\n'
-            f'plot "{names[0]}" using 1:3 with linespoints title "measure"\n'
-        ),
-        "portrait": (
-            "unset key\nset size square\nset xrange [0:1]\nset yrange [0:1]\n"
-            'set xlabel "x"\nset ylabel "p"\n'
-            f'plot "{names[0]}" using 1:2 with dots\n'
-        ),
-        "diffusion": (
-            "set key autotitle columnhead\nset logscale y\n"
-            'set xlabel "K"\nset ylabel "D"\n'
-            f'plot "{names[0]}" using 1:3 with linespoints title "D"\n'
-        ),
-        "classical": (
-            "set key autotitle columnhead\n"
-            'set xlabel "K"\nset ylabel "measure"\n'
-            f'plot "{names[0]}" using 1:3 with linespoints title "measure"\n'
-        ),
-        "gamma": (
-            "set key autotitle columnhead\nceil = 10.0\nset yrange [0:ceil]\n"
-            'set xlabel "dkh"\nset ylabel "Gamma"\n'
-            f'plot "{names[0]}" using 1:($2 > ceil ? ceil : $2) with lines title "Gamma"\n'
-        ),
-    }
     if kind == "overlay":
         text = (
             "unset key\n"
@@ -298,20 +211,23 @@ def emit_plot_script(kind: str, inputs: list[str], out_path: str) -> None:
             f'plot "{names[0]}" using 2:1:6 with image, '
             f'"{names[1]}" using 1:($2 > 10 ? 10 : $2) axes x1y2 with lines lc "gray"\n'
         )
-    elif kind in body:
-        text = body[kind]
     else:
-        raise CliError(f"unknown plot kind: {kind}")
-    with open(out_path, "w") as fh:
-        fh.write(_GP_PRELUDE + f'set output "{png}"\n' + text)
-
-
-def _maybe_plot(args, kind: str, inputs: list[str], stem: str) -> list[str]:
-    if not getattr(args, "plot", False):
-        return []
+        setup, xlabel, ylabel, clause = _PLOTS[kind]
+        text = (f'{setup}set xlabel "{xlabel}"\nset ylabel "{ylabel}"\n'
+                f'plot "{names[0]}" {clause}\n')
     script = _out_path(args, stem + ".gp")
-    emit_plot_script(kind, inputs, script)
+    with open(script, "w") as fh:
+        fh.write(_GP_PRELUDE + f'set output "{stem}.png"\n' + text)
     return [script]
+
+
+def _save(args, stem: str, header: str, rows: list[str], plot: str | None = None) -> list[str]:
+    """Write <stem>.csv under the config echo, then its plot script if asked."""
+    path = _out_path(args, stem + ".csv")
+    with open(path, "w") as fh:
+        fh.write(f"# {_config_echo(args)}\n{header}\n")
+        fh.write("\n".join(rows) + ("\n" if rows else ""))
+    return [path] + (_maybe_plot(args, plot, [path], stem) if plot else [])
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +235,6 @@ def _maybe_plot(args, kind: str, inputs: list[str], stem: str) -> list[str]:
 
 
 def _cmd_fidelity(args) -> list[str]:
-    _positive(args, ["n", "t"])
     pair = PerturbedPair.from_dkh(
         MapSpec(args.map, args.n, args.k, k2=args.k2),
         args.dkh,
@@ -330,14 +245,14 @@ def _cmd_fidelity(args) -> list[str]:
     else:
         series = fidelity_pure(pair, PhasePoint(args.q0, args.p0), args.t)
         tag = f"pure_q{_fmt(args.q0)}_p{_fmt(args.p0)}"
-    name = f"fidelity_{args.map}_k{_fmt(args.k)}_dkh{_fmt(args.dkh)}_n{args.n}_t{args.t}_{tag}.csv"
-    path = _out_path(args, name)
-    save_series(series, path, header=_config_echo("fidelity", args))
-    return [path] + _maybe_plot(args, "series", [path], os.path.splitext(name)[0])
+    stem = f"fidelity_{args.map}_k{_fmt(args.k)}_dkh{_fmt(args.dkh)}_n{args.n}_t{args.t}_{tag}"
+    path = _out_path(args, stem + ".csv")
+    save_series(series, path, header=_config_echo(args))
+    return [path] + _maybe_plot(args, "series", [path], stem)
 
 
-def _sweep_common(args, kind: str) -> tuple[SweepSpec, str]:
-    _positive(args, ["n", "t"])
+def _run_sweep(args, kind: str, sweep) -> tuple[SweepSpec, str, list[str]]:
+    """Run the K x dkh sweep; its spec, file-name tag and CSV rows."""
     k_grid = _grid_values(args, "k")
     dkh_grid = _grid_values(args, "dkh")
     spec = SweepSpec(
@@ -349,130 +264,93 @@ def _sweep_common(args, kind: str) -> tuple[SweepSpec, str]:
         kind=kind,
         s=getattr(args, "s", 16),
     )
+    results = sweep(spec, workers=_resolve_threads(args), progress=_progress_printer(args.cmd))
     tag = f"{_grid_tag('k', k_grid)}_{_grid_tag('dkh', dkh_grid)}_n{args.n}_t{args.t}"
-    return spec, tag
+    rows = [f"{r.k!r},{r.dkh!r},{r.n},{r.t_max},{r.kind},{r.value!r}" for r in results]
+    return spec, tag, rows
 
 
 def _cmd_nm_sweep(args) -> list[str]:
-    spec, tag = _sweep_common(args, "trace")
-    threads = _resolve_threads(args)
-    results = sweep_mm(spec, workers=threads, progress=_progress_printer("nm-sweep"))
-    name = f"nm_sweep_{args.map}_{tag}.csv"
-    path = _out_path(args, name)
-    _write_results(path, _config_echo("nm-sweep", args), results)
-    written = [path]
+    spec, tag, rows = _run_sweep(args, "trace", sweep_mm)
+    stem = f"nm_sweep_{args.map}_{tag}"
+    if len(spec.dkh_values) == 1:
+        return _save(args, stem, _RESULT_HEADER, rows, "curve")
+    written = _save(args, stem, _RESULT_HEADER, rows)
     if args.plot:
-        stem = os.path.splitext(name)[0]
-        if len(spec.dkh_values) > 1:
-            gpath = _out_path(args, stem + "_gamma.csv")
-            dkh_fine = np.linspace(min(spec.dkh_values), max(spec.dkh_values), 600)
-            _write_gamma(gpath, _config_echo("nm-sweep", args), dkh_fine)
-            written.append(gpath)
-            written += _maybe_plot(args, "overlay", [path, gpath], stem)
-        else:
-            written += _maybe_plot(args, "curve", [path], stem)
+        dkh_fine = np.linspace(min(spec.dkh_values), max(spec.dkh_values), 600)
+        written += _save(args, stem + "_gamma", "dkh,gamma", _gamma_rows(dkh_fine))
+        written += _maybe_plot(args, "overlay", written, stem)
     return written
 
 
 def _cmd_avg_mp_sweep(args) -> list[str]:
-    _positive(args, ["s"])
-    spec, tag = _sweep_common(args, "pure-average")
-    threads = _resolve_threads(args)
-    results = sweep_avg_mp(spec, workers=threads, progress=_progress_printer("avg-mp-sweep"))
-    name = f"avg_mp_sweep_{args.map}_{tag}_s{args.s}.csv"
-    path = _out_path(args, name)
-    _write_results(path, _config_echo("avg-mp-sweep", args), results)
-    return [path] + _maybe_plot(args, "curve", [path], os.path.splitext(name)[0])
+    _, tag, rows = _run_sweep(args, "pure-average", sweep_avg_mp)
+    return _save(args, f"avg_mp_sweep_{args.map}_{tag}_s{args.s}", _RESULT_HEADER, rows, "curve")
 
 
 def _cmd_phase_scan(args) -> list[str]:
-    _positive(args, ["n", "t", "s"])
     grid = scan_phase_space(args.map, args.k, args.dkh, args.n, args.t, args.s)
     stem = (
         f"phase_scan_{args.map}_k{_fmt(args.k)}_dkh{_fmt(args.dkh)}"
         f"_n{args.n}_t{args.t}_s{args.s}"
     )
     path = _out_path(args, stem + ".csv")
-    save_grid(grid, path, header=_config_echo("phase-scan", args))
+    save_grid(grid, path, header=_config_echo(args))
     pgm = _out_path(args, stem + ".pgm")
     save_grid_pgm(grid, pgm)
     return [path, pgm] + _maybe_plot(args, "heatmap", [path], stem)
 
 
 def _cmd_line_scan(args) -> list[str]:
-    _positive(args, ["n", "t", "points"])
     qs = np.linspace(args.q0, args.q1, args.points)
     ps = np.linspace(args.p0, args.p1, args.points)
     points = [PhasePoint(q, p) for q, p in zip(qs, ps)]
     scanned = line_scan(args.map, args.k, args.dkh, args.n, args.t, points)
     stem = f"line_scan_{args.map}_k{_fmt(args.k)}_dkh{_fmt(args.dkh)}_n{args.n}_t{args.t}"
-    path = _out_path(args, stem + ".csv")
     rows = [f"{pt.q!r},{pt.p!r},{val!r}" for pt, val in scanned]
-    _write_rows(path, _config_echo("line-scan", args), "q,p,value", rows)
-    return [path] + _maybe_plot(args, "line", [path], stem)
+    return _save(args, stem, "q,p,value", rows, "line")
 
 
 def _cmd_classical_portrait(args) -> list[str]:
-    _positive(args, ["orbits", "steps"])
     cloud = phase_portrait(args.map, args.k, k2=args.k2, n_orbits=args.orbits,
                            steps=args.steps, seed=args.seed)
-    stem = f"portrait_{args.map}_k{_fmt(args.k)}"
-    path = _out_path(args, stem + ".csv")
     rows = [f"{float(x)!r},{float(p)!r}" for x, p in cloud]
-    _write_rows(path, _config_echo("classical-portrait", args), "x,p", rows)
-    return [path] + _maybe_plot(args, "portrait", [path], stem)
+    return _save(args, f"portrait_{args.map}_k{_fmt(args.k)}", "x,p", rows, "portrait")
+
+
+def _per_k(args, second, value: Callable[[float], float]) -> tuple[str, list[str]]:
+    """Rows `K,<second>,value(K)` over the K grid with per-cell progress; the grid tag."""
+    k_grid = _grid_values(args, "k")
+    progress = _progress_printer(args.cmd)
+    rows = []
+    for i, k in enumerate(k_grid):
+        rows.append(f"{k!r},{second},{value(k)!r}")
+        progress(i, len(k_grid))
+    return _grid_tag("k", k_grid), rows
 
 
 def _cmd_diffusion(args) -> list[str]:
-    _positive(args, ["horizon", "orbits"])
-    k_grid = _grid_values(args, "k")
-    progress = _progress_printer("diffusion")
-    rows = []
-    for i, k in enumerate(k_grid):
-        d = diffusion_coefficient(args.map, k, k2=args.k2, horizon=args.horizon,
-                                  n_orbits=args.orbits, seed=args.seed)
-        rows.append(f"{k!r},{args.horizon},{d!r}")
-        progress(i, len(k_grid))
-    stem = f"diffusion_{args.map}_{_grid_tag('k', k_grid)}_h{args.horizon}"
-    path = _out_path(args, stem + ".csv")
-    _write_rows(path, _config_echo("diffusion", args), "K,horizon,D", rows)
-    return [path] + _maybe_plot(args, "diffusion", [path], stem)
+    tag, rows = _per_k(args, args.horizon, lambda k: diffusion_coefficient(
+        args.map, k, k2=args.k2, horizon=args.horizon, n_orbits=args.orbits, seed=args.seed))
+    stem = f"diffusion_{args.map}_{tag}_h{args.horizon}"
+    return _save(args, stem, "K,horizon,D", rows, "diffusion")
 
 
 def _cmd_classical_nm(args) -> list[str]:
-    _positive(args, ["t", "grid"])
-    k_grid = _grid_values(args, "k")
-    progress = _progress_printer("classical-nm")
-    rows = []
-    for i, k in enumerate(k_grid):
-        val = classical_nm_grid(args.map, k, args.k2, args.delta_k, args.grid, args.t)
-        rows.append(f"{k!r},{args.t},{val!r}")
-        progress(i, len(k_grid))
-    stem = f"classical_nm_{args.map}_{_grid_tag('k', k_grid)}_t{args.t}"
-    path = _out_path(args, stem + ".csv")
-    _write_rows(path, _config_echo("classical-nm", args), "K,T,value", rows)
-    return [path] + _maybe_plot(args, "classical", [path], stem)
-
-
-def _write_gamma(path: str, echo: str, dkh_values: np.ndarray) -> None:
-    curve = gamma_curve(dkh_values)
-    rows = [f"{float(d)!r},{float(g)!r}" for d, g in zip(dkh_values, curve)]
-    _write_rows(path, echo, "dkh,gamma", rows)
+    tag, rows = _per_k(args, args.t, lambda k: classical_nm_grid(
+        args.map, k, args.k2, args.delta_k, args.grid, args.t))
+    return _save(args, f"classical_nm_{args.map}_{tag}_t{args.t}", "K,T,value", rows, "classical")
 
 
 def _cmd_gamma_curve(args) -> list[str]:
-    _positive(args, ["points"])
     if args.dkh_max <= 0:
-        raise CliError(f"--dkh-max must be positive, got {args.dkh_max}")
+        raise ValueError(f"--dkh-max must be positive, got {args.dkh_max}")
     dkh_values = np.linspace(0.0, args.dkh_max, args.points)
     stem = f"gamma_curve_max{_fmt(args.dkh_max)}_{args.points}"
-    path = _out_path(args, stem + ".csv")
-    _write_gamma(path, _config_echo("gamma-curve", args), dkh_values)
-    return [path] + _maybe_plot(args, "gamma", [path], stem)
+    return _save(args, stem, "dkh,gamma", _gamma_rows(dkh_values), "gamma")
 
 
 def _cmd_short_time_check(args) -> list[str]:
-    _positive(args, ["n"])
     result = short_time_check(args.map, args.k, args.dkh, args.n)
     print(
         f"short-time-check {args.map} K={_fmt(args.k)} dkh={_fmt(args.dkh)} N={args.n}: "
@@ -483,153 +361,172 @@ def _cmd_short_time_check(args) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# the option table
 
 
-def _add_common(sub: argparse.ArgumentParser, *, seeded: bool = False) -> None:
-    sub.add_argument("--config", help="flat key = value file; flags override it")
-    sub.add_argument("--out-dir", default=".", help="directory for output files")
-    sub.add_argument("--threads", type=int, default=None,
-                     help=f"worker pool size (default: ${THREADS_ENV} or 1)")
-    sub.add_argument("--plot", action="store_true", help="emit a gnuplot script")
-    if seeded:
-        sub.add_argument("--seed", type=int, default=0)
+_REQUIRED = object()  # default mark: the merged value must come from a flag or the config
+_COUNT = "count"      # type mark: an int that must be >= 1 after the merge
 
 
-def _add_map_args(sub: argparse.ArgumentParser, *, single_k: bool) -> None:
-    sub.add_argument("--map", choices=("sm", "hm"))
-    if single_k:
-        sub.add_argument("--k", type=finite_float)
-    else:
-        sub.add_argument("--k", type=finite_float, help="single kick strength")
-        sub.add_argument("--k-values", help="comma list of kick strengths")
-        sub.add_argument("--k-min", type=finite_float)
-        sub.add_argument("--k-max", type=finite_float)
-        sub.add_argument("--k-points", type=int)
-    sub.add_argument("--k2", type=finite_float, default=None,
-                     help="hm momentum kick strength (default: --k)")
+class _Opt(NamedTuple):
+    """One option of the table.
+
+    type is finite_float, int, str, _COUNT, bool (a switch) or a tuple of
+    choices; default is a value, None or _REQUIRED.
+    """
+
+    name: str
+    type: object
+    default: object = None
+    help: str | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def argparse_kwargs(self) -> dict:
+        if self.type is bool:
+            return {"action": "store_true", "help": self.help}
+        if isinstance(self.type, tuple):
+            return {"choices": self.type, "help": self.help}
+        return {"type": int if self.type is _COUNT else self.type, "help": self.help}
+
+    def convert(self, raw: str):
+        """A config-file value, converted and checked as its flag would be."""
+        if self.type is bool:
+            return _parse_bool(raw)
+        if isinstance(self.type, tuple):
+            if raw not in self.type:
+                choices = ", ".join(repr(c) for c in self.type)
+                raise ValueError(f"invalid choice: {raw!r} (choose from {choices})")
+            return raw
+        return (int if self.type is _COUNT else self.type)(raw)
 
 
-def _add_quantum_args(sub: argparse.ArgumentParser, *, dkh_grid: bool = False) -> None:
-    sub.add_argument("--n", type=int, help="Hilbert space dimension")
-    sub.add_argument("--t", type=int, help="number of kicks")
-    if dkh_grid:
-        sub.add_argument("--dkh", type=finite_float, help="single scaled perturbation")
-        sub.add_argument("--dkh-values", help="comma list")
-        sub.add_argument("--dkh-min", type=finite_float)
-        sub.add_argument("--dkh-max", type=finite_float)
-        sub.add_argument("--dkh-points", type=int)
-    else:
-        sub.add_argument("--dkh", type=finite_float,
-                         help="scaled perturbation strength")
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace], list[str]]
+    help: str
+    options: tuple[_Opt, ...]
+
+
+def _grid(prefix: str, single_help: str, values_help: str) -> tuple[_Opt, ...]:
+    """A single value and the grid forms that _grid_values resolves."""
+    return (
+        _Opt(prefix, finite_float, help=single_help),
+        _Opt(f"{prefix}_values", str, help=values_help),
+        _Opt(f"{prefix}_min", finite_float),
+        _Opt(f"{prefix}_max", finite_float),
+        _Opt(f"{prefix}_points", int),
+    )
+
+
+_MAP = _Opt("map", ("sm", "hm"), _REQUIRED)
+_K = _Opt("k", finite_float, _REQUIRED)
+_K_GRID = _grid("k", "single kick strength", "comma list of kick strengths")
+_K2 = _Opt("k2", finite_float, help="hm momentum kick strength (default: --k)")
+_N = _Opt("n", _COUNT, _REQUIRED, "Hilbert space dimension")
+_T = _Opt("t", _COUNT, _REQUIRED, "number of kicks")
+_DKH = _Opt("dkh", finite_float, _REQUIRED, "scaled perturbation strength")
+_SWEEP = (_MAP, *_K_GRID, _K2, _N, _T, *_grid("dkh", "single scaled perturbation", "comma list"))
+# `config` names the file and is not itself a config key
+_COMMON = (
+    _Opt("config", str, help="flat key = value file; flags override it"),
+    _Opt("out_dir", str, ".", "directory for output files"),
+    _Opt("threads", int, help=f"worker pool size (default: ${THREADS_ENV} or 1)"),
+    _Opt("plot", bool, False, "emit a gnuplot script"),
+)
+_SEEDED = (*_COMMON, _Opt("seed", int, 0))
+
+_COMMANDS = {
+    "fidelity": _Command(_cmd_fidelity, "one fidelity series", (
+        _MAP, _K, _K2, _N, _T, _DKH,
+        _Opt("kind", ("pure", "trace"), "trace"),
+        _Opt("q0", finite_float, 0.5, "coherent center (pure)"),
+        _Opt("p0", finite_float, 0.5),
+        *_COMMON)),
+    "nm-sweep": _Command(_cmd_nm_sweep, "trace-measure sweep over K (and dkh)",
+                        (*_SWEEP, *_COMMON)),
+    "avg-mp-sweep": _Command(_cmd_avg_mp_sweep, "grid-averaged pure-measure sweep",
+                            (*_SWEEP, _Opt("s", _COUNT, 16, "coherent grid side"), *_COMMON)),
+    "phase-scan": _Command(_cmd_phase_scan, "pure measure on an s x s coherent grid", (
+        _MAP, _K, _K2, _N, _T, _DKH, _Opt("s", _COUNT, _REQUIRED, "grid side"), *_COMMON)),
+    "line-scan": _Command(_cmd_line_scan, "pure measure along a phase-space segment", (
+        _MAP, _K, _K2, _N, _T, _DKH,
+        *(_Opt(name, finite_float, _REQUIRED) for name in ("q0", "p0", "q1", "p1")),
+        _Opt("points", _COUNT, _REQUIRED),
+        *_COMMON)),
+    "classical-portrait": _Command(_cmd_classical_portrait, "classical phase portrait cloud", (
+        _MAP, _K, _K2, _Opt("orbits", _COUNT, 100), _Opt("steps", _COUNT, 300), *_SEEDED)),
+    "diffusion": _Command(_cmd_diffusion, "classical momentum diffusion vs K", (
+        _MAP, *_K_GRID, _K2, _Opt("horizon", _COUNT, 16000), _Opt("orbits", _COUNT, 4000),
+        *_SEEDED)),
+    "classical-nm": _Command(_cmd_classical_nm, "grid-averaged classical measure vs K", (
+        _MAP, *_K_GRID, _K2,
+        _Opt("delta_k", finite_float, 1e-3),
+        _Opt("t", _COUNT, 20000),
+        _Opt("grid", _COUNT, 32, "initial-condition grid side"),
+        *_COMMON)),
+    "gamma-curve": _Command(_cmd_gamma_curve, "short-time rate curve Gamma(dkh)", (
+        _Opt("dkh_max", finite_float, 12.0), _Opt("points", _COUNT, 1200), *_COMMON)),
+    "short-time-check": _Command(_cmd_short_time_check, "measured vs predicted t=1 rate",
+                                (_MAP, _K, _K2, _DKH, _N, *_COMMON)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse view of _COMMANDS; options left off the command line stay unset."""
     parser = argparse.ArgumentParser(
         prog="torus-echo",
         description="Kicked-map dephasing environments: fidelity, measures, scans.",
     )
     subs = parser.add_subparsers(dest="cmd", required=True)
-
-    sub = subs.add_parser("fidelity", help="one fidelity series")
-    _add_map_args(sub, single_k=True)
-    _add_quantum_args(sub)
-    sub.add_argument("--kind", choices=("pure", "trace"), default="trace")
-    sub.add_argument("--q0", type=finite_float, default=0.5, help="coherent center (pure)")
-    sub.add_argument("--p0", type=finite_float, default=0.5)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_fidelity)
-
-    sub = subs.add_parser("nm-sweep", help="trace-measure sweep over K (and dkh)")
-    _add_map_args(sub, single_k=False)
-    _add_quantum_args(sub, dkh_grid=True)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_nm_sweep)
-
-    sub = subs.add_parser("avg-mp-sweep", help="grid-averaged pure-measure sweep")
-    _add_map_args(sub, single_k=False)
-    _add_quantum_args(sub, dkh_grid=True)
-    sub.add_argument("--s", type=int, default=16, help="coherent grid side")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_avg_mp_sweep)
-
-    sub = subs.add_parser("phase-scan", help="pure measure on an s x s coherent grid")
-    _add_map_args(sub, single_k=True)
-    _add_quantum_args(sub)
-    sub.add_argument("--s", type=int, help="grid side")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_phase_scan)
-
-    sub = subs.add_parser("line-scan", help="pure measure along a phase-space segment")
-    _add_map_args(sub, single_k=True)
-    _add_quantum_args(sub)
-    sub.add_argument("--q0", type=finite_float)
-    sub.add_argument("--p0", type=finite_float)
-    sub.add_argument("--q1", type=finite_float)
-    sub.add_argument("--p1", type=finite_float)
-    sub.add_argument("--points", type=int)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_line_scan)
-
-    sub = subs.add_parser("classical-portrait", help="classical phase portrait cloud")
-    _add_map_args(sub, single_k=True)
-    sub.add_argument("--orbits", type=int, default=100)
-    sub.add_argument("--steps", type=int, default=300)
-    _add_common(sub, seeded=True)
-    sub.set_defaults(func=_cmd_classical_portrait)
-
-    sub = subs.add_parser("diffusion", help="classical momentum diffusion vs K")
-    _add_map_args(sub, single_k=False)
-    sub.add_argument("--horizon", type=int, default=16000)
-    sub.add_argument("--orbits", type=int, default=4000)
-    _add_common(sub, seeded=True)
-    sub.set_defaults(func=_cmd_diffusion)
-
-    sub = subs.add_parser("classical-nm", help="grid-averaged classical measure vs K")
-    _add_map_args(sub, single_k=False)
-    sub.add_argument("--delta-k", type=finite_float, default=1e-3)
-    sub.add_argument("--t", type=int, default=20000)
-    sub.add_argument("--grid", type=int, default=32, help="initial-condition grid side")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_classical_nm)
-
-    sub = subs.add_parser("gamma-curve", help="short-time rate curve Gamma(dkh)")
-    sub.add_argument("--dkh-max", type=finite_float, default=12.0)
-    sub.add_argument("--points", type=int, default=1200)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_gamma_curve)
-
-    sub = subs.add_parser("short-time-check", help="measured vs predicted t=1 rate")
-    _add_map_args(sub, single_k=True)
-    sub.add_argument("--dkh", type=finite_float)
-    sub.add_argument("--n", type=int)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_short_time_check)
-
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        for opt in command.options:
+            sub.add_argument(opt.flag, **opt.argparse_kwargs())
     return parser
 
 
+def _resolve(parsed: argparse.Namespace) -> argparse.Namespace:
+    """Merge flags over config entries over table defaults, then check them.
+
+    Every config entry is converted and checked, also when a flag overrides
+    it.  Required options and counts are checked on the merged values.
+    """
+    given = vars(parsed)
+    cmd = given.pop("cmd")
+    config = given.pop("config", None)
+    options = {opt.name: opt for opt in _COMMANDS[cmd].options if opt.name != "config"}
+    merged = {name: None if opt.default is _REQUIRED else opt.default
+              for name, opt in options.items()}
+    if config is not None:
+        for key, raw in _read_config(config).items():
+            if key not in options:
+                raise ValueError(f"unknown config key: {key}")
+            try:
+                merged[key] = options[key].convert(raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"config key {key}: {exc}") from exc
+    merged.update(given)
+    missing = [opt.flag for opt in options.values()
+               if opt.default is _REQUIRED and merged[opt.name] is None]
+    if missing:
+        raise ValueError(f"{cmd}: missing {', '.join(missing)}")
+    for opt in options.values():
+        if opt.type is _COUNT and merged[opt.name] < 1:
+            raise ValueError(f"{opt.flag} must be >= 1, got {merged[opt.name]}")
+    return argparse.Namespace(cmd=cmd, **merged)
+
+
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config is not None:
-            # config entries go in right after the subcommand, so the explicit
-            # flags that follow them take precedence
-            at = argv.index(args.cmd) + 1
-            tokens = _config_tokens(args, _read_config(args.config))
-            args = parser.parse_args(argv[:at] + tokens + argv[at:])
-        _check_required(args)
+        args = _resolve(build_parser().parse_args(argv))
         start = time.monotonic()
-        written = args.func(args)
+        written = _COMMANDS[args.cmd].run(args)
         elapsed = time.monotonic() - start
         if written:
             print(f"wrote {', '.join(written)} ({elapsed:.1f}s)")
         return 0
-    except CliError as exc:
-        print(f"torus-echo: {exc}", file=sys.stderr)
-        return exc.code
     except GuardError as exc:
         print(f"torus-echo: {exc}", file=sys.stderr)
         return 1

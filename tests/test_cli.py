@@ -5,6 +5,8 @@ return codes and captured streams without spawning interpreters.
 """
 
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,13 +164,34 @@ def test_config_supplies_defaults_and_flags_override(tmp_path):
     assert (tmp_path / "fidelity_sm_k0.9_dkh1.5_n32_t10_trace.gp").exists()
 
 
-def test_unknown_config_key_is_rejected(tmp_path, capsys):
+# `config` names the file itself; a config file cannot chain to another one
+@pytest.mark.parametrize("key", ["bogus", "config"])
+def test_unknown_config_key_is_rejected(tmp_path, capsys, key):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("bogus = 3\n")
+    cfg.write_text(f"{key} = 3\n")
     rc = run("fidelity", "--config", cfg, "--map", "sm", "--k", 1.0,
              "--dkh", 1, "--n", 32, "--t", 5, "--out-dir", tmp_path)
     assert rc == 2
-    assert "unknown config key: bogus" in capsys.readouterr().err
+    assert f"unknown config key: {key}" in capsys.readouterr().err
+
+
+# every flag is given, so the bad entries are overridden and still rejected
+@pytest.mark.parametrize("entry, key", [
+    ("k = abc", "k"),
+    ("k = nan", "k"),
+    ("map = xx", "map"),
+    ("plot = maybe", "plot"),
+], ids=["k-abc", "k-nan", "map-xx", "plot-maybe"])
+def test_bad_config_value_names_its_key(tmp_path, capsys, entry, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(entry + "\n")
+    out = tmp_path / "out"
+    rc = run("fidelity", "--config", cfg, "--map", "sm", "--k", 1.0,
+             "--dkh", 1, "--n", 32, "--t", 5, "--out-dir", out)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"torus-echo: config key {key}: ") and "usage" not in err
+    assert not out.exists()
 
 
 def test_missing_config_file_is_reported(tmp_path, capsys):
@@ -241,6 +264,22 @@ def test_grid_flags_are_mutually_exclusive(tmp_path, capsys):
              "--dkh", 1, "--n", 32, "--t", 5, "--out-dir", tmp_path)
     assert rc == 2
     assert "not both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, entries", [
+    (("--k", 0.5, "--k-values", "1,2", "--dkh", 1), ""),
+    (("--k", 0.5, "--dkh", 1, "--dkh-min", 1, "--dkh-max", 2, "--dkh-points", 2), ""),
+    (("--k-values", "1,2", "--dkh", 1), "k = 0.5\n"),
+], ids=["k-and-k-values", "dkh-and-dkh-range", "config-k-and-flag-k-values"])
+def test_single_value_and_its_grid_are_exclusive(tmp_path, capsys, flags, entries):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(entries)
+    out = tmp_path / "out"
+    rc = run("nm-sweep", "--config", cfg, "--map", "sm", *flags, "--n", 32,
+             "--t", 5, "--out-dir", out)
+    assert rc == 2
+    assert "not both" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_threads_env_must_be_an_integer(tmp_path, monkeypatch, capsys):
@@ -375,3 +414,136 @@ def test_out_dir_is_created_on_demand(tmp_path):
              "--out-dir", target)
     assert rc == 0
     assert (target / "gamma_curve_max2_5.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# pinned output bytes and README examples
+
+
+_GP_HEAD = 'set datafile separator ","\nset terminal pngcairo size 900,700\n'
+
+
+@pytest.mark.parametrize("argv, echo, script", [
+    pytest.param(
+        "fidelity --map sm --k 1.2 --dkh 2 --n 16 --t 3",
+        "# torus-echo fidelity dkh=2 k=1.2 kind=trace map=sm n=16 out_dir=out p0=0.5"
+        " plot=True q0=0.5 t=3",
+        'set output "fidelity_sm_k1.2_dkh2_n16_t3_trace.png"\n'
+        "set key autotitle columnhead\n"
+        "set logscale y\n"
+        'set xlabel "t (kicks)"\n'
+        'set ylabel "|f|"\n'
+        'plot "fidelity_sm_k1.2_dkh2_n16_t3_trace.csv" using 1:4 with lines title "|f|"\n',
+        id="fidelity"),
+    pytest.param(
+        "nm-sweep --map sm --k 0.5 --dkh-values 1,2 --n 16 --t 3",
+        "# torus-echo nm-sweep dkh_values=1,2 k=0.5 map=sm n=16 out_dir=out plot=True t=3",
+        'set output "nm_sweep_sm_k0.5_dkh1-2x2_n16_t3.png"\n'
+        "unset key\n"
+        'set xlabel "dkh"\n'
+        'set ylabel "K"\n'
+        'set y2label "Gamma"\n'
+        "set y2tics\n"
+        "set y2range [0:10]\n"
+        'plot "nm_sweep_sm_k0.5_dkh1-2x2_n16_t3.csv" using 2:1:6 with image, '
+        '"nm_sweep_sm_k0.5_dkh1-2x2_n16_t3_gamma.csv" using 1:($2 > 10 ? 10 : $2)'
+        ' axes x1y2 with lines lc "gray"\n',
+        id="nm-sweep"),
+    pytest.param(
+        "avg-mp-sweep --map hm --k-values 0.2,0.3 --dkh 1 --n 16 --t 3 --s 2",
+        "# torus-echo avg-mp-sweep dkh=1 k_values=0.2,0.3 map=hm n=16 out_dir=out"
+        " plot=True s=2 t=3",
+        'set output "avg_mp_sweep_hm_k0.2-0.3x2_dkh1_n16_t3_s2.png"\n'
+        "set key autotitle columnhead\n"
+        'set xlabel "K"\n'
+        'set ylabel "measure"\n'
+        'plot "avg_mp_sweep_hm_k0.2-0.3x2_dkh1_n16_t3_s2.csv" using 1:6'
+        ' with linespoints title "measure"\n',
+        id="avg-mp-sweep"),
+    pytest.param(
+        "phase-scan --map sm --k 0.9 --dkh 1 --n 16 --t 3 --s 2",
+        "# torus-echo phase-scan dkh=1 k=0.9 map=sm n=16 out_dir=out plot=True s=2 t=3",
+        'set output "phase_scan_sm_k0.9_dkh1_n16_t3_s2.png"\n'
+        "unset key\n"
+        "set size square\n"
+        "set palette gray\n"
+        'set xlabel "q"\n'
+        'set ylabel "p"\n'
+        'plot "phase_scan_sm_k0.9_dkh1_n16_t3_s2.csv" matrix with image\n',
+        id="phase-scan"),
+    pytest.param(
+        "line-scan --map hm --k 0.1 --dkh 2 --n 16 --t 3 --q0 0 --p0 0 --q1 1 --p1 1"
+        " --points 2",
+        "# torus-echo line-scan dkh=2 k=0.1 map=hm n=16 out_dir=out p0=0 p1=1 plot=True"
+        " points=2 q0=0 q1=1 t=3",
+        'set output "line_scan_hm_k0.1_dkh2_n16_t3.png"\n'
+        "set key autotitle columnhead\n"
+        'set xlabel "q0"\n'
+        'set ylabel "measure"\n'
+        'plot "line_scan_hm_k0.1_dkh2_n16_t3.csv" using 1:3 with linespoints title "measure"\n',
+        id="line-scan"),
+    pytest.param(
+        "classical-portrait --map sm --k 0.98 --orbits 2 --steps 2",
+        "# torus-echo classical-portrait k=0.98 map=sm orbits=2 out_dir=out plot=True"
+        " seed=0 steps=2",
+        'set output "portrait_sm_k0.98.png"\n'
+        "unset key\n"
+        "set size square\n"
+        "set xrange [0:1]\n"
+        "set yrange [0:1]\n"
+        'set xlabel "x"\n'
+        'set ylabel "p"\n'
+        'plot "portrait_sm_k0.98.csv" using 1:2 with dots\n',
+        id="classical-portrait"),
+    pytest.param(
+        "diffusion --map sm --k-min 0.5 --k-max 1 --k-points 2 --horizon 10 --orbits 10",
+        "# torus-echo diffusion horizon=10 k_max=1 k_min=0.5 k_points=2 map=sm orbits=10"
+        " out_dir=out plot=True seed=0",
+        'set output "diffusion_sm_k0.5-1x2_h10.png"\n'
+        "set key autotitle columnhead\n"
+        "set logscale y\n"
+        'set xlabel "K"\n'
+        'set ylabel "D"\n'
+        'plot "diffusion_sm_k0.5-1x2_h10.csv" using 1:3 with linespoints title "D"\n',
+        id="diffusion"),
+    pytest.param(
+        "classical-nm --map hm --k 0.2 --k2 0.3 --delta-k 0.01 --t 10 --grid 2",
+        "# torus-echo classical-nm delta_k=0.01 grid=2 k=0.2 k2=0.3 map=hm out_dir=out"
+        " plot=True t=10",
+        'set output "classical_nm_hm_k0.2_t10.png"\n'
+        "set key autotitle columnhead\n"
+        'set xlabel "K"\n'
+        'set ylabel "measure"\n'
+        'plot "classical_nm_hm_k0.2_t10.csv" using 1:3 with linespoints title "measure"\n',
+        id="classical-nm"),
+    pytest.param(
+        "gamma-curve --dkh-max 3 --points 5",
+        "# torus-echo gamma-curve dkh_max=3 out_dir=out plot=True points=5",
+        'set output "gamma_curve_max3_5.png"\n'
+        "set key autotitle columnhead\n"
+        "ceil = 10.0\n"
+        "set yrange [0:ceil]\n"
+        'set xlabel "dkh"\n'
+        'set ylabel "Gamma"\n'
+        'plot "gamma_curve_max3_5.csv" using 1:($2 > ceil ? ceil : $2) with lines title "Gamma"\n',
+        id="gamma-curve"),
+])
+def test_config_echo_and_plot_script_bytes(tmp_path, monkeypatch, argv, echo, script):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv.split(), "--plot", "--out-dir", "out") == 0
+    names = sorted(os.listdir("out"))
+    csvs = [name for name in names if name.endswith(".csv")]
+    assert csvs and all(read_lines(os.path.join("out", name))[0] == echo for name in csvs)
+    (gp,) = [name for name in names if name.endswith(".gp")]
+    assert (tmp_path / "out" / gp).read_text() == _GP_HEAD + script
+
+
+def test_readme_command_lines_parse_and_resolve():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("torus-echo ")]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert cli._resolve(parser.parse_args(argv)).cmd == argv[0], line

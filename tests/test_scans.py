@@ -149,10 +149,11 @@ def test_scan_is_deterministic():
 
 def test_parallel_sweep_matches_serial():
     spec = SweepSpec(family="sm", k_values=(0.5, 1.0, 2.5), dkh_values=(2.0,),
-                     n=64, t_max=30)
-    serial = sweep_mm(spec, workers=1)
-    parallel = sweep_mm(spec, workers=3)
-    assert [(r.k, r.value) for r in serial] == [(r.k, r.value) for r in parallel]
+                     n=64, t_max=30, s=4)
+    for sweep, workers in ((sweep_mm, 3), (sweep_avg_mp, 2)):
+        serial = sweep(spec, workers=1)
+        parallel = sweep(spec, workers=workers)
+        assert [(r.k, r.value) for r in serial] == [(r.k, r.value) for r in parallel]
 
 
 def test_harper_grid_nearly_symmetric_under_transpose():
