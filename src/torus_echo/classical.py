@@ -15,15 +15,14 @@ import math
 
 import numpy as np
 
-from .maps import FAMILIES
+from .maps import check_family
 
 __all__ = ["classical_nm_grid", "diffusion_coefficient", "iterate", "phase_portrait"]
 
 
 def _check_params(family: str, k, k2, delta_k=0.0):
-    """Validate the family and the map constants; returns k2 (default k)."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown map family {family!r}")
+    """Validate the family and the map constants; returns k2 (hm only, default k)."""
+    check_family(family, k2)
     if k2 is None:
         k2 = k
     for label, val in (("K", k), ("K2", k2), ("delta_k", delta_k)):

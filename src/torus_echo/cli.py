@@ -33,8 +33,7 @@ from .scans import (
     save_grid,
     save_grid_pgm,
     scan_phase_space,
-    sweep_avg_mp,
-    sweep_mm,
+    sweep,
 )
 from .semiclassics import gamma_curve, short_time_check
 from .torus import PhasePoint
@@ -131,7 +130,8 @@ def _grid_values(args, prefix: str) -> tuple[float, ...]:
             raise ValueError(f"--{prefix}-values is empty")
         return grid
     if not ranged:
-        raise ValueError(f"missing --{prefix} or --{prefix}-min/--{prefix}-max/--{prefix}-points")
+        raise ValueError(f"missing --{prefix}, --{prefix}-values or "
+                         f"--{prefix}-min/--{prefix}-max/--{prefix}-points")
     if lo is None or hi is None or npts is None:
         raise ValueError(f"--{prefix}-min, --{prefix}-max and --{prefix}-points go together")
     if npts < 1:
@@ -251,7 +251,7 @@ def _cmd_fidelity(args) -> list[str]:
     return [path] + _maybe_plot(args, "series", [path], stem)
 
 
-def _run_sweep(args, kind: str, sweep) -> tuple[SweepSpec, str, list[str]]:
+def _run_sweep(args, kind: str) -> tuple[SweepSpec, str, list[str]]:
     """Run the K x dkh sweep; its spec, file-name tag and CSV rows."""
     k_grid = _grid_values(args, "k")
     dkh_grid = _grid_values(args, "dkh")
@@ -271,7 +271,7 @@ def _run_sweep(args, kind: str, sweep) -> tuple[SweepSpec, str, list[str]]:
 
 
 def _cmd_nm_sweep(args) -> list[str]:
-    spec, tag, rows = _run_sweep(args, "trace", sweep_mm)
+    spec, tag, rows = _run_sweep(args, "trace")
     stem = f"nm_sweep_{args.map}_{tag}"
     if len(spec.dkh_values) == 1:
         return _save(args, stem, _RESULT_HEADER, rows, "curve")
@@ -284,7 +284,7 @@ def _cmd_nm_sweep(args) -> list[str]:
 
 
 def _cmd_avg_mp_sweep(args) -> list[str]:
-    _, tag, rows = _run_sweep(args, "pure-average", sweep_avg_mp)
+    _, tag, rows = _run_sweep(args, "pure-average")
     return _save(args, f"avg_mp_sweep_{args.map}_{tag}_s{args.s}", _RESULT_HEADER, rows, "curve")
 
 
@@ -427,15 +427,22 @@ _K2 = _Opt("k2", finite_float, help="hm momentum kick strength (default: --k)")
 _N = _Opt("n", _COUNT, _REQUIRED, "Hilbert space dimension")
 _T = _Opt("t", _COUNT, _REQUIRED, "number of kicks")
 _DKH = _Opt("dkh", finite_float, _REQUIRED, "scaled perturbation strength")
-_SWEEP = (_MAP, *_K_GRID, _K2, _N, _T, *_grid("dkh", "single scaled perturbation", "comma list"))
+_SWEEP = (_MAP, *_K_GRID, _N, _T, *_grid("dkh", "single scaled perturbation", "comma list"))
 # `config` names the file and is not itself a config key
+_CONFIG = _Opt("config", str, help="flat key = value file; flags override it")
+_OUT_DIR = _Opt("out_dir", str, ".", "directory for output files")
+_PLOT = _Opt("plot", bool, False, "emit a gnuplot script")
+_OUTPUT = (_CONFIG, _OUT_DIR, _PLOT)
+# the two sweeps read --threads; the other subcommands that the benchmark runs
+# take it unread, since it ends each of their command lines with
+# `--threads 1 --out-dir DIR`
 _COMMON = (
-    _Opt("config", str, help="flat key = value file; flags override it"),
-    _Opt("out_dir", str, ".", "directory for output files"),
+    _CONFIG,
+    _OUT_DIR,
     _Opt("threads", int, help=f"worker pool size (default: ${THREADS_ENV} or 1)"),
-    _Opt("plot", bool, False, "emit a gnuplot script"),
+    _PLOT,
 )
-_SEEDED = (*_COMMON, _Opt("seed", int, 0))
+_SEED = _Opt("seed", int, 0)
 
 _COMMANDS = {
     "fidelity": _Command(_cmd_fidelity, "one fidelity series", (
@@ -449,17 +456,17 @@ _COMMANDS = {
     "avg-mp-sweep": _Command(_cmd_avg_mp_sweep, "grid-averaged pure-measure sweep",
                             (*_SWEEP, _Opt("s", _COUNT, 16, "coherent grid side"), *_COMMON)),
     "phase-scan": _Command(_cmd_phase_scan, "pure measure on an s x s coherent grid", (
-        _MAP, _K, _K2, _N, _T, _DKH, _Opt("s", _COUNT, _REQUIRED, "grid side"), *_COMMON)),
+        _MAP, _K, _N, _T, _DKH, _Opt("s", _COUNT, _REQUIRED, "grid side"), *_COMMON)),
     "line-scan": _Command(_cmd_line_scan, "pure measure along a phase-space segment", (
-        _MAP, _K, _K2, _N, _T, _DKH,
+        _MAP, _K, _N, _T, _DKH,
         *(_Opt(name, finite_float, _REQUIRED) for name in ("q0", "p0", "q1", "p1")),
         _Opt("points", _COUNT, _REQUIRED),
-        *_COMMON)),
+        *_OUTPUT)),
     "classical-portrait": _Command(_cmd_classical_portrait, "classical phase portrait cloud", (
-        _MAP, _K, _K2, _Opt("orbits", _COUNT, 100), _Opt("steps", _COUNT, 300), *_SEEDED)),
+        _MAP, _K, _K2, _Opt("orbits", _COUNT, 100), _Opt("steps", _COUNT, 300), *_OUTPUT, _SEED)),
     "diffusion": _Command(_cmd_diffusion, "classical momentum diffusion vs K", (
         _MAP, *_K_GRID, _K2, _Opt("horizon", _COUNT, 16000), _Opt("orbits", _COUNT, 4000),
-        *_SEEDED)),
+        *_COMMON, _SEED)),
     "classical-nm": _Command(_cmd_classical_nm, "grid-averaged classical measure vs K", (
         _MAP, *_K_GRID, _K2,
         _Opt("delta_k", finite_float, 1e-3),
@@ -467,9 +474,9 @@ _COMMANDS = {
         _Opt("grid", _COUNT, 32, "initial-condition grid side"),
         *_COMMON)),
     "gamma-curve": _Command(_cmd_gamma_curve, "short-time rate curve Gamma(dkh)", (
-        _Opt("dkh_max", finite_float, 12.0), _Opt("points", _COUNT, 1200), *_COMMON)),
+        _Opt("dkh_max", finite_float, 12.0), _Opt("points", _COUNT, 1200), *_OUTPUT)),
     "short-time-check": _Command(_cmd_short_time_check, "measured vs predicted t=1 rate",
-                                (_MAP, _K, _K2, _DKH, _N, *_COMMON)),
+                                (_MAP, _K, _DKH, _N, _CONFIG)),
 }
 
 

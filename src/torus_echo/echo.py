@@ -34,14 +34,12 @@ class FidelitySeries:
     """Complex overlaps f(0..T); f(0) = 1 exactly.
 
     kind is "pure" (coherent or explicit initial state) or "trace".  The pair
-    and the coherent center are carried for labeling and may be absent on
-    series read back from disk.
+    is carried for labeling and is absent on series read back from disk.
     """
 
     values: np.ndarray
     kind: str
     pair: PerturbedPair | None = None
-    center: PhasePoint | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=complex)
@@ -92,8 +90,7 @@ def fidelity_from_state(pair: PerturbedPair, state: TorusState, t_max: int) -> F
 
 def fidelity_pure(pair: PerturbedPair, center: PhasePoint, t_max: int) -> FidelitySeries:
     """Fidelity series of the coherent state centered at (q0, p0)."""
-    series = fidelity_from_state(pair, coherent_state(pair.n, center), t_max)
-    return FidelitySeries(values=series.values, kind="pure", pair=pair, center=center)
+    return fidelity_from_state(pair, coherent_state(pair.n, center), t_max)
 
 
 def fidelity_trace(pair: PerturbedPair, t_max: int) -> FidelitySeries:

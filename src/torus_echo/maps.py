@@ -53,12 +53,21 @@ class GuardError(RuntimeError):
     """A resource guard was exceeded; the message names the guard."""
 
 
+def check_family(family: str, k2) -> None:
+    """Refuse an unknown family, and a K2 for sm, whose drift is fixed."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown map family {family!r}")
+    if family == "sm" and k2 is not None:
+        raise ValueError("K2 applies to the hm family only")
+
+
 @dataclass(frozen=True)
 class MapSpec:
     """One quantized map: family, dimension and kick strengths.
 
     For the hm family ``k`` multiplies the position kick and ``k2`` the
-    momentum kick; ``k2`` defaults to ``k``.
+    momentum kick; ``k2`` defaults to ``k``.  The sm drift is fixed, so an
+    sm spec refuses a ``k2``.
     """
 
     family: str
@@ -67,8 +76,7 @@ class MapSpec:
     k2: float | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown map family {self.family!r}")
+        check_family(self.family, self.k2)
         if self.n < 2:
             raise ValueError(f"dimension must be >= 2, got {self.n}")
         for label, val in (("K", self.k), ("K2", self.k2)):

@@ -27,8 +27,7 @@ __all__ = [
     "save_grid",
     "save_grid_pgm",
     "scan_phase_space",
-    "sweep_avg_mp",
-    "sweep_mm",
+    "sweep",
 ]
 
 # Element budget per evolution block of states, to bound the working set.
@@ -56,7 +55,7 @@ class SweepSpec:
         object.__setattr__(self, "dkh_values", tuple(float(d) for d in self.dkh_values))
         if not self.k_values or not self.dkh_values:
             raise ValueError("sweep grids must be non-empty")
-        if self.kind not in ("trace", "pure-average"):
+        if self.kind not in _CELLS:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
         if self.kind == "pure-average" and self.s < 1:
             raise ValueError(f"grid side must be >= 1, got {self.s}")
@@ -154,19 +153,21 @@ def grid_average(grid: PhaseGrid) -> float:
     return float(grid.values.mean())
 
 
-def _trace_cell(args) -> NmResult:
-    family, k, dkh, n, t_max = args
-    series = fidelity_trace(_pair(family, k, dkh, n), t_max)
-    return measure(series)
+def _trace_cell(cell) -> NmResult:
+    spec, k, dkh = cell
+    return measure(fidelity_trace(_pair(spec.family, k, dkh, spec.n), spec.t_max))
 
 
-def _average_cell(args) -> NmResult:
-    family, k, dkh, n, t_max, s = args
-    grid = scan_phase_space(family, k, dkh, n, t_max, s)
+def _average_cell(cell) -> NmResult:
+    spec, k, dkh = cell
+    grid = scan_phase_space(spec.family, k, dkh, spec.n, spec.t_max, spec.s)
     return NmResult(
-        k=k, dkh=dkh, n=n, t_max=t_max, kind="pure-average",
+        k=k, dkh=dkh, n=spec.n, t_max=spec.t_max, kind="pure-average",
         value=grid_average(grid),
     )
+
+
+_CELLS = {"trace": _trace_cell, "pure-average": _average_cell}
 
 
 def _run_cells(fn, cell_args, workers, progress):
@@ -188,27 +189,15 @@ def _run_cells(fn, cell_args, workers, progress):
     return results
 
 
-def sweep_mm(spec: SweepSpec, workers: int = 1, progress=None) -> list[NmResult]:
-    """Trace-measure sweep over the (K, dkh) rectangle, row-major in K."""
-    args = [
-        (spec.family, k, d, spec.n, spec.t_max)
-        for (k, d) in spec.cells()
-    ]
-    return _run_cells(_trace_cell, args, workers, progress)
+def sweep(spec: SweepSpec, workers: int = 1, progress=None) -> list[NmResult]:
+    """Measure sweep over the (K, dkh) rectangle, row-major in K.
 
-
-def sweep_avg_mp(spec: SweepSpec, workers: int = 1, progress=None) -> list[NmResult]:
-    """Grid-averaged pure measure over the same rectangle.
-
-    Each cell averages scan_phase_space over the s x s coherent grid, so a
-    sweep entry agrees with the mean of the corresponding stored grid to
-    the last bit.
+    spec.kind picks the measure of every cell.  A pure-average cell averages
+    scan_phase_space over the s x s coherent grid, so a sweep entry agrees
+    with the mean of the corresponding stored grid to the last bit.
     """
-    args = [
-        (spec.family, k, d, spec.n, spec.t_max, spec.s)
-        for (k, d) in spec.cells()
-    ]
-    return _run_cells(_average_cell, args, workers, progress)
+    cells = [(spec, k, d) for (k, d) in spec.cells()]
+    return _run_cells(_CELLS[spec.kind], cells, workers, progress)
 
 
 def save_grid(grid: PhaseGrid, path, header: str | None = None) -> None:

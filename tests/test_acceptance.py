@@ -22,7 +22,7 @@ from torus_echo.echo import fidelity_pure, fidelity_trace, load_series, save_ser
 from torus_echo.maps import MapSpec, PerturbedPair, apply_map, build_matrix
 from torus_echo.measures import measure, measure_value
 from torus_echo.qubit import blp_sampled, bloch_state, closed_form, trace_distance
-from torus_echo.scans import SweepSpec, line_scan, sweep_avg_mp, sweep_mm
+from torus_echo.scans import SweepSpec, line_scan, sweep
 from torus_echo.torus import PhasePoint, TorusState
 
 WORKERS = min(4, os.cpu_count() or 1)
@@ -122,7 +122,7 @@ def _border_peak(rates, errors, border, regular):
 def test_03_sm_trace_peak_near_border():
     spec = SweepSpec(family="sm", k_values=SM_GRID, dkh_values=(2.0,),
                      n=256, t_max=1000, kind="trace", s=16)
-    results = sweep_mm(spec, workers=WORKERS)
+    results = sweep(spec, workers=WORKERS)
     _, rates = _argmax_rate(results)
     errors = {r.k: _rate_error(r) for r in results}
     ok, top, peak, gap, allow, margins = _border_peak(
@@ -154,7 +154,7 @@ def test_border_peak_rule_rejects_off_border_peaks():
 def test_04_hm_trace_peak_near_border():
     spec = SweepSpec(family="hm", k_values=HM_GRID, dkh_values=(2.0,),
                      n=256, t_max=1000, kind="trace", s=16)
-    best, rates = _argmax_rate(sweep_mm(spec, workers=WORKERS))
+    best, rates = _argmax_rate(sweep(spec, workers=WORKERS))
     ok = 0.15 <= best <= 0.3
     listing = ", ".join(f"K={k:g}: {rates[k]:.4f}" for k in HM_GRID)
     report(4, "hm trace-measure peak", ok, f"argmax K={best:g} ({listing})")
@@ -165,8 +165,8 @@ def test_05_grid_averaged_pure_measure_agrees():
                    n=256, t_max=500, kind="pure-average", s=16)
     hm = SweepSpec(family="hm", k_values=HM_GRID, dkh_values=(2.0,),
                    n=256, t_max=500, kind="pure-average", s=16)
-    best_sm, _ = _argmax_rate(sweep_avg_mp(sm, workers=WORKERS))
-    best_hm, _ = _argmax_rate(sweep_avg_mp(hm, workers=WORKERS))
+    best_sm, _ = _argmax_rate(sweep(sm, workers=WORKERS))
+    best_hm, _ = _argmax_rate(sweep(hm, workers=WORKERS))
     ok = (0.9 <= best_sm <= 1.1) and (0.15 <= best_hm <= 0.3)
     report(5, "grid-averaged pure measure", ok,
            f"sm argmax K={best_sm:g}, hm argmax K={best_hm:g}")

@@ -162,3 +162,16 @@ def test_classical_measure_grid_average_runs():
 def test_non_finite_map_constants_are_rejected(call):
     with pytest.raises(ValueError, match="must be finite"):
         call()
+
+
+# the sm drift is fixed and the classical sm step has no K2, so a K2 given
+# for sm would be echoed and ignored
+@pytest.mark.parametrize("call", [
+    lambda: iterate("sm", 1.0, 5.0, [0.1], [0.2], 5),
+    lambda: phase_portrait("sm", 1.0, k2=5.0, n_orbits=4, steps=5),
+    lambda: diffusion_coefficient("sm", 1.0, k2=5.0, horizon=10, n_orbits=10),
+    lambda: classical_nm_grid("sm", 1.0, 5.0, 0.01, 2, 10),
+], ids=["iterate", "portrait", "diffusion", "nm-grid"])
+def test_k2_is_refused_for_the_standard_map(call):
+    with pytest.raises(ValueError, match="K2 applies to the hm family only"):
+        call()

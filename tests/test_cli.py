@@ -4,6 +4,7 @@ Everything runs in process through cli.main so the tests can assert on
 return codes and captured streams without spawning interpreters.
 """
 
+import argparse
 import os
 import shlex
 from pathlib import Path
@@ -133,6 +134,45 @@ def test_domain_errors_map_to_2(tmp_path):
     rc = run("fidelity", "--map", "sm", "--k", 1.0, "--dkh", 1, "--n", 1,
              "--t", 5, "--out-dir", tmp_path)
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "fidelity --map sm --k 1 --k2 5 --dkh 1 --n 16 --t 3",
+    "classical-portrait --map sm --k 1 --k2 5 --orbits 2 --steps 2",
+    "diffusion --map sm --k 1 --k2 7 --horizon 10 --orbits 10",
+    "classical-nm --map sm --k 1 --k2 5 --t 10 --grid 2",
+], ids=["fidelity", "classical-portrait", "diffusion", "classical-nm"])
+def test_k2_for_the_standard_map_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(*argv.split(), "--out-dir", out) == 2
+    assert "K2 applies to the hm family only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# no route of these subcommands reads the flag, so the parser refuses it
+@pytest.mark.parametrize("argv", [
+    "nm-sweep --map hm --k 0.2 --dkh 1 --n 16 --t 3 --k2 0.9",
+    "avg-mp-sweep --map hm --k 0.2 --dkh 1 --n 16 --t 3 --k2 0.9",
+    "phase-scan --map hm --k 0.2 --dkh 1 --n 16 --t 3 --s 2 --k2 0.9",
+    "line-scan --map hm --k 0.2 --dkh 1 --n 16 --t 3 --q0 0 --p0 0 --q1 1 --p1 1"
+    " --points 2 --k2 0.9",
+    "short-time-check --map hm --k 0.2 --dkh 1 --n 16 --k2 0.9",
+    "short-time-check --map sm --k 2.5 --dkh 2 --n 16 --out-dir out",
+    "short-time-check --map sm --k 2.5 --dkh 2 --n 16 --plot",
+    "short-time-check --map sm --k 2.5 --dkh 2 --n 16 --threads 1",
+    "line-scan --map hm --k 0.2 --dkh 1 --n 16 --t 3 --q0 0 --p0 0 --q1 1 --p1 1"
+    " --points 2 --threads 1",
+    "classical-portrait --map sm --k 1 --orbits 2 --steps 2 --threads 1",
+    "gamma-curve --dkh-max 3 --points 5 --threads 1",
+], ids=["nm-sweep-k2", "avg-mp-sweep-k2", "phase-scan-k2", "line-scan-k2",
+        "short-time-check-k2", "short-time-check-out-dir", "short-time-check-plot",
+        "short-time-check-threads", "line-scan-threads", "classical-portrait-threads",
+        "gamma-curve-threads"])
+def test_flags_no_route_reads_are_refused(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv.split()) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_nonpositive_counts_are_rejected(tmp_path, capsys):
@@ -266,6 +306,17 @@ def test_grid_flags_are_mutually_exclusive(tmp_path, capsys):
     assert "not both" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    "nm-sweep --map sm --dkh 1 --n 16 --t 3",
+    "diffusion --map sm --horizon 10 --orbits 10",
+], ids=["nm-sweep", "diffusion"])
+def test_missing_grid_names_all_three_forms(tmp_path, capsys, argv):
+    assert run(*argv.split(), "--out-dir", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "missing --k, --k-values or --k-min/--k-max/--k-points" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags, entries", [
     (("--k", 0.5, "--k-values", "1,2", "--dkh", 1), ""),
     (("--k", 0.5, "--dkh", 1, "--dkh-min", 1, "--dkh-max", 2, "--dkh-points", 2), ""),
@@ -390,9 +441,10 @@ def test_gamma_curve_csv(tmp_path):
     assert float(rows[-1].split(",")[0]) == 6.0
 
 
-def test_short_time_check_prints_a_summary(tmp_path, capsys):
+def test_short_time_check_prints_a_summary(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     rc = run("short-time-check", "--map", "sm", "--k", 2.5, "--dkh", 2,
-             "--n", 128, "--out-dir", tmp_path)
+             "--n", 128)
     assert rc == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("short-time-check sm K=2.5 dkh=2 N=128:")
@@ -401,11 +453,13 @@ def test_short_time_check_prints_a_summary(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_short_time_check_guard_returns_1(tmp_path, capsys):
+def test_short_time_check_guard_returns_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     rc = run("short-time-check", "--map", "sm", "--k", 2.5, "--dkh", 2,
-             "--n", 16384, "--out-dir", tmp_path)
+             "--n", 16384)
     assert rc == 1
     assert "exceeds the dense-matrix guard" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_dir_is_created_on_demand(tmp_path):
@@ -423,7 +477,8 @@ def test_out_dir_is_created_on_demand(tmp_path):
 _GP_HEAD = 'set datafile separator ","\nset terminal pngcairo size 900,700\n'
 
 
-@pytest.mark.parametrize("argv, echo, script", [
+# the file-writing subcommands, each run with --plot
+_PINNED = [
     pytest.param(
         "fidelity --map sm --k 1.2 --dkh 2 --n 16 --t 3",
         "# torus-echo fidelity dkh=2 k=1.2 kind=trace map=sm n=16 out_dir=out p0=0.5"
@@ -527,7 +582,10 @@ _GP_HEAD = 'set datafile separator ","\nset terminal pngcairo size 900,700\n'
         'set ylabel "Gamma"\n'
         'plot "gamma_curve_max3_5.csv" using 1:($2 > ceil ? ceil : $2) with lines title "Gamma"\n',
         id="gamma-curve"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, echo, script", _PINNED)
 def test_config_echo_and_plot_script_bytes(tmp_path, monkeypatch, argv, echo, script):
     monkeypatch.chdir(tmp_path)
     assert run(*argv.split(), "--plot", "--out-dir", "out") == 0
@@ -536,6 +594,41 @@ def test_config_echo_and_plot_script_bytes(tmp_path, monkeypatch, argv, echo, sc
     assert csvs and all(read_lines(os.path.join("out", name))[0] == echo for name in csvs)
     (gp,) = [name for name in names if name.endswith(".gp")]
     assert (tmp_path / "out" / gp).read_text() == _GP_HEAD + script
+
+
+# the benchmark ends each of its command lines with `--threads 1 --out-dir DIR`,
+# so these subcommands, which it runs, take threads without reading it
+_THREADS_UNREAD = ("fidelity", "phase-scan", "diffusion", "classical-nm")
+
+
+def test_every_option_is_read_by_its_subcommand(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argvs = [param.values[0].split() + ["--plot", "--out-dir", "out"] for param in _PINNED]
+    argvs += [
+        "fidelity --map sm --k 0.9 --dkh 1 --n 16 --t 3 --kind pure --q0 0.25 --p0 0.5".split(),
+        "short-time-check --map sm --k 2.5 --dkh 2 --n 16".split(),
+    ]
+    read = {cmd: set() for cmd in cli._COMMANDS}
+    for argv in argvs:
+        args = cli._resolve(cli.build_parser().parse_args(argv))
+        seen = read[args.cmd]
+
+        # the config echo takes vars() of the namespace, which records no
+        # option name, so an option that is only echoed counts as unread
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                seen.add(name)
+                return super().__getattribute__(name)
+
+        cli._COMMANDS[args.cmd].run(Recording(**vars(args)))
+    unread = {}
+    for cmd, command in cli._COMMANDS.items():
+        names = {opt.name for opt in command.options} - {"config"}
+        if cmd in _THREADS_UNREAD:
+            names -= {"threads"}
+        if names - read[cmd]:
+            unread[cmd] = sorted(names - read[cmd])
+    assert unread == {}
 
 
 def test_readme_command_lines_parse_and_resolve():

@@ -24,6 +24,8 @@ def test_map_spec_validation():
         MapSpec(family="xx", n=8, k=1.0)
     with pytest.raises(ValueError):
         MapSpec(family="sm", n=8, k=-1.0)
+    with pytest.raises(ValueError, match="K2 applies"):
+        MapSpec(family="sm", n=8, k=1.0, k2=5.0)
 
 
 def test_harper_momentum_kick_defaults_to_k():

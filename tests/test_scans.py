@@ -18,8 +18,7 @@ from torus_echo.scans import (
     save_grid,
     save_grid_pgm,
     scan_phase_space,
-    sweep_avg_mp,
-    sweep_mm,
+    sweep,
 )
 from torus_echo.torus import PhasePoint
 
@@ -30,6 +29,10 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(family="sm", k_values=(1.0,), dkh_values=(2.0,), n=64,
                   t_max=10, kind="other")
+    # refused at construction, before any cell runs
+    with pytest.raises(ValueError, match="grid side"):
+        SweepSpec(family="sm", k_values=(1.0,), dkh_values=(2.0,), n=64,
+                  t_max=10, kind="pure-average", s=0)
     spec = SweepSpec(family="sm", k_values=(1.0, 2.0), dkh_values=(1.0, 3.0),
                      n=64, t_max=10)
     assert spec.cells() == [(1.0, 1.0), (1.0, 3.0), (2.0, 1.0), (2.0, 3.0)]
@@ -50,7 +53,7 @@ def test_zero_perturbation_scan_is_all_zero():
 def test_sweep_results_follow_cell_order():
     spec = SweepSpec(family="sm", k_values=(0.5, 2.5), dkh_values=(1.0, 2.0),
                      n=64, t_max=30)
-    results = sweep_mm(spec)
+    results = sweep(spec)
     assert [(r.k, r.dkh) for r in results] == spec.cells()
     assert all(r.kind == "trace" and r.n == 64 and r.t_max == 30 for r in results)
     assert all(r.value >= 0.0 for r in results)
@@ -60,7 +63,7 @@ def test_average_sweep_matches_grid_mean():
     grid = scan_phase_space("sm", 0.9, 2.0, 64, 50, 4)
     spec = SweepSpec(family="sm", k_values=(0.9,), dkh_values=(2.0,), n=64,
                      t_max=50, kind="pure-average", s=4)
-    (result,) = sweep_avg_mp(spec)
+    (result,) = sweep(spec)
     assert abs(result.value - grid_average(grid)) < 1e-12
     assert result.kind == "pure-average"
 
@@ -148,11 +151,12 @@ def test_scan_is_deterministic():
 
 
 def test_parallel_sweep_matches_serial():
-    spec = SweepSpec(family="sm", k_values=(0.5, 1.0, 2.5), dkh_values=(2.0,),
-                     n=64, t_max=30, s=4)
-    for sweep, workers in ((sweep_mm, 3), (sweep_avg_mp, 2)):
+    for kind, s, workers in (("trace", 16, 3), ("pure-average", 4, 2)):
+        spec = SweepSpec(family="sm", k_values=(0.5, 1.0, 2.5), dkh_values=(2.0,),
+                         n=64, t_max=30, kind=kind, s=s)
         serial = sweep(spec, workers=1)
         parallel = sweep(spec, workers=workers)
+        assert [r.kind for r in serial] == [kind] * 3
         assert [(r.k, r.value) for r in serial] == [(r.k, r.value) for r in parallel]
 
 
@@ -203,14 +207,14 @@ def test_pgm_constant_grid_is_black(tmp_path):
 def test_trace_peak_sits_at_harper_transition():
     spec = SweepSpec(family="hm", k_values=(0.1, 0.2, 0.5), dkh_values=(2.0,),
                      n=256, t_max=1000)
-    vals = {r.k: r.value for r in sweep_mm(spec, workers=3)}
+    vals = {r.k: r.value for r in sweep(spec, workers=3)}
     assert vals[0.2] > vals[0.1] and vals[0.2] > vals[0.5]
 
 
 def test_average_peak_sits_at_harper_transition():
     spec = SweepSpec(family="hm", k_values=(0.1, 0.2, 0.5), dkh_values=(2.0,),
                      n=256, t_max=1000, kind="pure-average", s=16)
-    vals = {r.k: r.value for r in sweep_avg_mp(spec, workers=3)}
+    vals = {r.k: r.value for r in sweep(spec, workers=3)}
     assert vals[0.2] > vals[0.1] and vals[0.2] > vals[0.5]
 
 
@@ -223,7 +227,7 @@ def test_average_peak_sits_at_harper_transition():
 def test_trace_peak_sits_at_standard_map_border():
     spec = SweepSpec(family="sm", k_values=(0.5, 0.98, 2.5), dkh_values=(2.0,),
                      n=256, t_max=1000)
-    vals = {r.k: r.value for r in sweep_mm(spec, workers=3)}
+    vals = {r.k: r.value for r in sweep(spec, workers=3)}
     assert vals[0.98] > vals[0.5] and vals[0.98] > vals[2.5]
 
 
@@ -235,7 +239,7 @@ def test_trace_peak_sits_at_standard_map_border():
 def test_average_peak_sits_at_standard_map_border():
     spec = SweepSpec(family="sm", k_values=(0.5, 0.98, 2.5), dkh_values=(2.0,),
                      n=256, t_max=1000, kind="pure-average", s=16)
-    vals = {r.k: r.value for r in sweep_avg_mp(spec, workers=3)}
+    vals = {r.k: r.value for r in sweep(spec, workers=3)}
     assert vals[0.98] > vals[0.5] and vals[0.98] > vals[2.5]
 
 
