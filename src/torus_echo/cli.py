@@ -26,7 +26,7 @@ import numpy as np
 
 from .classical import classical_nm_grid, diffusion_coefficient, phase_portrait
 from .echo import fidelity_pure, fidelity_trace, save_series
-from .maps import GuardError, MapSpec, PerturbedPair
+from .maps import FAMILIES, GuardError, MapSpec, PerturbedPair
 from .scans import (
     SweepSpec,
     line_scan,
@@ -235,6 +235,8 @@ def _save(args, stem: str, header: str, rows: list[str], plot: str | None = None
 
 
 def _cmd_fidelity(args) -> list[str]:
+    if args.kind == "trace" and (args.q0 is not None or args.p0 is not None):
+        raise ValueError("fidelity: --q0 and --p0 apply to --kind pure only")
     pair = PerturbedPair.from_dkh(
         MapSpec(args.map, args.n, args.k, k2=args.k2),
         args.dkh,
@@ -243,6 +245,8 @@ def _cmd_fidelity(args) -> list[str]:
         series = fidelity_trace(pair, args.t)
         tag = "trace"
     else:
+        # the center defaults to (0.5, 0.5); set here, so the echo names it
+        args.q0, args.p0 = (0.5 if v is None else v for v in (args.q0, args.p0))
         series = fidelity_pure(pair, PhasePoint(args.q0, args.p0), args.t)
         tag = f"pure_q{_fmt(args.q0)}_p{_fmt(args.p0)}"
     stem = f"fidelity_{args.map}_k{_fmt(args.k)}_dkh{_fmt(args.dkh)}_n{args.n}_t{args.t}_{tag}"
@@ -305,9 +309,10 @@ def _cmd_line_scan(args) -> list[str]:
     qs = np.linspace(args.q0, args.q1, args.points)
     ps = np.linspace(args.p0, args.p1, args.points)
     points = [PhasePoint(q, p) for q, p in zip(qs, ps)]
-    scanned = line_scan(args.map, args.k, args.dkh, args.n, args.t, points)
+    values = line_scan(args.map, args.k, args.dkh, args.n, args.t, points)
     stem = f"line_scan_{args.map}_k{_fmt(args.k)}_dkh{_fmt(args.dkh)}_n{args.n}_t{args.t}"
-    rows = [f"{pt.q!r},{pt.p!r},{val!r}" for pt, val in scanned]
+    # rows carry the centers as given, not wrapped into [0, 1) like the PhasePoints
+    rows = [f"{float(q)!r},{float(p)!r},{float(v)!r}" for q, p, v in zip(qs, ps, values)]
     return _save(args, stem, "q,p,value", rows, "line")
 
 
@@ -420,7 +425,7 @@ def _grid(prefix: str, single_help: str, values_help: str) -> tuple[_Opt, ...]:
     )
 
 
-_MAP = _Opt("map", ("sm", "hm"), _REQUIRED)
+_MAP = _Opt("map", FAMILIES, _REQUIRED)
 _K = _Opt("k", finite_float, _REQUIRED)
 _K_GRID = _grid("k", "single kick strength", "comma list of kick strengths")
 _K2 = _Opt("k2", finite_float, help="hm momentum kick strength (default: --k)")
@@ -448,8 +453,8 @@ _COMMANDS = {
     "fidelity": _Command(_cmd_fidelity, "one fidelity series", (
         _MAP, _K, _K2, _N, _T, _DKH,
         _Opt("kind", ("pure", "trace"), "trace"),
-        _Opt("q0", finite_float, 0.5, "coherent center (pure)"),
-        _Opt("p0", finite_float, 0.5),
+        _Opt("q0", finite_float, help="coherent center, --kind pure only (default 0.5)"),
+        _Opt("p0", finite_float),
         *_COMMON)),
     "nm-sweep": _Command(_cmd_nm_sweep, "trace-measure sweep over K (and dkh)",
                         (*_SWEEP, *_COMMON)),

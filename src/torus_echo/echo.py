@@ -33,13 +33,11 @@ __all__ = [
 class FidelitySeries:
     """Complex overlaps f(0..T); f(0) = 1 exactly.
 
-    kind is "pure" (coherent or explicit initial state) or "trace".  The pair
-    is carried for labeling and is absent on series read back from disk.
+    kind is "pure" (coherent or explicit initial state) or "trace".
     """
 
     values: np.ndarray
     kind: str
-    pair: PerturbedPair | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=complex)
@@ -85,7 +83,7 @@ def fidelity_from_state(pair: PerturbedPair, state: TorusState, t_max: int) -> F
         raise ValueError(f"state dimension {state.n} does not match pair {pair.n}")
     rows = _overlaps(pair, state.amps[None, :], t_max, _row_overlaps)
     values = np.fromiter(chain([1.0], (row[0] for row in rows)), complex, t_max + 1)
-    return FidelitySeries(values=values, kind="pure", pair=pair)
+    return FidelitySeries(values=values, kind="pure")
 
 
 def fidelity_pure(pair: PerturbedPair, center: PhasePoint, t_max: int) -> FidelitySeries:
@@ -101,7 +99,7 @@ def fidelity_trace(pair: PerturbedPair, t_max: int) -> FidelitySeries:
     check_dense(n)
     traces = _overlaps(pair, np.eye(n, dtype=complex), t_max, np.vdot)
     values = np.fromiter(chain([n], traces), complex, t_max + 1) / n
-    return FidelitySeries(values=values, kind="trace", pair=pair)
+    return FidelitySeries(values=values, kind="trace")
 
 
 def save_series(series: FidelitySeries, path, header: str | None = None) -> None:
@@ -123,7 +121,7 @@ def save_series(series: FidelitySeries, path, header: str | None = None) -> None
 
 
 def load_series(path) -> FidelitySeries:
-    """Read a series file written by save_series; map labels are not recovered."""
+    """Read a series file written by save_series."""
     values = []
     kind = "trace"
     with open(path) as fh:

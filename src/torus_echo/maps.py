@@ -121,10 +121,6 @@ class PerturbedPair:
         return cls.from_base(u0, dkh * u0.dkh_unit)
 
     @property
-    def dkh(self) -> float:
-        return self.delta_k / self.u0.dkh_unit
-
-    @property
     def n(self) -> int:
         return self.u0.n
 

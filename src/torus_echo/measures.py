@@ -23,8 +23,11 @@ __all__ = ["NmResult", "measure", "measure_rows", "measure_value", "rise_segment
 class NmResult:
     """Measure value with its sweep coordinates and the contributing rises.
 
-    segments is a tuple of (t_start, t_end, rise) triples covering each
-    maximal run of consecutive increases of |f|; value = 2 * sum of rises.
+    k, dkh, n, t_max and kind are the cell coordinates that scans.sweep was
+    given; measure on a bare series knows only t_max and kind, and leaves k,
+    dkh and n at NaN, NaN and 0.  segments is a tuple of (t_start, t_end,
+    rise) triples covering each maximal run of consecutive increases of |f|;
+    value = 2 * sum of rises (empty for a grid-averaged sweep cell).
     """
 
     k: float
@@ -68,21 +71,10 @@ def measure_rows(rows) -> np.ndarray:
 
 
 def measure(series: FidelitySeries) -> NmResult:
-    """Evaluate the measure on a stored series, keeping sweep labels."""
-    absvals = np.abs(series.values)
-    segments = tuple(rise_segments(absvals))
-    value = measure_value(absvals)
-    if series.pair is not None:
-        k, dkh, n = series.pair.u0.k, series.pair.dkh, series.pair.n
-    else:
-        k, dkh, n = math.nan, math.nan, 0
-    return NmResult(
-        k=k,
-        dkh=dkh,
-        n=n,
-        t_max=series.t_max,
-        kind=series.kind,
-        value=value,
-        segments=segments,
-    )
+    """Evaluate the measure and its rise segments on one series.
 
+    The series carries no map coordinates, so k, dkh and n are NaN, NaN and 0.
+    """
+    absvals = np.abs(series.values)
+    return NmResult(k=math.nan, dkh=math.nan, n=0, t_max=series.t_max, kind=series.kind,
+                    value=measure_value(absvals), segments=tuple(rise_segments(absvals)))

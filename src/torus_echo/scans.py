@@ -14,7 +14,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .echo import _overlaps, _row_overlaps, fidelity_trace
-from .maps import MapSpec, PerturbedPair
+from .maps import FAMILIES, MapSpec, PerturbedPair
 from .measures import NmResult, measure, measure_rows
 from .torus import PhasePoint, coherent_state
 
@@ -140,31 +140,26 @@ def line_scan(
     n: int,
     t_max: int,
     points: list[PhasePoint],
-) -> list[tuple[PhasePoint, float]]:
-    """Pure-state measure along an arbitrary list of coherent centers."""
+) -> np.ndarray:
+    """Pure-state measure at each coherent center of points, in their order."""
     if not points:
         raise ValueError("line scan needs at least one point")
-    pair = _pair(family, k, dkh, n)
-    values = _measure_columns(pair, points, t_max)
-    return list(zip(points, [float(v) for v in values]))
+    return _measure_columns(_pair(family, k, dkh, n), points, t_max)
 
 
 def grid_average(grid: PhaseGrid) -> float:
     return float(grid.values.mean())
 
 
-def _trace_cell(cell) -> NmResult:
+def _trace_cell(cell) -> tuple[float, tuple]:
     spec, k, dkh = cell
-    return measure(fidelity_trace(_pair(spec.family, k, dkh, spec.n), spec.t_max))
+    result = measure(fidelity_trace(_pair(spec.family, k, dkh, spec.n), spec.t_max))
+    return result.value, result.segments
 
 
-def _average_cell(cell) -> NmResult:
+def _average_cell(cell) -> tuple[float, tuple]:
     spec, k, dkh = cell
-    grid = scan_phase_space(spec.family, k, dkh, spec.n, spec.t_max, spec.s)
-    return NmResult(
-        k=k, dkh=dkh, n=spec.n, t_max=spec.t_max, kind="pure-average",
-        value=grid_average(grid),
-    )
+    return grid_average(scan_phase_space(spec.family, k, dkh, spec.n, spec.t_max, spec.s)), ()
 
 
 _CELLS = {"trace": _trace_cell, "pure-average": _average_cell}
@@ -194,10 +189,17 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None) -> list[NmResult]:
 
     spec.kind picks the measure of every cell.  A pure-average cell averages
     scan_phase_space over the s x s coherent grid, so a sweep entry agrees
-    with the mean of the corresponding stored grid to the last bit.
+    with the mean of the corresponding stored grid to the last bit.  A cell
+    function returns the value and rise segments it measured; sweep labels
+    each with the K and dkh of its cell as given and spec's n, t_max and kind.
     """
-    cells = [(spec, k, d) for (k, d) in spec.cells()]
-    return _run_cells(_CELLS[spec.kind], cells, workers, progress)
+    cells = spec.cells()
+    measured = _run_cells(_CELLS[spec.kind], [(spec, k, d) for k, d in cells], workers, progress)
+    return [
+        NmResult(k=k, dkh=d, n=spec.n, t_max=spec.t_max, kind=spec.kind,
+                 value=value, segments=segments)
+        for (k, d), (value, segments) in zip(cells, measured)
+    ]
 
 
 def save_grid(grid: PhaseGrid, path, header: str | None = None) -> None:
@@ -224,7 +226,7 @@ def load_grid(path) -> PhaseGrid:
                 continue
             if line.startswith("#"):
                 parts = line.lstrip("# ").split(",")
-                if len(parts) == 6 and parts[0] in ("sm", "hm"):
+                if len(parts) == 6 and parts[0] in FAMILIES:
                     meta = parts
                 continue
             rows.append([float(v) for v in line.split(",")])

@@ -174,8 +174,7 @@ def test_05_grid_averaged_pure_measure_agrees():
 
 def test_06_border_enhancement_on_the_diagonal():
     points = [PhasePoint(v, v) for v in np.linspace(0.0, 1.0, 41)]
-    scanned = line_scan("hm", 0.1, 2.0, 2000, 1000, points)
-    vals = np.array([val for _, val in scanned])
+    vals = line_scan("hm", 0.1, 2.0, 2000, 1000, points)
     border = float(vals[11])   # q = p = 0.275
     sea = float(vals[2])       # q = p = 0.05
     center = float(vals[20])   # q = p = 0.5, elliptic fixed point

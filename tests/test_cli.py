@@ -149,30 +149,47 @@ def test_k2_for_the_standard_map_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-# no route of these subcommands reads the flag, so the parser refuses it
-@pytest.mark.parametrize("argv", [
-    "nm-sweep --map hm --k 0.2 --dkh 1 --n 16 --t 3 --k2 0.9",
-    "avg-mp-sweep --map hm --k 0.2 --dkh 1 --n 16 --t 3 --k2 0.9",
-    "phase-scan --map hm --k 0.2 --dkh 1 --n 16 --t 3 --s 2 --k2 0.9",
-    "line-scan --map hm --k 0.2 --dkh 1 --n 16 --t 3 --q0 0 --p0 0 --q1 1 --p1 1"
-    " --points 2 --k2 0.9",
-    "short-time-check --map hm --k 0.2 --dkh 1 --n 16 --k2 0.9",
-    "short-time-check --map sm --k 2.5 --dkh 2 --n 16 --out-dir out",
-    "short-time-check --map sm --k 2.5 --dkh 2 --n 16 --plot",
-    "short-time-check --map sm --k 2.5 --dkh 2 --n 16 --threads 1",
-    "line-scan --map hm --k 0.2 --dkh 1 --n 16 --t 3 --q0 0 --p0 0 --q1 1 --p1 1"
-    " --points 2 --threads 1",
-    "classical-portrait --map sm --k 1 --orbits 2 --steps 2 --threads 1",
-    "gamma-curve --dkh-max 3 --points 5 --threads 1",
+_UNRECOGNIZED = "unrecognized arguments"
+_TRACE_CENTER = "fidelity: --q0 and --p0 apply to --kind pure only"
+_TRACE = "fidelity --map sm --k 1 --dkh 1 --n 16 --t 3"
+
+
+# no route of these runs reads the flag or config key: the parser refuses a
+# flag that no route of the subcommand reads, and a trace `fidelity` run
+# refuses the coherent center of the pure kind before it computes anything
+@pytest.mark.parametrize("argv, entries, error", [
+    ("nm-sweep --map hm --k 0.2 --dkh 1 --n 16 --t 3 --k2 0.9", "", _UNRECOGNIZED),
+    ("avg-mp-sweep --map hm --k 0.2 --dkh 1 --n 16 --t 3 --k2 0.9", "", _UNRECOGNIZED),
+    ("phase-scan --map hm --k 0.2 --dkh 1 --n 16 --t 3 --s 2 --k2 0.9", "", _UNRECOGNIZED),
+    ("line-scan --map hm --k 0.2 --dkh 1 --n 16 --t 3 --q0 0 --p0 0 --q1 1 --p1 1"
+     " --points 2 --k2 0.9", "", _UNRECOGNIZED),
+    ("short-time-check --map hm --k 0.2 --dkh 1 --n 16 --k2 0.9", "", _UNRECOGNIZED),
+    ("short-time-check --map sm --k 2.5 --dkh 2 --n 16 --out-dir out", "", _UNRECOGNIZED),
+    ("short-time-check --map sm --k 2.5 --dkh 2 --n 16 --plot", "", _UNRECOGNIZED),
+    ("short-time-check --map sm --k 2.5 --dkh 2 --n 16 --threads 1", "", _UNRECOGNIZED),
+    ("line-scan --map hm --k 0.2 --dkh 1 --n 16 --t 3 --q0 0 --p0 0 --q1 1 --p1 1"
+     " --points 2 --threads 1", "", _UNRECOGNIZED),
+    ("classical-portrait --map sm --k 1 --orbits 2 --steps 2 --threads 1", "", _UNRECOGNIZED),
+    ("gamma-curve --dkh-max 3 --points 5 --threads 1", "", _UNRECOGNIZED),
+    (_TRACE + " --q0 0.5", "", _TRACE_CENTER),
+    (_TRACE + " --kind trace --p0 0.2", "", _TRACE_CENTER),
+    (_TRACE, "q0 = 0.5\n", _TRACE_CENTER),
+    (_TRACE + " --kind trace", "p0 = 0.5\n", _TRACE_CENTER),
 ], ids=["nm-sweep-k2", "avg-mp-sweep-k2", "phase-scan-k2", "line-scan-k2",
         "short-time-check-k2", "short-time-check-out-dir", "short-time-check-plot",
         "short-time-check-threads", "line-scan-threads", "classical-portrait-threads",
-        "gamma-curve-threads"])
-def test_flags_no_route_reads_are_refused(tmp_path, monkeypatch, capsys, argv):
+        "gamma-curve-threads", "fidelity-trace-q0", "fidelity-trace-p0",
+        "fidelity-trace-config-q0", "fidelity-trace-config-p0"])
+def test_flags_no_route_reads_are_refused(tmp_path, monkeypatch, capsys, argv, entries,
+                                          error):
     monkeypatch.chdir(tmp_path)
-    assert run(*argv.split()) == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    config = []
+    if entries:
+        (tmp_path / "run.cfg").write_text(entries)
+        config = ["--config", "run.cfg"]
+    assert run(*argv.split(), *config) == 2
+    assert error in capsys.readouterr().err
+    assert sorted(os.listdir()) == (["run.cfg"] if entries else [])
 
 
 def test_nonpositive_counts_are_rejected(tmp_path, capsys):
@@ -385,6 +402,15 @@ def test_line_scan_csv(tmp_path):
     assert float(rows[-1][0]) == pytest.approx(0.9)
     assert all(float(r[1]) == pytest.approx(0.2) for r in rows)
 
+    # the rows carry the centers as given: the diagonal ends on (1, 1), not
+    # on its wrapped image (0, 0)
+    rc = run("line-scan", "--map", "hm", "--k", 0.1, "--dkh", 2, "--n", 16,
+             "--t", 3, "--q0", 0, "--p0", 0, "--q1", 1, "--p1", 1,
+             "--points", 3, "--out-dir", tmp_path)
+    assert rc == 0
+    rows = read_lines(tmp_path / "line_scan_hm_k0.1_dkh2_n16_t3.csv")[2:]
+    assert [row.rsplit(",", 1)[0] for row in rows] == ["0.0,0.0", "0.5,0.5", "1.0,1.0"]
+
 
 # ---------------------------------------------------------------------------
 # classical commands
@@ -481,8 +507,7 @@ _GP_HEAD = 'set datafile separator ","\nset terminal pngcairo size 900,700\n'
 _PINNED = [
     pytest.param(
         "fidelity --map sm --k 1.2 --dkh 2 --n 16 --t 3",
-        "# torus-echo fidelity dkh=2 k=1.2 kind=trace map=sm n=16 out_dir=out p0=0.5"
-        " plot=True q0=0.5 t=3",
+        "# torus-echo fidelity dkh=2 k=1.2 kind=trace map=sm n=16 out_dir=out plot=True t=3",
         'set output "fidelity_sm_k1.2_dkh2_n16_t3_trace.png"\n'
         "set key autotitle columnhead\n"
         "set logscale y\n"
@@ -609,9 +634,10 @@ def test_every_option_is_read_by_its_subcommand(tmp_path, monkeypatch):
         "short-time-check --map sm --k 2.5 --dkh 2 --n 16".split(),
     ]
     read = {cmd: set() for cmd in cli._COMMANDS}
+    echoed_unread = {}
     for argv in argvs:
         args = cli._resolve(cli.build_parser().parse_args(argv))
-        seen = read[args.cmd]
+        seen = set()
 
         # the config echo takes vars() of the namespace, which records no
         # option name, so an option that is only echoed counts as unread
@@ -621,6 +647,15 @@ def test_every_option_is_read_by_its_subcommand(tmp_path, monkeypatch):
                 return super().__getattribute__(name)
 
         cli._COMMANDS[args.cmd].run(Recording(**vars(args)))
+        read[args.cmd] |= seen
+        # every option this run echoes is read by this run, not only by
+        # another run of the same subcommand
+        echoed = {key for key, val in vars(args).items() if key != "cmd" and val is not None}
+        if args.cmd in _THREADS_UNREAD:
+            echoed -= {"threads"}
+        if echoed - seen:
+            echoed_unread[" ".join(argv)] = sorted(echoed - seen)
+    assert echoed_unread == {}
     unread = {}
     for cmd, command in cli._COMMANDS.items():
         names = {opt.name for opt in command.options} - {"config"}

@@ -46,7 +46,6 @@ def test_perturbation_placement():
     assert hm.u1.k == 0.2 and hm.u1.k2 == 0.25
 
     pair = PerturbedPair.from_dkh(MapSpec(family="sm", n=32, k=1.0), 2.0)
-    assert abs(pair.dkh - 2.0) < 1e-12
     assert abs(pair.delta_k - 2.0 * 2 * np.pi / 32) < 1e-15
 
 

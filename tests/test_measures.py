@@ -54,8 +54,8 @@ def test_monotone_series_has_zero_measure():
 def test_result_carries_labels_and_segment_sum():
     pair = PerturbedPair.from_dkh(MapSpec(family="sm", n=64, k=2.5), 2.0)
     result = measure(fidelity_trace(pair, 40))
-    assert (result.k, result.n, result.t_max, result.kind) == (2.5, 64, 40, "trace")
-    assert abs(result.dkh - 2.0) < 1e-12
+    # a bare series carries no map coordinates; scans.sweep attaches them
+    assert (result.t_max, result.kind) == (40, "trace")
     rises = sum(r for (_, _, r) in result.segments)
     assert abs(result.value - 2.0 * rises) < 1e-12
     starts = [s for (s, _, _) in result.segments]

@@ -51,12 +51,20 @@ def test_zero_perturbation_scan_is_all_zero():
 
 
 def test_sweep_results_follow_cell_order():
-    spec = SweepSpec(family="sm", k_values=(0.5, 2.5), dkh_values=(1.0, 2.0),
-                     n=64, t_max=30)
-    results = sweep(spec)
-    assert [(r.k, r.dkh) for r in results] == spec.cells()
-    assert all(r.kind == "trace" and r.n == 64 and r.t_max == 30 for r in results)
-    assert all(r.value >= 0.0 for r in results)
+    # each row carries its cell's K and dkh exactly as given: dkh = 1.7 at
+    # sm N=60 and 0.7 at hm N=20 do not survive dkh -> delta_k -> dkh
+    specs = [SweepSpec(family="sm", k_values=(0.5, 2.5), dkh_values=(1.0, 2.0),
+                       n=64, t_max=30)]
+    for family, n, dkh in (("sm", 60, 1.7), ("hm", 20, 0.7)):
+        specs += [SweepSpec(family=family, k_values=(0.3, 0.9), dkh_values=(dkh,),
+                            n=n, t_max=5, kind=kind, s=2)
+                  for kind in ("trace", "pure-average")]
+    for spec in specs:
+        results = sweep(spec)
+        assert [(r.k, r.dkh) for r in results] == spec.cells()
+        assert all((r.kind, r.n, r.t_max) == (spec.kind, spec.n, spec.t_max)
+                   for r in results)
+        assert all(r.value >= 0.0 for r in results)
 
 
 def test_average_sweep_matches_grid_mean():
@@ -119,9 +127,10 @@ def test_start_states_are_built_per_block(monkeypatch):
 def test_line_scan_returns_points_in_order():
     points = [PhasePoint(0.25, 0.5), PhasePoint(0.75, 0.0)]
     out = line_scan("sm", 0.9, 2.0, 64, 50, points)
-    assert [pt for pt, _ in out] == points
     grid = scan_phase_space("sm", 0.9, 2.0, 64, 50, 4)
-    assert abs(out[0][1] - grid.values[1, 2]) < 1e-12
+    assert out.shape == (2,)
+    assert abs(out[0] - grid.values[1, 2]) < 1e-12
+    assert abs(out[1] - grid.values[3, 0]) < 1e-12
     with pytest.raises(ValueError):
         line_scan("sm", 0.9, 2.0, 64, 50, [])
     with pytest.raises(ValueError, match="t_max"):
