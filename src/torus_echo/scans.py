@@ -14,7 +14,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .echo import _overlaps, _row_overlaps, fidelity_trace
-from .maps import FAMILIES, MapSpec, PerturbedPair
+from .maps import FAMILIES, MapSpec, PerturbedPair, check_family
 from .measures import NmResult, measure, measure_rows
 from .torus import PhasePoint, coherent_state
 
@@ -51,6 +51,11 @@ class SweepSpec:
     s: int = 16
 
     def __post_init__(self) -> None:
+        check_family(self.family, None)
+        if self.n < 2:
+            raise ValueError(f"dimension must be >= 2, got {self.n}")
+        if self.t_max < 1:
+            raise ValueError(f"t_max must be >= 1, got {self.t_max}")
         object.__setattr__(self, "k_values", tuple(float(k) for k in self.k_values))
         object.__setattr__(self, "dkh_values", tuple(float(d) for d in self.dkh_values))
         if not self.k_values or not self.dkh_values:

@@ -157,11 +157,48 @@ def test_classical_measure_grid_average_runs():
     lambda: phase_portrait("sm", math.nan, n_orbits=4, steps=5),
     lambda: iterate("hm", 0.3, math.nan, [0.1], [0.2], 5),
     lambda: iterate("sm", math.inf, None, 0.2, 0.3, 1),
+    lambda: iterate("sm", 1.0, None, math.nan, 0.3, 1),
+    lambda: iterate("hm", 0.3, None, [0.1, 0.2], [0.2, -math.inf], 5),
 ], ids=["nm-grid-delta_k", "nm-grid-K", "nm-grid-K2", "nm-delta_k", "diffusion-K",
-        "portrait-K", "iterate-K2", "step-K"])
+        "portrait-K", "iterate-K2", "step-K", "iterate-x0", "iterate-p0"])
 def test_non_finite_map_constants_are_rejected(call):
     with pytest.raises(ValueError, match="must be finite"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: iterate("sm", 1.0, None, [0.1], [0.2], -1),
+    lambda: iterate("sm", 1.0, None, [0.1], [0.2], 2.0),
+    lambda: phase_portrait("sm", 1.0, n_orbits=0, steps=5),
+    lambda: phase_portrait("hm", 0.3, n_orbits=4, steps=1.5),
+    lambda: diffusion_coefficient("sm", 1.0, horizon=2.5, n_orbits=10),
+    lambda: diffusion_coefficient("sm", 1.0, horizon=10, n_orbits=0),
+    lambda: classical_nm_grid("sm", 1.0, None, 0.01, 2.5, 10),
+    lambda: classical_nm_grid("sm", 1.0, None, 0.01, 2, 0),
+    lambda: classical_nm_grid("hm", 0.3, None, 0.01, True, 10),
+], ids=["iterate-steps-negative", "iterate-steps-float", "portrait-orbits",
+        "portrait-steps-float", "diffusion-horizon-float", "diffusion-orbits",
+        "nm-grid-side-float", "nm-grid-t", "nm-grid-side-bool"])
+def test_bad_counts_are_rejected(call):
+    with pytest.raises(ValueError, match="must be an integer >="):
+        call()
+
+
+@pytest.mark.parametrize("family,k", [("sm", 2.5), ("hm", 1.3)])
+def test_in_place_buffers_leave_caller_arrays_alone(family, k):
+    # wrapped float arrays are the case where a view in place of a copy
+    # would let the step write into the caller's starts
+    rng = np.random.default_rng(3)
+    x0, p0 = rng.random(64), rng.random(64)
+    saved = x0.copy(), p0.copy()
+    _, ps = iterate(family, k, None, x0, p0, 200, wrapped=False)
+    _nm_batch(family, k, k, 1e-3, x0, p0, 200)
+    assert np.array_equal(x0, saved[0]) and np.array_equal(p0, saved[1])
+    # diffusion draws the same starts from its seed; its reference momenta
+    # must survive the in-place steps
+    spread = ps[-1] - p0
+    expected = float(np.mean(spread * spread) / 200)
+    assert diffusion_coefficient(family, k, horizon=200, n_orbits=64, seed=3) == expected
 
 
 # the sm drift is fixed and the classical sm step has no K2, so a K2 given

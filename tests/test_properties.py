@@ -1,5 +1,6 @@
-"""Property tests: the split-operator routes against dense matrices, and
-lossless round trips of the series and grid files.
+"""Property tests: the split-operator routes against dense matrices, the
+in-place classical step against a textbook out-of-place step, and lossless
+round trips of the series and grid files.
 
 The reference builds each map as F^dag D F V from an explicit DFT matrix F
 and the phase formulas of the maps module docstring, so it shares no code
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from torus_echo.classical import _step
 from torus_echo.echo import (
     FidelitySeries,
     fidelity_from_state,
@@ -118,3 +120,53 @@ def test_grid_file_round_trip_is_bit_exact(tmp_path_factory, family, k, dkh, n, 
     assert (back.family, back.n, back.t_max, back.s) == (family, n, t_max, s)
     assert (repr(back.k), repr(back.dkh)) == (repr(k), repr(dkh))
     assert back.values.tobytes() == grid.values.tobytes()
+
+
+def _reference_step(family, k, k2, x, p, wx, wp):
+    """Textbook classical step: new arrays, wrapping by % 1.0."""
+    if family == "sm":
+        pn = p + (k / (2.0 * np.pi)) * np.sin(2.0 * np.pi * x)
+        pw = pn % 1.0
+        wp = wp + (pn - pw)
+        xn = x + pw
+        xw = xn % 1.0
+        wx = wx + (xn - xw) + wp
+    else:
+        pn = p - k * np.sin(2.0 * np.pi * x)
+        pw = pn % 1.0
+        wp = wp + (pn - pw)
+        xn = x + k2 * np.sin(2.0 * np.pi * pw)
+        xw = xn % 1.0
+        wx = wx + (xn - xw)
+    return xw, pw, wx, wp
+
+
+coordinate = st.floats(-2.0, 2.0)
+
+
+# x = 0 makes the first kick exactly zero, so pn = p: p just below 0, pn an
+# integer, and a pn whose % 1.0 rounds up to 1.0 (a wrapped p of 1.0)
+@derandomized
+@given(
+    family=st.sampled_from(["sm", "hm"]),
+    k=st.floats(0.0, 3.0),
+    k2=st.floats(0.0, 3.0),
+    points=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=8),
+    steps=st.integers(1, 20),
+)
+@example(family="sm", k=0.98, k2=0.0, points=[(0.0, -2.0**-40)], steps=5)
+@example(family="hm", k=0.3, k2=0.7, points=[(0.0, -2.0**-40)], steps=5)
+@example(family="sm", k=1.3, k2=0.0, points=[(0.0, 1.0), (0.0, -1.0)], steps=5)
+@example(family="hm", k=1.3, k2=1.1, points=[(0.0, 1.0), (0.0, -1.0)], steps=5)
+@example(family="sm", k=2.5, k2=0.0, points=[(0.0, -1e-20), (0.0, -5e-324)], steps=5)
+@example(family="hm", k=0.2, k2=0.2, points=[(0.0, -1e-20), (0.0, -5e-324)], steps=5)
+def test_in_place_step_matches_textbook_step_bit_for_bit(family, k, k2, points, steps):
+    x, p = (np.array(c, dtype=float) for c in zip(*points))
+    wx, wp = np.zeros_like(x), np.zeros_like(x)
+    ref = (x.copy(), p.copy(), wx.copy(), wp.copy())
+    tmp = np.empty_like(x)
+    for _ in range(steps):
+        _step(family, k, k2, x, p, wx, wp, tmp)
+        ref = _reference_step(family, k, k2, *ref)
+        for got, want in zip((x, p, wx, wp), ref):
+            assert got.tobytes() == want.tobytes()

@@ -29,10 +29,16 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(family="sm", k_values=(1.0,), dkh_values=(2.0,), n=64,
                   t_max=10, kind="other")
-    # refused at construction, before any cell runs
+    # refused at construction, before any cell runs (or any worker starts)
     with pytest.raises(ValueError, match="grid side"):
         SweepSpec(family="sm", k_values=(1.0,), dkh_values=(2.0,), n=64,
                   t_max=10, kind="pure-average", s=0)
+    fields = dict(family="sm", k_values=(1.0,), dkh_values=(2.0,), n=64, t_max=10)
+    for bad, match in ((dict(family="xx"), "unknown map family"),
+                       (dict(n=1), "dimension must be >= 2"),
+                       (dict(t_max=0), "t_max must be >= 1")):
+        with pytest.raises(ValueError, match=match):
+            SweepSpec(**(fields | bad))
     spec = SweepSpec(family="sm", k_values=(1.0, 2.0), dkh_values=(1.0, 3.0),
                      n=64, t_max=10)
     assert spec.cells() == [(1.0, 1.0), (1.0, 3.0), (2.0, 1.0), (2.0, 3.0)]
