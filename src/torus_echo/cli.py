@@ -255,40 +255,48 @@ def _cmd_fidelity(args) -> list[str]:
     return [path] + _maybe_plot(args, "series", [path], stem)
 
 
-def _run_sweep(args, kind: str) -> tuple[SweepSpec, str, list[str]]:
-    """Run the K x dkh sweep; its spec, file-name tag and CSV rows."""
-    k_grid = _grid_values(args, "k")
-    dkh_grid = _grid_values(args, "dkh")
-    spec = SweepSpec(
+def _sweep_spec(args, kind: str) -> SweepSpec:
+    """The K x dkh rectangle the sweep options describe."""
+    return SweepSpec(
         family=args.map,
-        k_values=k_grid,
-        dkh_values=dkh_grid,
+        k_values=_grid_values(args, "k"),
+        dkh_values=_grid_values(args, "dkh"),
         n=args.n,
         t_max=args.t,
         kind=kind,
         s=getattr(args, "s", 16),
     )
+
+
+def _run_sweep(args, spec: SweepSpec) -> tuple[str, list[str]]:
+    """Run the sweep; its file-name tag and CSV rows."""
     results = sweep(spec, workers=_resolve_threads(args), progress=_progress_printer(args.cmd))
-    tag = f"{_grid_tag('k', k_grid)}_{_grid_tag('dkh', dkh_grid)}_n{args.n}_t{args.t}"
+    tag = (f"{_grid_tag('k', spec.k_values)}_{_grid_tag('dkh', spec.dkh_values)}"
+           f"_n{args.n}_t{args.t}")
     rows = [f"{r.k!r},{r.dkh!r},{r.n},{r.t_max},{r.kind},{r.value!r}" for r in results]
-    return spec, tag, rows
+    return tag, rows
 
 
 def _cmd_nm_sweep(args) -> list[str]:
-    spec, tag, rows = _run_sweep(args, "trace")
+    spec = _sweep_spec(args, "trace")
+    dkh = spec.dkh_values
+    # the rate curve refuses a bad dkh grid before the sweep runs its cells
+    gamma_rows = None
+    if args.plot and len(dkh) > 1:
+        gamma_rows = _gamma_rows(np.linspace(min(dkh), max(dkh), 600))
+    tag, rows = _run_sweep(args, spec)
     stem = f"nm_sweep_{args.map}_{tag}"
-    if len(spec.dkh_values) == 1:
+    if len(dkh) == 1:
         return _save(args, stem, _RESULT_HEADER, rows, "curve")
     written = _save(args, stem, _RESULT_HEADER, rows)
-    if args.plot:
-        dkh_fine = np.linspace(min(spec.dkh_values), max(spec.dkh_values), 600)
-        written += _save(args, stem + "_gamma", "dkh,gamma", _gamma_rows(dkh_fine))
+    if gamma_rows is not None:
+        written += _save(args, stem + "_gamma", "dkh,gamma", gamma_rows)
         written += _maybe_plot(args, "overlay", written, stem)
     return written
 
 
 def _cmd_avg_mp_sweep(args) -> list[str]:
-    _, tag, rows = _run_sweep(args, "pure-average")
+    tag, rows = _run_sweep(args, _sweep_spec(args, "pure-average"))
     return _save(args, f"avg_mp_sweep_{args.map}_{tag}_s{args.s}", _RESULT_HEADER, rows, "curve")
 
 

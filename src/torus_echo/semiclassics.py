@@ -4,6 +4,10 @@ A perturbation phase exp(i a cos(2 pi g)) averaged over a uniform grid is a
 Riemann sum for the zeroth Bessel function, so the first kick obeys
 |<f(1)>| = |J0(delta_k/hbar)| and the predicted exponential rate is
 gamma = -ln|J0|.  At zeros of J0 the rate diverges and is reported as inf.
+
+bessel_j0 is that sum with enough nodes to be exact to rounding.  It refuses
+|x| > MATRIX_GUARD: the N-point first kick is J0 only while N > delta_k/hbar,
+and trace runs stop at N = MATRIX_GUARD.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .echo import fidelity_trace
-from .maps import MapSpec, PerturbedPair
+from .maps import MATRIX_GUARD, MapSpec, PerturbedPair
 
 __all__ = [
     "DIVERGENCE_FLOOR",
@@ -28,74 +32,45 @@ __all__ = [
 # |J0| below this counts as a zero and gamma_rate reports divergence.
 DIVERGENCE_FLOOR = 1e-12
 
-_SERIES_CUT = 12.0
-_ASYMPTOTIC_TERMS = 21
-
-
-def _j0_series(x: np.ndarray) -> np.ndarray:
-    """Power series sum_k (-1)^k (x/2)^(2k) / (k!)^2, good for |x| <= 12."""
-    z = -0.25 * x * x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, 60):
-        term = term * z / (k * k)
-        total = total + term
-        if np.all(np.abs(term) < 1e-17):
-            break
-    return total
-
-
-def _j0_asymptotic(x: np.ndarray) -> np.ndarray:
-    """Hankel expansion for large argument.
-
-    J0(x) = sqrt(2/(pi x)) [P(x) cos(x - pi/4) - Q(x) sin(x - pi/4)] with
-    coefficients A_m = prod_{j<=m} (2j-1)^2 / (m! 8^m) feeding P (even m)
-    and Q (odd m) with alternating signs.  Terms still shrink at m = 20 for
-    x >= 12, so a fixed cut there keeps the error below 1e-10.
-    """
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    coeff = 1.0
-    power = np.ones_like(x)
-    for m in range(1, _ASYMPTOTIC_TERMS):
-        coeff *= (2 * m - 1) ** 2 / (m * 8.0)
-        power = power / x
-        sign = (-1.0) ** ((m + 1) // 2)
-        if m % 2 == 1:
-            q = q + sign * coeff * power
-        else:
-            p = p + sign * coeff * power
-    chi = x - 0.25 * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
-
 
 def bessel_j0(x):
-    """J0 for scalar or array argument, |error| < 1e-10 on [0, 50]."""
-    arr = np.abs(np.asarray(x, dtype=float))
-    out = np.empty_like(arr)
-    small = arr <= _SERIES_CUT
-    if np.any(small):
-        out[small] = _j0_series(arr[small])
-    if np.any(~small):
-        out[~small] = _j0_asymptotic(arr[~small])
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    """J0 by the M-node periodic trapezoid rule (1/M) sum_m cos(x cos(2 pi m/M)).
+
+    M = 4 ceil((x_max + 8 x_max^(1/3) + 40)/4) for the largest |x| of the
+    call keeps the aliasing error 2 |J_M(x)| below rounding.  Arguments that
+    are not finite or exceed MATRIX_GUARD in size raise ValueError.
+    """
+    arr = np.asarray(x, dtype=float)
+    magnitude = np.abs(arr)
+    bad = arr[~(magnitude <= MATRIX_GUARD)]
+    if bad.size:
+        raise ValueError(f"J0 argument must be finite with |x| <= {MATRIX_GUARD}, "
+                         f"got {float(bad[0])}")
+    x_max = float(magnitude.max(initial=0.0))
+    m = 4 * math.ceil((x_max + 8.0 * x_max ** (1.0 / 3.0) + 40.0) / 4.0)
+    out = np.zeros_like(arr)
+    for node in np.cos(2.0 * math.pi * np.arange(m) / m):
+        out += np.cos(node * arr)
+    out /= m
+    return float(out) if out.ndim == 0 else out
 
 
 def gamma_rate(dkh: float) -> float:
     """Predicted decay rate -ln|J0(dkh)|; inf when dkh sits on a J0 zero."""
-    if not (math.isfinite(dkh) and dkh >= 0.0):
-        raise ValueError(f"dkh must be finite and >= 0, got {dkh}")
-    j = abs(bessel_j0(dkh))
-    if j < DIVERGENCE_FLOOR:
-        return math.inf
-    return -math.log(j) + 0.0
+    return float(gamma_curve([dkh])[0])
 
 
 def gamma_curve(dkh_values) -> np.ndarray:
-    """gamma_rate evaluated on a grid; divergent entries are inf."""
-    return np.array([gamma_rate(v) for v in np.asarray(dkh_values, dtype=float)])
+    """Predicted decay rates -ln|J0(dkh)| on a grid; entries on a J0 zero are inf."""
+    dkh = np.asarray(dkh_values, dtype=float)
+    bad = dkh[~(np.isfinite(dkh) & (dkh >= 0.0))]
+    if bad.size:
+        raise ValueError(f"dkh must be finite and >= 0, got {float(bad[0])}")
+    j = np.abs(bessel_j0(dkh))
+    rate = np.full(dkh.shape, math.inf)
+    finite = j >= DIVERGENCE_FLOOR
+    rate[finite] = -np.log(j[finite]) + 0.0
+    return rate
 
 
 @dataclass(frozen=True)
@@ -115,9 +90,9 @@ def short_time_check(family: str, k: float, dkh: float, n: int) -> ShortTimeChec
     rather than scored; away from zeros the residual is O(1/N) from the
     Riemann-sum error of the grid average.
     """
+    predicted = gamma_rate(dkh)
     pair = PerturbedPair.from_dkh(MapSpec(family=family, n=n, k=k), dkh)
     f1 = abs(fidelity_trace(pair, 1).values[1])
-    predicted = gamma_rate(dkh)
     if math.isinf(predicted) or f1 == 0.0:
         return ShortTimeCheck(
             measured=math.inf if f1 == 0.0 else -math.log(f1),

@@ -467,6 +467,23 @@ def test_gamma_curve_csv(tmp_path):
     assert float(rows[-1].split(",")[0]) == 6.0
 
 
+def test_gamma_curve_beyond_the_j0_range_exits_2(tmp_path, capsys):
+    rc = run("gamma-curve", "--dkh-max", 10000, "--points", 5, "--out-dir", tmp_path)
+    assert rc == 2
+    assert "|x| <= 8192" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_nm_sweep_plot_refuses_its_dkh_grid_before_the_sweep(tmp_path, capsys):
+    rc = run("nm-sweep", "--map", "sm", "--k", 0.5, "--dkh-values=-0.5,1", "--n", 16,
+             "--t", 3, "--plot", "--out-dir", tmp_path)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "dkh must be finite and >= 0" in err
+    assert "cell" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_short_time_check_prints_a_summary(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     rc = run("short-time-check", "--map", "sm", "--k", 2.5, "--dkh", 2,

@@ -22,6 +22,7 @@ from torus_echo.echo import (
 )
 from torus_echo.maps import MapSpec, PerturbedPair
 from torus_echo.scans import PhaseGrid, load_grid, save_grid
+from torus_echo.semiclassics import bessel_j0
 from torus_echo.torus import TorusState
 
 maps = dict(
@@ -79,6 +80,17 @@ def test_zero_perturbation_keeps_fidelity_at_one(family, n, k, t_max, seed):
     pure = fidelity_from_state(pair, _random_state(n, seed), t_max).values
     assert np.abs(trace - 1.0).max() <= 1e-12
     assert np.abs(pure - 1.0).max() <= 1e-12
+
+
+# the first kick averages exp(i dkh cos 2 pi q) over N grid points: J0 up to
+# the aliasing term 2 |J_N(dkh)|, at most 2e-14 for N >= 48 and dkh <= 20
+@derandomized
+@given(family=st.sampled_from(["sm", "hm"]), n=st.integers(48, 200),
+       k=st.floats(0.0, 3.0), dkh=st.floats(0.0, 20.0))
+def test_first_kick_is_bessel_j0_to_rounding(family, n, k, dkh):
+    pair = PerturbedPair.from_dkh(MapSpec(family=family, n=n, k=k), dkh)
+    f1 = fidelity_trace(pair, 1).values[1]
+    assert abs(abs(f1) - abs(bessel_j0(dkh))) <= 1e-13
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from torus_echo import semiclassics
+from torus_echo.maps import MATRIX_GUARD
 from torus_echo.semiclassics import (
     ShortTimeCheck,
     bessel_j0,
@@ -39,6 +41,12 @@ def test_j0_matches_quadrature_across_both_branches():
     for x in np.arange(0.0, 14.0, 0.37):
         assert abs(bessel_j0(x) - _j0_quadrature(x)) < 1e-10
     for x in (11.999, 12.0, 12.001):
+        assert abs(bessel_j0(x) - _j0_quadrature(x)) < 1e-10
+
+
+def test_j0_matches_quadrature_at_large_arguments():
+    # the 4096-panel rule is an 8192-node periodic rule, exact this far out
+    for x in (50.5, 123.4, 777.7, 2500.0, 7999.0):
         assert abs(bessel_j0(x) - _j0_quadrature(x)) < 1e-10
 
 
@@ -114,3 +122,32 @@ def test_gamma_rejects_non_finite_dkh(dkh):
         gamma_rate(dkh)
     with pytest.raises(ValueError, match="finite and >= 0"):
         gamma_curve([1.0, dkh])
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, MATRIX_GUARD + 1.0])
+def test_j0_refuses_arguments_out_of_range(x):
+    with pytest.raises(ValueError, match=f"finite with \\|x\\| <= {MATRIX_GUARD}"):
+        bessel_j0(x)
+    with pytest.raises(ValueError, match=f"finite with \\|x\\| <= {MATRIX_GUARD}"):
+        bessel_j0([0.0, x])
+
+
+def test_j0_range_ends_at_the_matrix_guard():
+    # two Hankel terms leave an error of 9/(128 x^2) times the amplitude
+    x = float(MATRIX_GUARD)
+    chi = x - 0.25 * math.pi
+    hankel = math.sqrt(2.0 / (math.pi * x)) * (math.cos(chi) + math.sin(chi) / (8.0 * x))
+    assert abs(bessel_j0(-x) - hankel) < 1e-10
+    with pytest.raises(ValueError, match="finite with"):
+        gamma_rate(x + 1.0)
+    with pytest.raises(ValueError, match="finite with"):
+        gamma_curve([1.0, x + 1.0])
+
+
+def test_short_time_check_refuses_dkh_before_propagating(monkeypatch):
+    def propagate(*args):
+        raise AssertionError("propagated before the dkh check")
+
+    monkeypatch.setattr(semiclassics, "fidelity_trace", propagate)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        short_time_check("sm", 2.5, -1.0, 2000)
