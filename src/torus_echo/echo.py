@@ -1,11 +1,15 @@
 """Fidelity amplitude of perturbed map pairs.
 
 f(t) = <psi| U1^dag(t) U0(t) |psi> for pure initial states, and the maximally
-mixed average <f(t)> = Tr[U1^dag(t) U0(t)] / N for the trace variant.  Both
-run the two propagations side by side, one kick per step, with one initial
-state per row, and reduce the overlaps after every kick to one value, so
-memory does not grow with the number of kicks; nothing is recomputed when
-measures are extracted later from a stored series.
+mixed average <f(t)> = Tr[U1^dag(t) U0(t)] / N for the trace variant.  One
+kernel runs every route: a pass evolves one unperturbed block a = U0^t start
+and G perturbed blocks b_g = U1g^t start side by side, one kick per step, with
+one initial state per row.  Every block and one shared scratch block are
+updated in place, so a pass holds G + 2 blocks and its memory does not grow
+with the number of kicks.  After every kick each b_g is reduced against a to
+one value per row (np.vecdot) or per block (np.vdot); a sweep over several
+perturbations of one map thus propagates U0 once for all of them, and nothing
+is recomputed when measures are extracted later from a stored series.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .maps import PerturbedPair, check_dense, drift_phase, evolve, kick_phase
+from .maps import MapSpec, PerturbedPair, check_dense, drift_phase, kick_phase, split_step
 from .torus import PhasePoint, TorusState, coherent_state
 
 __all__ = [
@@ -53,26 +57,24 @@ class FidelitySeries:
         return self.values.shape[0] - 1
 
 
-def _overlaps(pair: PerturbedPair, start: np.ndarray, t_max: int, reduce):
-    """Run both propagations from `start` and yield reduce(b_t, a_t) per kick.
+def _overlaps(u0: MapSpec, u1s, start: np.ndarray, t_max: int, reduce):
+    """Propagate `start` under u0 and under each map of u1s; yield G reductions per kick.
 
-    start holds one initial state per row; a_t = U0^t start and b_t = U1^t start
-    row by row, t = 1 .. t_max.  Only this generator holds a_t and b_t, so
-    each is freed as soon as its successor exists.
+    start holds one initial state per row and is not modified.  a_t = U0^t start
+    and b_t = U1^t start for each of the G maps U1 of u1s, t = 1 .. t_max; after
+    every kick the generator yields [reduce(b_t, a_t) for each b], in u1s order.
     """
-    kick0, drift0 = kick_phase(pair.u0), drift_phase(pair.u0)
-    kick1, drift1 = kick_phase(pair.u1), drift_phase(pair.u1)
-    a = b = np.asarray(start, dtype=complex)
-    del start  # an identity built for this call is freed after the first kick
+    a = np.array(start, dtype=complex)
+    del start  # a start built for this call is freed before the blocks are
+    bs = [a.copy() for _ in u1s]
+    tmp = np.empty_like(a)
+    kick0, drift0 = kick_phase(u0), drift_phase(u0)
+    phases = [(kick_phase(u1), drift_phase(u1)) for u1 in u1s]
     for _ in range(t_max):
-        a = evolve(a, kick0, drift0)
-        b = evolve(b, kick1, drift1)
-        yield reduce(b, a)
-
-
-def _row_overlaps(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """<bra_i|ket_i> for every row i."""
-    return np.einsum("ij,ij->i", bra.conj(), ket)
+        split_step(a, kick0, drift0, tmp)
+        for b, (kick, drift) in zip(bs, phases):
+            split_step(b, kick, drift, tmp)
+        yield [reduce(b, a) for b in bs]
 
 
 def fidelity_from_state(pair: PerturbedPair, state: TorusState, t_max: int) -> FidelitySeries:
@@ -81,8 +83,8 @@ def fidelity_from_state(pair: PerturbedPair, state: TorusState, t_max: int) -> F
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     if state.n != pair.n:
         raise ValueError(f"state dimension {state.n} does not match pair {pair.n}")
-    rows = _overlaps(pair, state.amps[None, :], t_max, _row_overlaps)
-    values = np.fromiter(chain([1.0], (row[0] for row in rows)), complex, t_max + 1)
+    rows = _overlaps(pair.u0, [pair.u1], state.amps[None, :], t_max, np.vecdot)
+    values = np.fromiter(chain([1.0], (row[0] for (row,) in rows)), complex, t_max + 1)
     return FidelitySeries(values=values, kind="pure")
 
 
@@ -91,15 +93,23 @@ def fidelity_pure(pair: PerturbedPair, center: PhasePoint, t_max: int) -> Fideli
     return fidelity_from_state(pair, coherent_state(pair.n, center), t_max)
 
 
-def fidelity_trace(pair: PerturbedPair, t_max: int) -> FidelitySeries:
-    """Basis-averaged series Tr[U1^dag(t) U0(t)] / N by evolving the basis."""
+def _trace_series(u0: MapSpec, u1s, t_max: int) -> list[FidelitySeries]:
+    """Basis-averaged series Tr[U1^dag(t) U0(t)] / N for each map of u1s, from one pass."""
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    n = pair.n
+    n = u0.n
     check_dense(n)
-    traces = _overlaps(pair, np.eye(n, dtype=complex), t_max, np.vdot)
-    values = np.fromiter(chain([n], traces), complex, t_max + 1) / n
-    return FidelitySeries(values=values, kind="trace")
+    traces = np.empty((len(u1s), t_max + 1), dtype=complex)
+    traces[:, 0] = n
+    for t, row in enumerate(_overlaps(u0, u1s, np.eye(n, dtype=complex), t_max, np.vdot), 1):
+        traces[:, t] = row
+    return [FidelitySeries(values=g / n, kind="trace") for g in traces]
+
+
+def fidelity_trace(pair: PerturbedPair, t_max: int) -> FidelitySeries:
+    """Basis-averaged series Tr[U1^dag(t) U0(t)] / N by evolving the basis."""
+    (series,) = _trace_series(pair.u0, [pair.u1], t_max)
+    return series
 
 
 def save_series(series: FidelitySeries, path, header: str | None = None) -> None:

@@ -143,18 +143,27 @@ def drift_phase(spec: MapSpec) -> np.ndarray:
     return np.exp(1j * spec.n * spec.k2 * np.cos(2.0 * math.pi * p))
 
 
-def evolve(amps: np.ndarray, kick: np.ndarray, drift: np.ndarray) -> np.ndarray:
-    """One split-operator step on a vector or on each row of a (states, N) array."""
-    # FFTs along the last, contiguous axis; one expression, so the spectrum is
-    # released before the ifft allocates
-    return np.fft.ifft(drift * np.fft.fft(kick * amps, norm="ortho"), norm="ortho")
+def split_step(x: np.ndarray, kick: np.ndarray, drift: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """One split-operator step of x (a vector, or one state per row), in place.
+
+    tmp is caller-owned scratch of x's shape.  The FFTs run along the last,
+    contiguous axis.  The operand order is part of the result: numpy's SIMD
+    complex multiply is not bitwise commutative, and this order gives exactly
+    the bits of ifft(drift * fft(kick * x)), where ``x *= drift`` would not.
+    """
+    np.multiply(kick, x, out=tmp)
+    np.fft.fft(tmp, norm="ortho", out=x)
+    np.multiply(drift, x, out=x)
+    np.fft.ifft(x, norm="ortho", out=x)
+    return x
 
 
 def apply_map(spec: MapSpec, state: TorusState) -> TorusState:
     """Advance a state by one kick period of the map."""
     if state.n != spec.n:
         raise ValueError(f"state dimension {state.n} does not match spec {spec.n}")
-    return TorusState(evolve(state.amps, kick_phase(spec), drift_phase(spec)))
+    amps = np.array(state.amps)
+    return TorusState(split_step(amps, kick_phase(spec), drift_phase(spec), np.empty_like(amps)))
 
 
 def check_dense(n: int) -> None:
@@ -167,4 +176,4 @@ def build_matrix(spec: MapSpec) -> np.ndarray:
     """Dense N x N matrix of the map; column j is the image of basis state j."""
     check_dense(spec.n)
     eye = np.eye(spec.n, dtype=complex)
-    return evolve(eye, kick_phase(spec), drift_phase(spec)).T
+    return split_step(eye, kick_phase(spec), drift_phase(spec), np.empty_like(eye)).T

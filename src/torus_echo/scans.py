@@ -1,19 +1,21 @@
 """Sweeps and phase-space scans of the non-Markovianity measure.
 
-All scan entry points are pure functions of their spec, so sweep cells can
-be farmed out to a process pool; results are placed by cell index and the
-output is byte-identical however many workers run.
+The unit of work of a sweep is one K row: its start block (the identity for
+the trace measure, the coherent grid for the pure average) goes through U0
+once and through the perturbed maps of all its dkh values, G of them per
+pass, with G capped by the block budget.  Rows are pure functions of their
+spec, so they can be farmed out to a process pool; results are placed by row
+index and the output is byte-identical however many workers run.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
 import numpy as np
 
-from .echo import _overlaps, _row_overlaps, fidelity_trace
+from .echo import _overlaps, _trace_series
 from .maps import FAMILIES, MapSpec, PerturbedPair, check_family
 from .measures import NmResult, measure, measure_rows
 from .torus import PhasePoint, coherent_state
@@ -32,6 +34,17 @@ __all__ = [
 
 # Element budget per evolution block of states, to bound the working set.
 _BLOCK_ELEMENTS = 1 << 21
+
+
+def _per_pass(rows: int, n: int) -> int:
+    """Perturbed blocks G per pass; a pass holds G + 2 blocks of rows x n."""
+    return max(1, _BLOCK_ELEMENTS // (rows * n) - 2)
+
+
+def _passes(u1s: list, rows: int, n: int):
+    """u1s in consecutive groups of _per_pass(rows, n), one group per pass."""
+    group = _per_pass(rows, n)
+    return (u1s[i:i + group] for i in range(0, len(u1s), group))
 
 
 @dataclass(frozen=True)
@@ -60,7 +73,7 @@ class SweepSpec:
         object.__setattr__(self, "dkh_values", tuple(float(d) for d in self.dkh_values))
         if not self.k_values or not self.dkh_values:
             raise ValueError("sweep grids must be non-empty")
-        if self.kind not in _CELLS:
+        if self.kind not in _ROWS:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
         if self.kind == "pure-average" and self.s < 1:
             raise ValueError(f"grid side must be >= 1, got {self.s}")
@@ -92,30 +105,39 @@ class PhaseGrid:
         object.__setattr__(self, "values", values)
 
 
-def _pair(family: str, k: float, dkh: float, n: int) -> PerturbedPair:
-    spec = MapSpec(family=family, n=n, k=k)
-    return PerturbedPair.from_dkh(spec, dkh)
+def _maps(family: str, n: int, k: float, dkh_values) -> tuple[MapSpec, list[MapSpec]]:
+    """U0 at kick strength k and the perturbed map of each dkh value."""
+    u0 = MapSpec(family=family, n=n, k=k)
+    return u0, [PerturbedPair.from_dkh(u0, dkh).u1 for dkh in dkh_values]
 
 
-def _measure_columns(pair: PerturbedPair, centers, t_max: int) -> np.ndarray:
-    """Pure-state measure per coherent center, in bounded blocks, summed kick by kick.
+def _measure_columns(u0: MapSpec, u1s: list, centers, t_max: int) -> np.ndarray:
+    """Pure-state measure per perturbed map and coherent center, summed kick by kick.
 
-    Each block builds its own start states, one per row, so they too stay
-    within the block budget; no name here holds them, so they are freed
-    after the first kick.
+    Row g of the result holds the measure at every center of the pair
+    (u0, u1s[g]).  Centers run in blocks of the budget.  Each pass builds its
+    own start states, one per row, so they too stay within the budget; no
+    name here holds them, so they are freed after the first kick.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    n = pair.n
+    n = u0.n
     block = max(1, _BLOCK_ELEMENTS // n)
     centers = iter(centers)
     values = []
     while chunk := list(islice(centers, block)):
-        rows = _overlaps(
-            pair, np.array([coherent_state(n, c).amps for c in chunk]), t_max, _row_overlaps
+        passes = (
+            _overlaps(u0, group, np.array([coherent_state(n, c).amps for c in chunk]),
+                      t_max, np.vecdot)
+            for group in _passes(u1s, len(chunk), n)
         )
-        values.append(measure_rows(chain([1.0], map(np.abs, rows))))
-    return np.concatenate(values)
+        values.append(np.concatenate(
+            [measure_rows(chain([1.0], map(np.abs, rows))) for rows in passes]))
+    return np.concatenate(values, axis=1)
+
+
+def _centers(s: int):
+    return (PhasePoint(i / s, j / s) for i in range(s) for j in range(s))
 
 
 def scan_phase_space(
@@ -129,9 +151,7 @@ def scan_phase_space(
     """Pure-state measure for coherent states on the s x s center grid."""
     if s < 1:
         raise ValueError(f"grid side must be >= 1, got {s}")
-    pair = _pair(family, k, dkh, n)
-    centers = (PhasePoint(i / s, j / s) for i in range(s) for j in range(s))
-    flat = _measure_columns(pair, centers, t_max)
+    (flat,) = _measure_columns(*_maps(family, n, k, [dkh]), _centers(s), t_max)
     return PhaseGrid(
         family=family, k=k, dkh=dkh, n=n, t_max=t_max, s=s,
         values=flat.reshape(s, s),
@@ -149,43 +169,60 @@ def line_scan(
     """Pure-state measure at each coherent center of points, in their order."""
     if not points:
         raise ValueError("line scan needs at least one point")
-    return _measure_columns(_pair(family, k, dkh, n), points, t_max)
+    (values,) = _measure_columns(*_maps(family, n, k, [dkh]), points, t_max)
+    return values
 
 
 def grid_average(grid: PhaseGrid) -> float:
     return float(grid.values.mean())
 
 
-def _trace_cell(cell) -> tuple[float, tuple]:
-    spec, k, dkh = cell
-    result = measure(fidelity_trace(_pair(spec.family, k, dkh, spec.n), spec.t_max))
-    return result.value, result.segments
+def _trace_row(row) -> list[tuple[float, tuple]]:
+    spec, k = row
+    u0, u1s = _maps(spec.family, spec.n, k, spec.dkh_values)
+    results = [measure(series)
+               for group in _passes(u1s, spec.n, spec.n)
+               for series in _trace_series(u0, group, spec.t_max)]
+    return [(r.value, r.segments) for r in results]
 
 
-def _average_cell(cell) -> tuple[float, tuple]:
-    spec, k, dkh = cell
-    return grid_average(scan_phase_space(spec.family, k, dkh, spec.n, spec.t_max, spec.s)), ()
+def _average_row(row) -> list[tuple[float, tuple]]:
+    spec, k = row
+    u0, u1s = _maps(spec.family, spec.n, k, spec.dkh_values)
+    s = spec.s
+    values = _measure_columns(u0, u1s, _centers(s), spec.t_max)
+    # the mean of each grid as scan_phase_space shapes it, to the last bit
+    return [(float(flat.reshape(s, s).mean()), ()) for flat in values]
 
 
-_CELLS = {"trace": _trace_cell, "pure-average": _average_cell}
+_ROWS = {"trace": _trace_row, "pure-average": _average_row}
 
 
-def _run_cells(fn, cell_args, workers, progress):
-    results = [None] * len(cell_args)
-    if workers <= 1:
-        for i, args in enumerate(cell_args):
-            results[i] = fn(args)
+def _run_rows(fn, rows, workers, progress, per_row):
+    """fn(row) for every row, placed in row order; progress counts per_row cells a row."""
+    results = [None] * len(rows)
+    total = len(rows) * per_row
+    done = 0
+
+    def finished(i, measured):
+        nonlocal done
+        results[i] = measured
+        for _ in range(per_row):
             if progress:
-                progress(i, len(cell_args))
-        return results
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(fn, args): i for i, args in enumerate(cell_args)}
-        done = 0
-        for fut in as_completed(futures):
-            results[futures[fut]] = fut.result()
+                progress(done, total)
             done += 1
-            if progress:
-                progress(done - 1, len(cell_args))
+
+    if workers <= 1:
+        for i, row in enumerate(rows):
+            finished(i, fn(row))
+        return results
+    # the pool's import is paid only by runs that use it
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {pool.submit(fn, row): i for i, row in enumerate(rows)}
+        for fut in as_completed(futures):
+            finished(futures[fut], fut.result())
     return results
 
 
@@ -193,17 +230,20 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None) -> list[NmResult]:
     """Measure sweep over the (K, dkh) rectangle, row-major in K.
 
     spec.kind picks the measure of every cell.  A pure-average cell averages
-    scan_phase_space over the s x s coherent grid, so a sweep entry agrees
-    with the mean of the corresponding stored grid to the last bit.  A cell
-    function returns the value and rise segments it measured; sweep labels
-    each with the K and dkh of its cell as given and spec's n, t_max and kind.
+    the s x s coherent grid of scan_phase_space, so a sweep entry agrees with
+    the mean of the corresponding stored grid to the last bit.  Each K row is
+    one unit of work, which propagates U0 once per pass of up to G of its dkh
+    values and returns the value and rise segments measured per cell; sweep
+    labels each with the K and dkh of its cell as given and spec's n, t_max
+    and kind.
     """
-    cells = spec.cells()
-    measured = _run_cells(_CELLS[spec.kind], [(spec, k, d) for k, d in cells], workers, progress)
+    rows = [(spec, k) for k in spec.k_values]
+    measured = chain.from_iterable(
+        _run_rows(_ROWS[spec.kind], rows, workers, progress, len(spec.dkh_values)))
     return [
         NmResult(k=k, dkh=d, n=spec.n, t_max=spec.t_max, kind=spec.kind,
                  value=value, segments=segments)
-        for (k, d), (value, segments) in zip(cells, measured)
+        for (k, d), (value, segments) in zip(spec.cells(), measured)
     ]
 
 

@@ -11,13 +11,39 @@ from torus_echo.echo import (
     load_series,
     save_series,
 )
-from torus_echo.maps import MATRIX_GUARD, GuardError, MapSpec, PerturbedPair, build_matrix
+from torus_echo.maps import (
+    MATRIX_GUARD,
+    GuardError,
+    MapSpec,
+    PerturbedPair,
+    build_matrix,
+    drift_phase,
+    kick_phase,
+    split_step,
+)
 from torus_echo.measures import measure
 from torus_echo.torus import PhasePoint, TorusState, coherent_state
 
 
 def _pair(family, k, n, dkh):
     return PerturbedPair.from_dkh(MapSpec(family=family, n=n, k=k), dkh)
+
+
+@pytest.mark.parametrize("family,k,n", [("sm", 0.9, 256), ("hm", 0.3, 100), ("sm", 2.5, 33)])
+@pytest.mark.parametrize("rows", [None, 1, 5, "n"])
+def test_in_place_step_matches_allocating_step_bit_for_bit(family, k, n, rows):
+    # the operand order of the kernel is pinned: drift * x, not x * drift
+    spec = MapSpec(family=family, n=n, k=k)
+    kick, drift = kick_phase(spec), drift_phase(spec)
+    shape = (n,) if rows is None else (n if rows == "n" else rows, n)
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    expected = np.fft.ifft(drift * np.fft.fft(kick * x, norm="ortho"), norm="ortho")
+    y = x.copy()
+    for _ in range(3):
+        assert split_step(y, kick, drift, np.empty_like(y)) is y
+        assert np.array_equal(y, expected)
+        expected = np.fft.ifft(drift * np.fft.fft(kick * expected, norm="ortho"), norm="ortho")
 
 
 def test_series_starts_at_one_and_is_bounded():

@@ -1,6 +1,7 @@
 """Property tests: the split-operator routes against dense matrices, the
-in-place classical step against a textbook out-of-place step, and lossless
-round trips of the series and grid files.
+in-place classical step against a textbook out-of-place step, sweeps that
+do not depend on their worker count, and lossless round trips of the series
+and grid files.
 
 The reference builds each map as F^dag D F V from an explicit DFT matrix F
 and the phase formulas of the maps module docstring, so it shares no code
@@ -21,7 +22,7 @@ from torus_echo.echo import (
     save_series,
 )
 from torus_echo.maps import MapSpec, PerturbedPair
-from torus_echo.scans import PhaseGrid, load_grid, save_grid
+from torus_echo.scans import PhaseGrid, SweepSpec, load_grid, save_grid, sweep
 from torus_echo.semiclassics import bessel_j0
 from torus_echo.torus import TorusState
 
@@ -91,6 +92,29 @@ def test_first_kick_is_bessel_j0_to_rounding(family, n, k, dkh):
     pair = PerturbedPair.from_dkh(MapSpec(family=family, n=n, k=k), dkh)
     f1 = fidelity_trace(pair, 1).values[1]
     assert abs(abs(f1) - abs(bessel_j0(dkh))) <= 1e-13
+
+
+# every example starts a process pool, so fewer of them
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    family=st.sampled_from(["sm", "hm"]),
+    kind=st.sampled_from(["trace", "pure-average"]),
+    k_values=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3),
+    dkh_values=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+    n=st.integers(2, 24),
+    t_max=st.integers(1, 12),
+    s=st.integers(1, 3),
+)
+def test_sweep_does_not_depend_on_worker_count(family, kind, k_values, dkh_values, n,
+                                               t_max, s):
+    # the pool runs whole K rows; results come back in cell order either way
+    spec = SweepSpec(family=family, k_values=k_values, dkh_values=dkh_values, n=n,
+                     t_max=t_max, kind=kind, s=s)
+    serial, parallel = sweep(spec, workers=1), sweep(spec, workers=2)
+    assert [(r.k, r.dkh) for r in serial] == spec.cells()
+    assert serial == parallel
+    assert (np.array([r.value for r in serial]).tobytes()
+            == np.array([r.value for r in parallel]).tobytes())
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -5,10 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torus_echo import scans
+from torus_echo import echo, scans
 from torus_echo.echo import _overlaps, fidelity_pure, fidelity_trace
 from torus_echo.maps import MapSpec, PerturbedPair
-from torus_echo.measures import measure_value
+from torus_echo.measures import measure, measure_value
 from torus_echo.scans import (
     PhaseGrid,
     SweepSpec,
@@ -148,15 +148,73 @@ def test_blocked_scan_matches_unsplit_scan(monkeypatch):
     whole = scan_phase_space("sm", 0.9, 2.0, 64, 50, 4)
     sizes = []
 
-    def spy(pair, start, t_max, reduce):
+    def spy(u0, u1s, start, t_max, reduce):
         sizes.append(start.shape[0])
-        return _overlaps(pair, start, t_max, reduce)
+        return _overlaps(u0, u1s, start, t_max, reduce)
 
     monkeypatch.setattr(scans, "_BLOCK_ELEMENTS", 5 * 64)
     monkeypatch.setattr(scans, "_overlaps", spy)
     split = scan_phase_space("sm", 0.9, 2.0, 64, 50, 4)
     assert sizes == [5, 5, 5, 1]
     assert np.abs(split.values - whole.values).max() < 1e-13
+
+
+def test_sweep_row_results_do_not_depend_on_maps_per_pass(monkeypatch):
+    # six dkh per K row at N=32: G = 1, 2 and 5 perturbed blocks per pass
+    # (six passes of one, 2+2+2 and 5+1) give the same bits as one pass per cell
+    dkh = (0.5, 1.0, 1.7, 2.0, 2.4, 3.1)
+    results = {}
+    for kind in ("trace", "pure-average"):
+        spec = SweepSpec(family="sm", k_values=(0.5, 1.3), dkh_values=dkh, n=32,
+                         t_max=25, kind=kind, s=3)
+        rows = 32 if kind == "trace" else 9
+        for g in (1, 2, 5):
+            monkeypatch.setattr(scans, "_BLOCK_ELEMENTS", (g + 2) * rows * 32)
+            assert scans._per_pass(rows, 32) == g
+            results[kind, g] = sweep(spec)
+        values = {g: np.array([r.value for r in results[kind, g]]) for g in (1, 2, 5)}
+        assert np.array_equal(values[2], values[1])
+        assert np.array_equal(values[5], values[1])
+        assert [r.segments for r in results[kind, 5]] == [r.segments for r in results[kind, 1]]
+    u0 = MapSpec(family="sm", n=32, k=0.5)
+    single = [measure(fidelity_trace(PerturbedPair.from_dkh(u0, d), 25)).value for d in dkh]
+    assert np.array_equal([r.value for r in results["trace", 5][:6]], single)
+
+
+def test_sweep_propagates_u0_once_per_k_row(monkeypatch):
+    # 3 K x 2 dkh: one pass per K row, each evolving U0 and both perturbed maps
+    passes = []
+
+    def spy(u0, u1s, start, t_max, reduce):
+        passes.append((u0.k, len(u1s)))
+        return _overlaps(u0, u1s, start, t_max, reduce)
+
+    monkeypatch.setattr(echo, "_overlaps", spy)
+    monkeypatch.setattr(scans, "_overlaps", spy)
+    for kind in ("trace", "pure-average"):
+        passes.clear()
+        spec = SweepSpec(family="sm", k_values=(0.5, 0.98, 2.5), dkh_values=(1.0, 2.0),
+                         n=32, t_max=5, kind=kind, s=2)
+        sweep(spec)
+        assert passes == [(0.5, 2), (0.98, 2), (2.5, 2)]
+
+
+def test_maps_per_pass_are_capped_by_the_budget(monkeypatch):
+    # with the budget at one N x N block, G = 1: a pass holds U0's block, one
+    # perturbed block and the scratch block, so five dkh values in a row cost
+    # no more memory than one; uncapped, the five-dkh pass would hold four
+    # blocks (256 KB at N=64) more.  The slack is a quarter block.
+    n = 64
+    monkeypatch.setattr(scans, "_BLOCK_ELEMENTS", n * n)
+    assert scans._per_pass(n, n) == 1
+
+    def run(dkh_values):
+        sweep(SweepSpec(family="sm", k_values=(0.9,), dkh_values=dkh_values, n=n, t_max=20))
+
+    run((1.0,))  # the first call fills one-off caches
+    one = _peak_bytes(lambda: run((1.0,)))
+    five = _peak_bytes(lambda: run((1.0, 1.5, 2.0, 2.5, 3.0)))
+    assert five <= one + n * n * 16 / 4
 
 
 def test_scan_is_deterministic():
