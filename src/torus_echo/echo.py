@@ -7,16 +7,15 @@ and G perturbed blocks b_g = U1g^t start side by side, one kick per step, with
 one initial state per row.  Every block and one shared scratch block are
 updated in place, so a pass holds G + 2 blocks and its memory does not grow
 with the number of kicks.  After every kick each b_g is reduced against a to
-one value per row (np.vecdot) or per block (np.vdot); a sweep over several
-perturbations of one map thus propagates U0 once for all of them, and nothing
-is recomputed when measures are extracted later from a stored series.
+one overlap per row (np.vecdot), and a trace is the sum of the basis rows; a
+sweep over several perturbations of one map thus propagates U0 once for all
+of them, and nothing is recomputed when measures are extracted from a series.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -57,12 +56,12 @@ class FidelitySeries:
         return self.values.shape[0] - 1
 
 
-def _overlaps(u0: MapSpec, u1s, start: np.ndarray, t_max: int, reduce):
-    """Propagate `start` under u0 and under each map of u1s; yield G reductions per kick.
+def _overlaps(u0: MapSpec, u1s, start: np.ndarray, t_max: int):
+    """Propagate `start` under u0 and under each map of u1s; yield G row overlaps per kick.
 
     start holds one initial state per row and is not modified.  a_t = U0^t start
     and b_t = U1^t start for each of the G maps U1 of u1s, t = 1 .. t_max; after
-    every kick the generator yields [reduce(b_t, a_t) for each b], in u1s order.
+    every kick the generator yields [np.vecdot(b_t, a_t) for each b], in u1s order.
     """
     a = np.array(start, dtype=complex)
     del start  # a start built for this call is freed before the blocks are
@@ -74,7 +73,18 @@ def _overlaps(u0: MapSpec, u1s, start: np.ndarray, t_max: int, reduce):
         split_step(a, kick0, drift0, tmp)
         for b, (kick, drift) in zip(bs, phases):
             split_step(b, kick, drift, tmp)
-        yield [reduce(b, a) for b in bs]
+        yield [np.vecdot(b, a) for b in bs]
+
+
+def _series(u0: MapSpec, u1s, start: np.ndarray, t_max: int) -> np.ndarray:
+    """(G, T+1) array: column 0 the number of start rows, column t each map's summed overlaps."""
+    series = np.empty((len(u1s), t_max + 1), dtype=complex)
+    series[:, 0] = len(start)
+    passes = _overlaps(u0, u1s, start, t_max)
+    del start  # so that _overlaps frees it once it holds its own copy
+    for t, rows in enumerate(passes, 1):
+        series[:, t] = [r.sum() for r in rows]
+    return series
 
 
 def fidelity_from_state(pair: PerturbedPair, state: TorusState, t_max: int) -> FidelitySeries:
@@ -83,8 +93,7 @@ def fidelity_from_state(pair: PerturbedPair, state: TorusState, t_max: int) -> F
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     if state.n != pair.n:
         raise ValueError(f"state dimension {state.n} does not match pair {pair.n}")
-    rows = _overlaps(pair.u0, [pair.u1], state.amps[None, :], t_max, np.vecdot)
-    values = np.fromiter(chain([1.0], (row[0] for (row,) in rows)), complex, t_max + 1)
+    (values,) = _series(pair.u0, [pair.u1], state.amps[None, :], t_max)
     return FidelitySeries(values=values, kind="pure")
 
 
@@ -99,11 +108,8 @@ def _trace_series(u0: MapSpec, u1s, t_max: int) -> list[FidelitySeries]:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     n = u0.n
     check_dense(n)
-    traces = np.empty((len(u1s), t_max + 1), dtype=complex)
-    traces[:, 0] = n
-    for t, row in enumerate(_overlaps(u0, u1s, np.eye(n, dtype=complex), t_max, np.vdot), 1):
-        traces[:, t] = row
-    return [FidelitySeries(values=g / n, kind="trace") for g in traces]
+    return [FidelitySeries(values=g / n, kind="trace")
+            for g in _series(u0, u1s, np.eye(n, dtype=complex), t_max)]
 
 
 def fidelity_trace(pair: PerturbedPair, t_max: int) -> FidelitySeries:

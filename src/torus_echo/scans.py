@@ -16,7 +16,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .echo import _overlaps, _trace_series
-from .maps import FAMILIES, MapSpec, PerturbedPair, check_family
+from .maps import FAMILIES, MapSpec, PerturbedPair, check_dense
 from .measures import NmResult, measure, measure_rows
 from .torus import PhasePoint, coherent_state
 
@@ -64,9 +64,6 @@ class SweepSpec:
     s: int = 16
 
     def __post_init__(self) -> None:
-        check_family(self.family, None)
-        if self.n < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.n}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
         object.__setattr__(self, "k_values", tuple(float(k) for k in self.k_values))
@@ -77,6 +74,11 @@ class SweepSpec:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
         if self.kind == "pure-average" and self.s < 1:
             raise ValueError(f"grid side must be >= 1, got {self.s}")
+        # every row's maps, so a bad cell is refused before any row runs
+        for k in self.k_values:
+            _maps(self.family, self.n, k, self.dkh_values)
+        if self.kind == "trace":
+            check_dense(self.n)
 
     def cells(self) -> list[tuple[float, float]]:
         return [(k, d) for k in self.k_values for d in self.dkh_values]
@@ -127,8 +129,7 @@ def _measure_columns(u0: MapSpec, u1s: list, centers, t_max: int) -> np.ndarray:
     values = []
     while chunk := list(islice(centers, block)):
         passes = (
-            _overlaps(u0, group, np.array([coherent_state(n, c).amps for c in chunk]),
-                      t_max, np.vecdot)
+            _overlaps(u0, group, np.array([coherent_state(n, c).amps for c in chunk]), t_max)
             for group in _passes(u1s, len(chunk), n)
         )
         values.append(np.concatenate(

@@ -93,17 +93,8 @@ def short_time_check(family: str, k: float, dkh: float, n: int) -> ShortTimeChec
     predicted = gamma_rate(dkh)
     pair = PerturbedPair.from_dkh(MapSpec(family=family, n=n, k=k), dkh)
     f1 = abs(fidelity_trace(pair, 1).values[1])
-    if math.isinf(predicted) or f1 == 0.0:
-        return ShortTimeCheck(
-            measured=math.inf if f1 == 0.0 else -math.log(f1),
-            predicted=predicted,
-            residual=math.nan,
-            diverged=True,
-        )
-    measured = -math.log(f1)
-    return ShortTimeCheck(
-        measured=measured,
-        predicted=predicted,
-        residual=abs(measured - predicted),
-        diverged=False,
-    )
+    measured = math.inf if f1 == 0.0 else -math.log(f1)
+    diverged = math.isinf(predicted) or f1 == 0.0
+    residual = math.nan if diverged else abs(measured - predicted)
+    return ShortTimeCheck(measured=measured, predicted=predicted, residual=residual,
+                          diverged=diverged)

@@ -286,6 +286,16 @@ def test_nm_sweep_rows_and_progress(tmp_path, capsys):
     assert "wrote" in captured.out
 
 
+def test_nm_sweep_refuses_a_bad_k_row_before_any_cell(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run("nm-sweep", "--map", "sm", "--k-values", "0.5,-1", "--dkh", 1, "--n", 256,
+             "--t", 300, "--out-dir", out)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "K must be finite and >= 0" in err and "cell" not in err
+    assert not out.exists()
+
+
 def test_nm_sweep_gamma_companion_needs_plot_and_a_dkh_grid(tmp_path):
     base = ("nm-sweep", "--map", "sm", "--k", 0.5, "--n", 32, "--t", 5,
             "--out-dir", tmp_path)

@@ -1,8 +1,14 @@
 """Fidelity-amplitude series from perturbed evolution pairs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from torus_echo import echo
 from torus_echo.echo import (
     FidelitySeries,
     fidelity_from_state,
@@ -44,6 +50,29 @@ def test_in_place_step_matches_allocating_step_bit_for_bit(family, k, n, rows):
         assert split_step(y, kick, drift, np.empty_like(y)) is y
         assert np.array_equal(y, expected)
         expected = np.fft.ifft(drift * np.fft.fft(kick * expected, norm="ortho"), norm="ortho")
+
+
+_TRACE_BYTES = """
+import sys
+from torus_echo.echo import fidelity_trace
+from torus_echo.maps import MapSpec, PerturbedPair
+pair = PerturbedPair.from_dkh(MapSpec(family="sm", n=256, k=0.98), 2.0)
+sys.stdout.buffer.write(fidelity_trace(pair, 20).values.tobytes())
+"""
+
+
+def test_trace_bytes_do_not_depend_on_blas_threads():
+    # a block-wide BLAS dot splits its sum by thread, and the split moves the
+    # last bits; per-row overlaps of N <= 8192 amplitudes do not.  On a
+    # one-CPU machine both runs use one thread, so there this cannot fail.
+    src = str(Path(echo.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = os.environ | {"OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        runs.append(subprocess.run([sys.executable, "-c", _TRACE_BYTES], env=env,
+                                   capture_output=True, check=True).stdout)
+    assert len(runs[0]) == 21 * 16
+    assert runs[0] == runs[1]
 
 
 def test_series_starts_at_one_and_is_bounded():

@@ -1,7 +1,7 @@
-"""Property tests: the split-operator routes against dense matrices, the
-in-place classical step against a textbook out-of-place step, sweeps that
-do not depend on their worker count, and lossless round trips of the series
-and grid files.
+"""Property tests: the split-operator routes against dense matrices, unitary
+map matrices, the in-place classical step against a textbook out-of-place
+step, sweeps that do not depend on their worker count, and lossless round
+trips of the series and grid files.
 
 The reference builds each map as F^dag D F V from an explicit DFT matrix F
 and the phase formulas of the maps module docstring, so it shares no code
@@ -21,7 +21,7 @@ from torus_echo.echo import (
     load_series,
     save_series,
 )
-from torus_echo.maps import MapSpec, PerturbedPair
+from torus_echo.maps import MapSpec, PerturbedPair, build_matrix
 from torus_echo.scans import PhaseGrid, SweepSpec, load_grid, save_grid, sweep
 from torus_echo.semiclassics import bessel_j0
 from torus_echo.torus import TorusState
@@ -71,6 +71,15 @@ def test_routes_match_dense_matrices(family, n, k, dkh, t_max, seed):
         assert abs(pure[t] - np.vdot(m1 @ state.amps, m0 @ state.amps)) <= 1e-12
     assert np.abs(trace).max() <= 1 + 1e-12
     assert np.abs(pure).max() <= 1 + 1e-12
+
+
+@derandomized
+@given(family=st.sampled_from(["sm", "hm"]), n=st.integers(2, 200), k=st.floats(0.0, 3.0),
+       k2=st.floats(0.0, 3.0))
+def test_map_matrix_is_unitary(family, n, k, k2):
+    # hm draws its momentum kick K2 apart from K; odd N is drawn too
+    u = build_matrix(MapSpec(family=family, n=n, k=k, k2=k2 if family == "hm" else None))
+    assert np.linalg.norm(u.conj().T @ u - np.eye(n), np.inf) <= 1e-12
 
 
 @derandomized

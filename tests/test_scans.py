@@ -7,7 +7,7 @@ import pytest
 
 from torus_echo import echo, scans
 from torus_echo.echo import _overlaps, fidelity_pure, fidelity_trace
-from torus_echo.maps import MapSpec, PerturbedPair
+from torus_echo.maps import MATRIX_GUARD, GuardError, MapSpec, PerturbedPair
 from torus_echo.measures import measure, measure_value
 from torus_echo.scans import (
     PhaseGrid,
@@ -34,11 +34,19 @@ def test_sweep_spec_validation():
         SweepSpec(family="sm", k_values=(1.0,), dkh_values=(2.0,), n=64,
                   t_max=10, kind="pure-average", s=0)
     fields = dict(family="sm", k_values=(1.0,), dkh_values=(2.0,), n=64, t_max=10)
+    # a bad K or dkh is refused with the spec, though the good K=1.0 row comes first
     for bad, match in ((dict(family="xx"), "unknown map family"),
                        (dict(n=1), "dimension must be >= 2"),
-                       (dict(t_max=0), "t_max must be >= 1")):
+                       (dict(t_max=0), "t_max must be >= 1"),
+                       (dict(k_values=(1.0, float("nan"))), "K must be finite and >= 0"),
+                       (dict(k_values=(1.0, -1.0)), "K must be finite and >= 0"),
+                       (dict(dkh_values=(2.0, float("nan"))), "K must be finite and >= 0")):
         with pytest.raises(ValueError, match=match):
             SweepSpec(**(fields | bad))
+    # the dense guard holds for the trace only
+    with pytest.raises(GuardError):
+        SweepSpec(**(fields | dict(n=MATRIX_GUARD + 1)))
+    SweepSpec(**(fields | dict(n=MATRIX_GUARD + 1, kind="pure-average")))
     spec = SweepSpec(family="sm", k_values=(1.0, 2.0), dkh_values=(1.0, 3.0),
                      n=64, t_max=10)
     assert spec.cells() == [(1.0, 1.0), (1.0, 3.0), (2.0, 1.0), (2.0, 3.0)]
@@ -148,9 +156,9 @@ def test_blocked_scan_matches_unsplit_scan(monkeypatch):
     whole = scan_phase_space("sm", 0.9, 2.0, 64, 50, 4)
     sizes = []
 
-    def spy(u0, u1s, start, t_max, reduce):
+    def spy(u0, u1s, start, t_max):
         sizes.append(start.shape[0])
-        return _overlaps(u0, u1s, start, t_max, reduce)
+        return _overlaps(u0, u1s, start, t_max)
 
     monkeypatch.setattr(scans, "_BLOCK_ELEMENTS", 5 * 64)
     monkeypatch.setattr(scans, "_overlaps", spy)
@@ -185,9 +193,9 @@ def test_sweep_propagates_u0_once_per_k_row(monkeypatch):
     # 3 K x 2 dkh: one pass per K row, each evolving U0 and both perturbed maps
     passes = []
 
-    def spy(u0, u1s, start, t_max, reduce):
+    def spy(u0, u1s, start, t_max):
         passes.append((u0.k, len(u1s)))
-        return _overlaps(u0, u1s, start, t_max, reduce)
+        return _overlaps(u0, u1s, start, t_max)
 
     monkeypatch.setattr(echo, "_overlaps", spy)
     monkeypatch.setattr(scans, "_overlaps", spy)
