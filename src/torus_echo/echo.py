@@ -7,9 +7,16 @@ and G perturbed blocks b_g = U1g^t start side by side, one kick per step, with
 one initial state per row.  Every block and one shared scratch block are
 updated in place, so a pass holds G + 2 blocks and its memory does not grow
 with the number of kicks.  After every kick each b_g is reduced against a to
-one overlap per row (np.vecdot), and a trace is the sum of the basis rows; a
-sweep over several perturbations of one map thus propagates U0 once for all
-of them, and nothing is recomputed when measures are extracted from a series.
+one overlap per row (np.vecdot, in fixed slices of at most 8192 amplitudes),
+and a series value is the weighted sum of the row overlaps; a sweep over
+several perturbations of one map thus propagates U0 once for all of them, and
+nothing is recomputed when measures are extracted from a series.
+
+A trace is the sum of the basis-row overlaps.  When the maps are parity-even
+(maps.MapSpec.parity_even) so is the echo operator, and the overlaps of e_n
+and e_{-n} agree, so a trace pass starts from e_0 .. e_{N//2} alone and
+counts every row other than e_0 and (at even N) e_{N/2} twice: it holds
+N//2 + 1 rows per block.  An sm map at odd N keeps all N basis rows.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import MapSpec, PerturbedPair, check_dense, drift_phase, kick_phase, split_step
-from .torus import PhasePoint, TorusState, coherent_state
+from .torus import DOT_SLICE, PhasePoint, TorusState, coherent_state
 
 __all__ = [
     "FidelitySeries",
@@ -56,12 +63,24 @@ class FidelitySeries:
         return self.values.shape[0] - 1
 
 
+def _row_overlaps(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """<b_r|a_r> per row, summed over fixed DOT_SLICE slices in order.
+
+    One np.vecdot over a longer row would let BLAS split its sum by thread.
+    """
+    out = np.vecdot(b[..., :DOT_SLICE], a[..., :DOT_SLICE])
+    for i in range(DOT_SLICE, a.shape[-1], DOT_SLICE):
+        out += np.vecdot(b[..., i:i + DOT_SLICE], a[..., i:i + DOT_SLICE])
+    return out
+
+
 def _overlaps(u0: MapSpec, u1s, start: np.ndarray, t_max: int):
     """Propagate `start` under u0 and under each map of u1s; yield G row overlaps per kick.
 
     start holds one initial state per row and is not modified.  a_t = U0^t start
     and b_t = U1^t start for each of the G maps U1 of u1s, t = 1 .. t_max; after
-    every kick the generator yields [np.vecdot(b_t, a_t) for each b], in u1s order.
+    every kick the generator yields the overlaps <b_t|a_t> of every row, one
+    array per map, in u1s order.
     """
     a = np.array(start, dtype=complex)
     del start  # a start built for this call is freed before the blocks are
@@ -73,17 +92,18 @@ def _overlaps(u0: MapSpec, u1s, start: np.ndarray, t_max: int):
         split_step(a, kick0, drift0, tmp)
         for b, (kick, drift) in zip(bs, phases):
             split_step(b, kick, drift, tmp)
-        yield [np.vecdot(b, a) for b in bs]
+        yield [_row_overlaps(b, a) for b in bs]
 
 
-def _series(u0: MapSpec, u1s, start: np.ndarray, t_max: int) -> np.ndarray:
-    """(G, T+1) array: column 0 the number of start rows, column t each map's summed overlaps."""
+def _series(u0: MapSpec, u1s, start: np.ndarray, weights, t_max: int) -> np.ndarray:
+    """(G, T+1) array: column 0 the weight sum, column t each map's weighted row overlaps."""
+    weights = np.asarray(weights, dtype=float)
     series = np.empty((len(u1s), t_max + 1), dtype=complex)
-    series[:, 0] = len(start)
+    series[:, 0] = weights.sum()
     passes = _overlaps(u0, u1s, start, t_max)
     del start  # so that _overlaps frees it once it holds its own copy
     for t, rows in enumerate(passes, 1):
-        series[:, t] = [r.sum() for r in rows]
+        series[:, t] = [(weights * r).sum() for r in rows]
     return series
 
 
@@ -93,7 +113,7 @@ def fidelity_from_state(pair: PerturbedPair, state: TorusState, t_max: int) -> F
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     if state.n != pair.n:
         raise ValueError(f"state dimension {state.n} does not match pair {pair.n}")
-    (values,) = _series(pair.u0, [pair.u1], state.amps[None, :], t_max)
+    (values,) = _series(pair.u0, [pair.u1], state.amps[None, :], [1.0], t_max)
     return FidelitySeries(values=values, kind="pure")
 
 
@@ -102,14 +122,27 @@ def fidelity_pure(pair: PerturbedPair, center: PhasePoint, t_max: int) -> Fideli
     return fidelity_from_state(pair, coherent_state(pair.n, center), t_max)
 
 
+def _trace_rows(u0: MapSpec) -> int:
+    """Basis rows of a trace pass: e_0 .. e_{N//2} for parity-even maps, else all N."""
+    return u0.n // 2 + 1 if u0.parity_even else u0.n
+
+
 def _trace_series(u0: MapSpec, u1s, t_max: int) -> list[FidelitySeries]:
-    """Basis-averaged series Tr[U1^dag(t) U0(t)] / N for each map of u1s, from one pass."""
+    """Basis-averaged series Tr[U1^dag(t) U0(t)] / N for each map of u1s, from one pass.
+
+    The weights count each row of the parity-reduced basis once for itself
+    and once for its image e_{-n}; they sum to N, so f(0) = 1 exactly.
+    """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     n = u0.n
     check_dense(n)
+    rows = _trace_rows(u0)
+    weights = np.ones(rows)
+    if rows < n:
+        weights[1:(n + 1) // 2] = 2.0  # e_{N/2}, its own image at even N, keeps 1
     return [FidelitySeries(values=g / n, kind="trace")
-            for g in _series(u0, u1s, np.eye(n, dtype=complex), t_max)]
+            for g in _series(u0, u1s, np.eye(rows, n, dtype=complex), weights, t_max)]
 
 
 def fidelity_trace(pair: PerturbedPair, t_max: int) -> FidelitySeries:

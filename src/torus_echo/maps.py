@@ -5,8 +5,14 @@ Two one-parameter families, applied by split-operator steps:
   sm : U = exp(-i p^2 / (2 hbar)) . exp(-i (N K / 2 pi) cos(2 pi q))
   hm : U = exp(+i N K2 cos(2 pi p)) . exp(+i N K1 cos(2 pi q))
 
-On the momentum grid p_k = k/N the sm drift phase is pi k^2 / N, the only
-choice that stays single valued under k -> k + N.
+On the momentum grid p_k = k/N the sm drift phase is pi k^2 / N.  It
+satisfies D(k + N) = (-1)^N D(k), so it is single valued under k -> k + N
+only at even N.
+
+Parity P sends the grid index n to -n mod N, in position and in momentum
+alike.  The kick phases and the hm drift are even functions of their index,
+so P commutes with every hm map, and with an sm map exactly when N is even:
+those maps are parity-even (MapSpec.parity_even).
 
 The kick amplitudes are fixed by the classical limit.  A diagonal factor
 exp(-i V(q)/hbar) with hbar = 1/(2 pi N) shifts momentum by -V'(q), so the
@@ -84,6 +90,17 @@ class MapSpec:
                 raise ValueError(f"{label} must be finite and >= 0, got {val}")
         if self.family == "hm" and self.k2 is None:
             object.__setattr__(self, "k2", self.k)
+
+    @property
+    def parity_even(self) -> bool:
+        """Whether the map commutes with parity n -> -n mod N.
+
+        cos(2 pi n/N) is even under n -> -n, so every kick and the hm drift
+        are; the sm drift exp(-i pi k^2/N) picks up (-1)^N under k -> k + N,
+        so it is even only at even N.  Both maps of a perturbed pair share
+        family and N, so they are parity-even together.
+        """
+        return self.family == "hm" or self.n % 2 == 0
 
     @property
     def dkh_unit(self) -> float:

@@ -1,11 +1,12 @@
 """Sweeps and phase-space scans of the non-Markovianity measure.
 
-The unit of work of a sweep is one K row: its start block (the identity for
-the trace measure, the coherent grid for the pure average) goes through U0
-once and through the perturbed maps of all its dkh values, G of them per
-pass, with G capped by the block budget.  Rows are pure functions of their
-spec, so they can be farmed out to a process pool; results are placed by row
-index and the output is byte-identical however many workers run.
+The unit of work of a sweep is one K row: its start block (the basis rows of
+the trace measure, N//2 + 1 of them for parity-even maps, or the coherent
+grid for the pure average) goes through U0 once and through the perturbed
+maps of all its dkh values, G of them per pass, with G capped by the block
+budget for the rows the pass holds.  Rows are pure functions of their spec,
+so they can be farmed out to a process pool; results are placed by row index
+and the output is byte-identical however many workers run.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .echo import _overlaps, _trace_series
+from .echo import _overlaps, _trace_rows, _trace_series
 from .maps import FAMILIES, MapSpec, PerturbedPair, check_dense
 from .measures import NmResult, measure, measure_rows
 from .torus import PhasePoint, coherent_state
@@ -182,7 +183,7 @@ def _trace_row(row) -> list[tuple[float, tuple]]:
     spec, k = row
     u0, u1s = _maps(spec.family, spec.n, k, spec.dkh_values)
     results = [measure(series)
-               for group in _passes(u1s, spec.n, spec.n)
+               for group in _passes(u1s, _trace_rows(u0), spec.n)
                for series in _trace_series(u0, group, spec.t_max)]
     return [(r.value, r.segments) for r in results]
 

@@ -87,14 +87,17 @@ def short_time_check(family: str, k: float, dkh: float, n: int) -> ShortTimeChec
     """Compare -ln|<f(1)>| with gamma_rate(dkh) for one map configuration.
 
     Near a J0 zero the prediction diverges and the comparison is flagged
-    rather than scored; away from zeros the residual is O(1/N) from the
+    rather than scored; a measured |<f(1)>| below DIVERGENCE_FLOOR is
+    rounding noise and is reported as measured = inf, the floor gamma_curve
+    applies to J0.  Away from zeros the residual is O(1/N) from the
     Riemann-sum error of the grid average.
     """
     predicted = gamma_rate(dkh)
     pair = PerturbedPair.from_dkh(MapSpec(family=family, n=n, k=k), dkh)
-    f1 = abs(fidelity_trace(pair, 1).values[1])
-    measured = math.inf if f1 == 0.0 else -math.log(f1)
-    diverged = math.isinf(predicted) or f1 == 0.0
+    f1 = float(abs(fidelity_trace(pair, 1).values[1]))
+    unresolved = f1 < DIVERGENCE_FLOOR  # -ln of rounding noise is no rate
+    measured = math.inf if unresolved else -math.log(f1)
+    diverged = math.isinf(predicted) or unresolved
     residual = math.nan if diverged else abs(measured - predicted)
     return ShortTimeCheck(measured=measured, predicted=predicted, residual=residual,
                           diverged=diverged)

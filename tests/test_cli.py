@@ -506,6 +506,14 @@ def test_short_time_check_prints_a_summary(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_short_time_check_on_a_j0_zero_prints_an_infinite_rate(capsys):
+    rc = run("short-time-check", "--map", "hm", "--k", 0.3, "--dkh", 2.404825557695773,
+             "--n", 128)
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "measured=inf predicted=inf residual=nan diverged=True" in out
+
+
 def test_short_time_check_guard_returns_1(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     rc = run("short-time-check", "--map", "sm", "--k", 2.5, "--dkh", 2,

@@ -10,6 +10,7 @@ import pytest
 
 from torus_echo import echo
 from torus_echo.echo import (
+    _overlaps,
     FidelitySeries,
     fidelity_from_state,
     fidelity_pure,
@@ -72,6 +73,30 @@ def test_trace_bytes_do_not_depend_on_blas_threads():
         runs.append(subprocess.run([sys.executable, "-c", _TRACE_BYTES], env=env,
                                    capture_output=True, check=True).stdout)
     assert len(runs[0]) == 21 * 16
+    assert runs[0] == runs[1]
+
+
+_PURE_BYTES = """
+import sys
+from torus_echo.echo import fidelity_pure
+from torus_echo.maps import MapSpec, PerturbedPair
+from torus_echo.torus import PhasePoint
+pair = PerturbedPair.from_dkh(MapSpec(family="sm", n=16384, k=2.5), 2.0)
+sys.stdout.buffer.write(fidelity_pure(pair, PhasePoint(0.5, 0.5), 3).values.tobytes())
+"""
+
+
+def test_pure_bytes_do_not_depend_on_blas_threads():
+    # a row of 16384 amplitudes is reduced in two fixed 8192-amplitude slices,
+    # each below the size at which BLAS splits a dot product by thread.  On a
+    # one-CPU machine both runs use one thread, so there this cannot fail.
+    src = str(Path(echo.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = os.environ | {"OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        runs.append(subprocess.run([sys.executable, "-c", _PURE_BYTES], env=env,
+                                   capture_output=True, check=True).stdout)
+    assert len(runs[0]) == 4 * 16
     assert runs[0] == runs[1]
 
 
@@ -172,6 +197,35 @@ def test_trace_equals_momentum_basis_average():
         momentum_j = np.exp(2j * np.pi * j * np.arange(n) / n) / np.sqrt(n)
         avg += fidelity_from_state(pair, TorusState(momentum_j), t).values
     np.testing.assert_allclose(trace, avg / n, atol=1e-10)
+
+
+def test_odd_standard_map_trace_equals_position_basis_average():
+    # the sm drift is not parity-even at odd N, so the trace keeps all N rows;
+    # a half basis would be off by up to 5e-2 here
+    n, t = 63, 40
+    pair = _pair("sm", 0.9, n, 2.0)
+    trace = fidelity_trace(pair, t).values
+    avg = np.zeros(t + 1, dtype=complex)
+    for j in range(n):
+        avg += fidelity_from_state(pair, TorusState(np.eye(n)[j]), t).values
+    np.testing.assert_allclose(trace, avg / n, atol=1e-10)
+
+
+@pytest.mark.parametrize("family,n,rows", [
+    ("hm", 64, 33), ("hm", 63, 32), ("sm", 64, 33), ("sm", 63, 63), ("sm", 2, 2), ("hm", 3, 2),
+])
+def test_trace_pass_starts_from_the_parity_reduced_basis(monkeypatch, family, n, rows):
+    # parity-even maps start from e_0 .. e_{N//2}; sm at odd N from all N rows
+    starts = []
+
+    def spy(u0, u1s, start, t_max):
+        starts.append(np.array(start))
+        return _overlaps(u0, u1s, start, t_max)
+
+    monkeypatch.setattr(echo, "_overlaps", spy)
+    fidelity_trace(_pair(family, 0.9, n, 2.0), 3)
+    (start,) = starts
+    assert np.array_equal(start, np.eye(n)[:rows])
 
 
 def _dense_standard_map(n, k):

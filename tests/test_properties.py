@@ -1,6 +1,7 @@
 """Property tests: the split-operator routes against dense matrices, unitary
-map matrices, the in-place classical step against a textbook out-of-place
-step, sweeps that do not depend on their worker count, and lossless round
+map matrices, the parity-reduced trace against the full basis, the in-place
+classical step against a textbook out-of-place step, sweeps that do not
+depend on their worker count, byte-identical CLI reruns, and lossless round
 trips of the series and grid files.
 
 The reference builds each map as F^dag D F V from an explicit DFT matrix F
@@ -8,13 +9,17 @@ and the phase formulas of the maps module docstring, so it shares no code
 with the FFT kernel; odd N and N = 2 are drawn too.
 """
 
+import os
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from torus_echo import cli
 from torus_echo.classical import _step
 from torus_echo.echo import (
+    _series,
     FidelitySeries,
     fidelity_from_state,
     fidelity_trace,
@@ -92,6 +97,20 @@ def test_zero_perturbation_keeps_fidelity_at_one(family, n, k, t_max, seed):
     assert np.abs(pure - 1.0).max() <= 1e-12
 
 
+# sm is drawn at even N only, where its drift is parity-even
+@derandomized
+@given(family=maps["family"], n=st.integers(2, 64), k=maps["k"], dkh=st.floats(0.0, 3.0),
+       t_max=maps["t_max"])
+def test_parity_reduced_trace_matches_full_basis(family, n, k, dkh, t_max):
+    n -= n % 2 if family == "sm" else 0
+    pair = PerturbedPair.from_dkh(MapSpec(family=family, n=n, k=k), dkh)
+    assert pair.u0.parity_even
+    full = _series(pair.u0, [pair.u1], np.eye(n, dtype=complex), np.ones(n), t_max)[0] / n
+    reduced = fidelity_trace(pair, t_max).values
+    assert reduced[0] == 1.0
+    assert np.abs(reduced - full).max() <= 1e-12
+
+
 # the first kick averages exp(i dkh cos 2 pi q) over N grid points: J0 up to
 # the aliasing term 2 |J_N(dkh)|, at most 2e-14 for N >= 48 and dkh <= 20
 @derandomized
@@ -124,6 +143,41 @@ def test_sweep_does_not_depend_on_worker_count(family, kind, k_values, dkh_value
     assert serial == parallel
     assert (np.array([r.value for r in serial]).tobytes()
             == np.array([r.value for r in parallel]).tobytes())
+
+
+# every example runs a command twice, so fewer of them
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    command=st.sampled_from(["fidelity-trace", "fidelity-pure", "nm-sweep", "phase-scan"]),
+    family=st.sampled_from(["sm", "hm"]),
+    k=st.floats(0.0, 3.0),
+    dkh_values=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3),
+    n=st.integers(2, 24),
+    t_max=st.integers(1, 12),
+)
+def test_cli_reruns_are_byte_identical(tmp_path_factory, command, family, k, dkh_values, n,
+                                       t_max):
+    # both runs write to a relative `out`, so the config echo lines agree too
+    dkh = ",".join(map(repr, dkh_values))
+    base = ["--map", family, "--k", repr(k), "--n", str(n), "--t", str(t_max)]
+    argv = {
+        "fidelity-trace": ["fidelity", *base, "--dkh", dkh_values[0]],
+        "fidelity-pure": ["fidelity", *base, "--dkh", dkh_values[0], "--kind", "pure",
+                          "--q0", "0.25", "--p0", "0.5"],
+        "nm-sweep": ["nm-sweep", *base, "--dkh-values", dkh],
+        "phase-scan": ["phase-scan", *base, "--dkh", dkh_values[0], "--s", "2"],
+    }[command]
+    runs = []
+    for _ in range(2):
+        home = tmp_path_factory.mktemp("rerun")
+        cwd = os.getcwd()
+        os.chdir(home)
+        try:
+            assert cli.main([str(a) for a in argv] + ["--plot", "--out-dir", "out"]) == 0
+        finally:
+            os.chdir(cwd)
+        runs.append({path.name: path.read_bytes() for path in (home / "out").iterdir()})
+    assert runs[0] and runs[0] == runs[1]
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

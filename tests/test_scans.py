@@ -175,7 +175,7 @@ def test_sweep_row_results_do_not_depend_on_maps_per_pass(monkeypatch):
     for kind in ("trace", "pure-average"):
         spec = SweepSpec(family="sm", k_values=(0.5, 1.3), dkh_values=dkh, n=32,
                          t_max=25, kind=kind, s=3)
-        rows = 32 if kind == "trace" else 9
+        rows = 32 // 2 + 1 if kind == "trace" else 9  # parity halves the sm trace basis
         for g in (1, 2, 5):
             monkeypatch.setattr(scans, "_BLOCK_ELEMENTS", (g + 2) * rows * 32)
             assert scans._per_pass(rows, 32) == g
@@ -205,6 +205,23 @@ def test_sweep_propagates_u0_once_per_k_row(monkeypatch):
                          n=32, t_max=5, kind=kind, s=2)
         sweep(spec)
         assert passes == [(0.5, 2), (0.98, 2), (2.5, 2)]
+
+
+@pytest.mark.parametrize("family,n,rows", [("sm", 32, 17), ("sm", 31, 31), ("hm", 31, 16)])
+def test_trace_sweep_sizes_its_passes_by_the_rows_it_holds(monkeypatch, family, n, rows):
+    sizes = []
+
+    def spy(u0, u1s, start, t_max):
+        sizes.append(start.shape)
+        return _overlaps(u0, u1s, start, t_max)
+
+    per_pass = scans._per_pass
+    calls = []
+    monkeypatch.setattr(echo, "_overlaps", spy)
+    monkeypatch.setattr(scans, "_per_pass", lambda *a: calls.append(a) or per_pass(*a))
+    sweep(SweepSpec(family=family, k_values=(0.5, 0.9), dkh_values=(1.0, 2.0), n=n, t_max=3))
+    assert sizes == [(rows, n)] * 2
+    assert calls == [(rows, n)] * 2
 
 
 def test_maps_per_pass_are_capped_by_the_budget(monkeypatch):

@@ -116,6 +116,15 @@ def test_short_time_check_flags_divergence():
     assert math.isnan(result.residual)
 
 
+def test_short_time_check_reports_rounding_noise_as_unresolved():
+    # on a J0 zero |<f(1)>| at N=128 is rounding noise, below the floor that
+    # gamma_curve applies to J0, and -ln of it is no measured rate
+    result = short_time_check("hm", 0.3, J0_ZEROS[0], 128)
+    assert result.measured == math.inf
+    assert result.diverged
+    assert math.isnan(result.residual)
+
+
 @pytest.mark.parametrize("dkh", [math.nan, math.inf, -math.inf])
 def test_gamma_rejects_non_finite_dkh(dkh):
     with pytest.raises(ValueError, match="finite and >= 0"):
