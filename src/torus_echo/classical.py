@@ -8,12 +8,16 @@ wrapped coordinates for the trigonometry and carries integer winding numbers
 alongside, so the two variants agree mod 1 to rounding even over long runs
 and chaotic orbits cannot be split by argument-reduction noise.
 
-One step works in place on caller-owned arrays (coordinates, windings and one
-scratch array), so an orbit loop allocates nothing per step.  It wraps a
-coordinate v as w += floor(v), v -= floor(v).  That gives the same bits as
-v % 1.0 and v - v % 1.0: fmod is exact, so v % 1.0 and v - floor(v) are the
-same real number rounded once, and the winding v - v % 1.0 comes out as the
-integer floor(v) exactly.
+One kernel, _orbit, steps every orbit of this module.  It owns the windings
+and one scratch array and updates them in place, so an orbit loop allocates
+nothing per step.  It wraps a coordinate v as w += floor(v), v -= floor(v).
+That gives the same bits as v % 1.0 and v - v % 1.0: fmod is exact, so
+v % 1.0 and v - floor(v) are the same real number rounded once, and the
+winding v - v % 1.0 comes out as the integer floor(v) exactly.
+
+The grid measure and the diffusion rate run at most scans._BLOCK_ELEMENTS
+orbits at a time and join the per-orbit values before their one mean, so
+their working set is bounded and their result does not depend on the block.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ import numbers
 
 import numpy as np
 
+from . import scans
 from .maps import check_family
+from .measures import measure_rows
 
 __all__ = ["classical_nm_grid", "diffusion_coefficient", "iterate", "phase_portrait"]
 
@@ -76,6 +82,28 @@ def _step(family, k, k2, x, p, wx, wp, tmp):
         _wrap(x, wx, tmp)
 
 
+def _orbit(family, k, k2, x0, p0, steps):
+    """Yield (x, p, wx, wp) at t = 0 .. steps: the same arrays, stepped in place.
+
+    The starts are copied and wrapped, so the windings begin at floor(x0), floor(p0).
+    """
+    x = np.array(x0, dtype=float)
+    p = np.array(p0, dtype=float)
+    wx, wp, tmp = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+    _wrap(x, wx, tmp)
+    _wrap(p, wp, tmp)
+    yield x, p, wx, wp
+    for _ in range(steps):
+        _step(family, k, k2, x, p, wx, wp, tmp)
+        yield x, p, wx, wp
+
+
+def _blocks(count: int):
+    """Consecutive index ranges of at most scans._BLOCK_ELEMENTS over range(count)."""
+    block = scans._BLOCK_ELEMENTS
+    return (np.arange(i, min(i + block, count)) for i in range(0, count, block))
+
+
 def iterate(family, k, k2, x0, p0, steps, wrapped=True):
     """Orbit histories for a batch of initial conditions.
 
@@ -84,19 +112,12 @@ def iterate(family, k, k2, x0, p0, steps, wrapped=True):
     """
     k2 = _check_params(family, k, k2)
     _check_count("steps", steps, minimum=0)
-    # copies, kept as arrays even for scalar starts, so the step can work in place
-    x = np.array(x0, dtype=float)
-    p = np.array(p0, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(p).all()):
+    x0, p0 = np.asarray(x0, dtype=float), np.asarray(p0, dtype=float)
+    if not (np.isfinite(x0).all() and np.isfinite(p0).all()):
         raise ValueError("initial conditions must be finite")
-    wx, wp, tmp = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
-    _wrap(x, wx, tmp)
-    _wrap(p, wp, tmp)
-    xs = np.empty((steps + 1,) + x.shape)
-    ps = np.empty((steps + 1,) + x.shape)
-    for t in range(steps + 1):
-        if t:
-            _step(family, k, k2, x, p, wx, wp, tmp)
+    xs = np.empty((steps + 1,) + x0.shape)
+    ps = np.empty((steps + 1,) + x0.shape)
+    for t, (x, p, wx, wp) in enumerate(_orbit(family, k, k2, x0, p0, steps)):
         if wrapped:
             xs[t], ps[t] = x, p
         else:
@@ -131,14 +152,16 @@ def diffusion_coefficient(family, k, k2=None, horizon=16000, n_orbits=4000, seed
     _check_count("horizon", horizon)
     _check_count("n_orbits", n_orbits)
     rng = np.random.default_rng(seed)
-    x = rng.random(n_orbits)
-    p = rng.random(n_orbits)
-    wx, wp, tmp = np.zeros(n_orbits), np.zeros(n_orbits), np.empty(n_orbits)
-    p_start = p.copy()
-    for _ in range(horizon):
-        _step(family, k, k2, x, p, wx, wp, tmp)
-    spread = (p + wp) - p_start
-    return float(np.mean(spread * spread) / horizon)
+    # every start is drawn before any block runs, so the stream order is fixed
+    x0 = rng.random(n_orbits)
+    p0 = rng.random(n_orbits)
+    squares = []
+    for idx in _blocks(n_orbits):
+        for _, p, _, wp in _orbit(family, k, k2, x0[idx], p0[idx], horizon):
+            pass
+        spread = (p + wp) - p0[idx]
+        squares.append(spread * spread)
+    return float(np.mean(np.concatenate(squares)) / horizon)
 
 
 def _nm_batch(family, k, k2, delta_k, x0, p0, t_max):
@@ -146,40 +169,17 @@ def _nm_batch(family, k, k2, delta_k, x0, p0, t_max):
 
     Both orbits run on the plane from the same start; the perturbation sits
     where the quantum pair puts it (sm kick, hm momentum kick).  The summed
-    positive increments of exp(-distance) are returned per orbit; there is
-    no factor 2 here.
+    positive increments of exp(-distance) are returned per orbit; the
+    classical measure carries no factor 2, so measure_rows' sum is halved.
     """
     if family == "sm":
         kb, k2b = k + delta_k, k2
     else:
         kb, k2b = k, k2 + delta_k
-    xa = np.asarray(x0, dtype=float) % 1.0
-    pa = np.asarray(p0, dtype=float) % 1.0
-    wxa = np.zeros_like(xa)
-    wpa = np.zeros_like(xa)
-    xb, pb, wxb, wpb = xa.copy(), pa.copy(), wxa.copy(), wpa.copy()
-    nm = np.zeros_like(xa)
-    f, f_prev = np.empty_like(xa), np.ones_like(xa)
-    dx, dp, tmp = np.empty_like(xa), np.empty_like(xa), np.empty_like(xa)
-    for _ in range(t_max):
-        _step(family, k, k2, xa, pa, wxa, wpa, tmp)
-        _step(family, kb, k2b, xb, pb, wxb, wpb, tmp)
-        # dx = (xa + wxa) - (xb + wxb), dp likewise, f = exp(-hypot(dx, dp))
-        np.add(xa, wxa, out=dx)
-        np.add(xb, wxb, out=tmp)
-        dx -= tmp
-        np.add(pa, wpa, out=dp)
-        np.add(pb, wpb, out=tmp)
-        dp -= tmp
-        np.hypot(dx, dp, out=f)
-        np.negative(f, out=f)
-        np.exp(f, out=f)
-        # the rise max(f - f_prev, 0) equals where(f > f_prev, f - f_prev, 0) for finite f
-        np.subtract(f, f_prev, out=tmp)
-        np.maximum(tmp, 0.0, out=tmp)
-        nm += tmp
-        f, f_prev = f_prev, f
-    return nm
+    pairs = zip(_orbit(family, k, k2, x0, p0, t_max), _orbit(family, kb, k2b, x0, p0, t_max))
+    rows = (np.exp(-np.hypot((xa + wxa) - (xb + wxb), (pa + wpa) - (pb + wpb)))
+            for (xa, pa, wxa, wpa), (xb, pb, wxb, wpb) in pairs)
+    return 0.5 * measure_rows(rows)
 
 
 def classical_nm_grid(family, k, k2, delta_k, grid_side, t_max):
@@ -187,7 +187,9 @@ def classical_nm_grid(family, k, k2, delta_k, grid_side, t_max):
     k2 = _check_params(family, k, k2, delta_k)
     _check_count("grid_side", grid_side)
     _check_count("t_max", t_max)
-    centers = (np.arange(grid_side) + 0.5) / grid_side
-    x0, p0 = np.meshgrid(centers, centers, indexing="ij")
-    values = _nm_batch(family, k, k2, delta_k, x0.ravel(), p0.ravel(), t_max)
-    return float(values.mean())
+    values = [
+        _nm_batch(family, k, k2, delta_k, (idx // grid_side + 0.5) / grid_side,
+                  (idx % grid_side + 0.5) / grid_side, t_max)
+        for idx in _blocks(grid_side * grid_side)
+    ]
+    return float(np.concatenate(values).mean())

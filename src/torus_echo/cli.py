@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,6 +30,7 @@ from .echo import fidelity_pure, fidelity_trace, save_series
 from .maps import FAMILIES, GuardError, MapSpec, PerturbedPair
 from .scans import (
     SweepSpec,
+    _run_rows,
     line_scan,
     save_grid,
     save_grid_pgm,
@@ -332,26 +334,22 @@ def _cmd_classical_portrait(args) -> list[str]:
 
 
 def _per_k(args, second, value: Callable[[float], float]) -> tuple[str, list[str]]:
-    """Rows `K,<second>,value(K)` over the K grid with per-cell progress; the grid tag."""
+    """Rows `K,<second>,value(K)` over the K grid, run like sweep rows; the grid tag."""
     k_grid = _grid_values(args, "k")
-    progress = _progress_printer(args.cmd)
-    rows = []
-    for i, k in enumerate(k_grid):
-        rows.append(f"{k!r},{second},{value(k)!r}")
-        progress(i, len(k_grid))
-    return _grid_tag("k", k_grid), rows
+    values = _run_rows(value, k_grid, _resolve_threads(args), _progress_printer(args.cmd), 1)
+    return _grid_tag("k", k_grid), [f"{k!r},{second},{v!r}" for k, v in zip(k_grid, values)]
 
 
 def _cmd_diffusion(args) -> list[str]:
-    tag, rows = _per_k(args, args.horizon, lambda k: diffusion_coefficient(
-        args.map, k, k2=args.k2, horizon=args.horizon, n_orbits=args.orbits, seed=args.seed))
+    tag, rows = _per_k(args, args.horizon, partial(diffusion_coefficient, args.map, k2=args.k2,
+                       horizon=args.horizon, n_orbits=args.orbits, seed=args.seed))
     stem = f"diffusion_{args.map}_{tag}_h{args.horizon}"
     return _save(args, stem, "K,horizon,D", rows, "diffusion")
 
 
 def _cmd_classical_nm(args) -> list[str]:
-    tag, rows = _per_k(args, args.t, lambda k: classical_nm_grid(
-        args.map, k, args.k2, args.delta_k, args.grid, args.t))
+    tag, rows = _per_k(args, args.t, partial(classical_nm_grid, args.map, k2=args.k2,
+                       delta_k=args.delta_k, grid_side=args.grid, t_max=args.t))
     return _save(args, f"classical_nm_{args.map}_{tag}_t{args.t}", "K,T,value", rows, "classical")
 
 
@@ -446,9 +444,9 @@ _CONFIG = _Opt("config", str, help="flat key = value file; flags override it")
 _OUT_DIR = _Opt("out_dir", str, ".", "directory for output files")
 _PLOT = _Opt("plot", bool, False, "emit a gnuplot script")
 _OUTPUT = (_CONFIG, _OUT_DIR, _PLOT)
-# the two sweeps read --threads; the other subcommands that the benchmark runs
-# take it unread, since it ends each of their command lines with
-# `--threads 1 --out-dir DIR`
+# the sweeps and the per-K classical runs read --threads; fidelity and
+# phase-scan take it unread, since the benchmark ends each of their command
+# lines with `--threads 1 --out-dir DIR`
 _COMMON = (
     _CONFIG,
     _OUT_DIR,

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from torus_echo import classical, scans
 from torus_echo.classical import (
     _nm_batch,
+    _orbit,
     classical_nm_grid,
     diffusion_coefficient,
     iterate,
@@ -141,6 +143,46 @@ def test_classical_measure_trivial_cases():
 def test_classical_measure_positive_on_generic_orbit():
     value = _nm_batch("sm", 0.9, 0.9, 1e-3, [0.3], [0.6], 2000)[0]
     assert value > 0.0
+
+
+@pytest.mark.parametrize("family,k,k2", [("sm", 0.9, None), ("hm", 0.3, 0.45)])
+def test_nm_batch_matches_two_plane_histories(family, k, k2):
+    # starts in [0, 1), so both orbits of _nm_batch begin with zero windings,
+    # as the histories of iterate do
+    rng = np.random.default_rng(7)
+    x0, p0 = rng.random(40), rng.random(40)
+    delta_k, steps = 1e-3, 300
+    kb, k2b = (k + delta_k, None) if family == "sm" else (k, k2 + delta_k)
+    xa, pa = iterate(family, k, k2, x0, p0, steps, wrapped=False)
+    xb, pb = iterate(family, kb, k2b, x0, p0, steps, wrapped=False)
+    f = np.exp(-np.hypot(xa - xb, pa - pb))
+    rises = np.zeros_like(x0)
+    for t in range(1, steps + 1):
+        rises = rises + np.maximum(f[t] - f[t - 1], 0.0)
+    value = _nm_batch(family, k, k if k2 is None else k2, delta_k, x0, p0, steps)
+    assert np.array_equal(value, rises)
+    assert sum(1 for _ in _orbit(family, k, k2, x0, p0, steps)) == steps + 1
+    assert sum(1 for _ in _orbit(family, k, k2, x0, p0, 0)) == 1
+
+
+def test_classical_orbits_run_in_blocks_of_the_budget(monkeypatch):
+    def results():
+        return (classical_nm_grid("hm", 0.3, 0.4, 1e-3, 5, 40),
+                diffusion_coefficient("sm", 2.5, horizon=40, n_orbits=50, seed=1))
+
+    expected = results()
+    sizes = []
+    orbit = classical._orbit
+
+    def spy(family, k, k2, x0, p0, steps):
+        sizes.append(np.size(x0))
+        return orbit(family, k, k2, x0, p0, steps)
+
+    monkeypatch.setattr(classical, "_orbit", spy)
+    monkeypatch.setattr(scans, "_BLOCK_ELEMENTS", 7)
+    assert results() == expected
+    # two orbits per grid cell (fiducial and perturbed), one per diffusion start
+    assert max(sizes) <= 7 and sum(sizes) == 2 * 25 + 50
 
 
 def test_classical_measure_grid_average_runs():

@@ -450,6 +450,21 @@ def test_diffusion_csv_and_progress(tmp_path, capsys):
     assert "diffusion: cell 2/2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    "diffusion --map sm --k-values 0.5,2.5,1.2 --horizon 50 --orbits 64",
+    "classical-nm --map hm --k-values 0.2,0.3 --k2 0.4 --t 40 --grid 4",
+], ids=["diffusion", "classical-nm"])
+def test_classical_rows_do_not_depend_on_worker_count(tmp_path, capsys, argv):
+    bodies = []
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        assert run(*argv.split(), "--threads", threads, "--out-dir", out) == 0
+        (csv,) = out.glob("*.csv")
+        bodies.append(read_lines(csv)[1:])
+    assert len(bodies[0]) > 2 and bodies[0] == bodies[1]
+    assert f"{argv.split()[0]}: cell 2/" in capsys.readouterr().err
+
+
 def test_classical_nm_csv(tmp_path):
     rc = run("classical-nm", "--map", "sm", "--k", 0.9, "--delta-k", 0.001,
              "--t", 50, "--grid", 4, "--out-dir", tmp_path)
@@ -658,7 +673,7 @@ def test_config_echo_and_plot_script_bytes(tmp_path, monkeypatch, argv, echo, sc
 
 # the benchmark ends each of its command lines with `--threads 1 --out-dir DIR`,
 # so these subcommands, which it runs, take threads without reading it
-_THREADS_UNREAD = ("fidelity", "phase-scan", "diffusion", "classical-nm")
+_THREADS_UNREAD = ("fidelity", "phase-scan")
 
 
 def test_every_option_is_read_by_its_subcommand(tmp_path, monkeypatch):
