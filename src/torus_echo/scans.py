@@ -5,14 +5,26 @@ the trace measure, N//2 + 1 of them for parity-even maps, or the coherent
 grid for the pure average) goes through U0 once and through the perturbed
 maps of all its dkh values, G of them per pass, with G capped by the block
 budget for the rows the pass holds.  Rows are pure functions of their spec,
-so they can be farmed out to a process pool; results are placed by row index
-and the output is byte-identical however many workers run.
+so they can be farmed out to a process pool of at most one worker per row;
+results are placed by row index and the output is byte-identical however many
+workers run.
+
+Parity P (maps.MapSpec.parity_even) sends the coherent state at (q, p) to the
+one at (-q, -p) mod 1, up to a global phase and the three-image truncation of
+torus.coherent_state, and commutes with both maps of the pair, so the two
+centers have the same |f(t)|.  A pure scan therefore evolves one center per
+orbit {c, (-q, -p)}, plus each fixed point, and gives the image, or a repeat
+of a center already seen, its representative's value; the outputs keep the
+shape and order of the centers given.  The truncation moves amplitudes by
+about exp(-pi N), which at N = 7 already moves M by 1e-9 within 1000 kicks
+(3e-11 at N = 8), so below N = _PAIRED_MIN_N = 8, and for sm at odd N, every
+center is evolved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, product
 
 import numpy as np
 
@@ -24,7 +36,6 @@ from .torus import PhasePoint, coherent_state
 __all__ = [
     "PhaseGrid",
     "SweepSpec",
-    "grid_average",
     "line_scan",
     "load_grid",
     "save_grid",
@@ -35,6 +46,14 @@ __all__ = [
 
 # Element budget per evolution block of states, to bound the working set.
 _BLOCK_ELEMENTS = 1 << 21
+
+# Two centers are one point of the torus when both coordinates agree within
+# _SAME_POINT mod 1, far below the 1/N width of any coherent state.  Cells of
+# width 1/_CELLS >= _SAME_POINT index them; _CELLS**2 fits an int64 key.
+_SAME_POINT = 1e-12
+_CELLS = 1 << 31
+# Smallest N whose scans are paired; see the module docstring.
+_PAIRED_MIN_N = 8
 
 
 def _per_pass(rows: int, n: int) -> int:
@@ -114,28 +133,78 @@ def _maps(family: str, n: int, k: float, dkh_values) -> tuple[MapSpec, list[MapS
     return u0, [PerturbedPair.from_dkh(u0, dkh).u1 for dkh in dkh_values]
 
 
+def _earliest_images(qp: np.ndarray) -> np.ndarray:
+    """Per center of qp, the earliest center equal to it or to its image (-q, -p), mod 1.
+
+    Two points are equal when both coordinates agree within _SAME_POINT on the
+    circle.  Such points lie in the same or adjacent cells of width 1/_CELLS,
+    so each center probes its own cell and the 8 around it among the sorted
+    cells of every center and image.
+    """
+    m = len(qp)
+    pts = np.concatenate([qp, -qp % 1.0])  # the centers, then their images
+    owner = np.tile(np.arange(m), 2)
+    cells = (pts * _CELLS).astype(np.int64) % _CELLS
+    keys = cells[:, 0] * _CELLS + cells[:, 1]
+    order = np.lexsort((owner, keys))  # by cell, then by owner
+    keys = keys[order]
+    first = np.arange(m)
+    for dq, dp in product((-1, 0, 1), repeat=2):
+        probe = (cells[:m, 0] + dq) % _CELLS * _CELLS + (cells[:m, 1] + dp) % _CELLS
+        lo, hi = np.searchsorted(keys, probe), np.searchsorted(keys, probe, "right")
+        live = np.flatnonzero(lo < hi)
+        # a cell's first point within reach has its smallest owner
+        while live.size:
+            j = order[lo[live]]
+            d = np.abs(pts[j] - qp[live])
+            near = (np.minimum(d, 1.0 - d) <= _SAME_POINT).all(axis=1)
+            first[live[near]] = np.minimum(first[live[near]], owner[j[near]])
+            lo[live] += 1
+            live = live[~near & (lo[live] < hi[live])]
+    return first
+
+
+def _orbit_representatives(u0: MapSpec, centers):
+    """The centers to evolve, and the index that spreads their values back over centers.
+
+    For parity-even maps at N >= _PAIRED_MIN_N, only the earliest center of
+    each set of repeats and parity images is evolved, and index[i] is the
+    position of center i's representative.  Otherwise every center is evolved
+    in its order, and the index is slice(None).
+    """
+    if not (u0.parity_even and u0.n >= _PAIRED_MIN_N):
+        return centers, slice(None)
+    qp = np.fromiter(((c.q, c.p) for c in centers), dtype=np.dtype((float, 2)))
+    reps, index = np.unique(_earliest_images(qp), return_inverse=True)
+    return (PhasePoint(q, p) for q, p in qp[reps]), index
+
+
 def _measure_columns(u0: MapSpec, u1s: list, centers, t_max: int) -> np.ndarray:
     """Pure-state measure per perturbed map and coherent center, summed kick by kick.
 
     Row g of the result holds the measure at every center of the pair
-    (u0, u1s[g]).  Centers run in blocks of the budget.  Each pass builds its
-    own start states, one per row, so they too stay within the budget; no
-    name here holds them, so they are freed after the first kick.
+    (u0, u1s[g]), in the order of centers.  Only the representatives of
+    _orbit_representatives are evolved, and each center takes its
+    representative's value.  Representatives run in blocks of the budget.
+    Each pass builds its own start states, one per row, so they too stay
+    within the budget; no name here holds them, so they are freed after the
+    first kick.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     n = u0.n
     block = max(1, _BLOCK_ELEMENTS // n)
-    centers = iter(centers)
+    reps, index = _orbit_representatives(u0, centers)
+    reps = iter(reps)
     values = []
-    while chunk := list(islice(centers, block)):
+    while chunk := list(islice(reps, block)):
         passes = (
             _overlaps(u0, group, np.array([coherent_state(n, c).amps for c in chunk]), t_max)
             for group in _passes(u1s, len(chunk), n)
         )
         values.append(np.concatenate(
             [measure_rows(chain([1.0], map(np.abs, rows))) for rows in passes]))
-    return np.concatenate(values, axis=1)
+    return np.concatenate(values, axis=1)[:, index]
 
 
 def _centers(s: int):
@@ -175,10 +244,6 @@ def line_scan(
     return values
 
 
-def grid_average(grid: PhaseGrid) -> float:
-    return float(grid.values.mean())
-
-
 def _trace_row(row) -> list[tuple[float, tuple]]:
     spec, k = row
     u0, u1s = _maps(spec.family, spec.n, k, spec.dkh_values)
@@ -202,6 +267,7 @@ _ROWS = {"trace": _trace_row, "pure-average": _average_row}
 
 def _run_rows(fn, rows, workers, progress, per_row):
     """fn(row) for every row, placed in row order; progress counts per_row cells a row."""
+    workers = min(workers, len(rows))  # a worker beyond the row count would idle
     results = [None] * len(rows)
     total = len(rows) * per_row
     done = 0

@@ -1,8 +1,9 @@
 """Property tests: the split-operator routes against dense matrices, unitary
-map matrices, the parity-reduced trace against the full basis, the in-place
-classical step against a textbook out-of-place step, sweeps that do not
-depend on their worker count, byte-identical CLI reruns, and lossless round
-trips of the series and grid files.
+map matrices, the parity-reduced trace against the full basis, parity-paired
+scans against every center evolved, the in-place classical step against a
+textbook out-of-place step, sweeps that do not depend on their worker count,
+byte-identical CLI reruns, and lossless round trips of the series and grid
+files.
 
 The reference builds each map as F^dag D F V from an explicit DFT matrix F
 and the phase formulas of the maps module docstring, so it shares no code
@@ -10,13 +11,14 @@ with the FFT kernel; odd N and N = 2 are drawn too.
 """
 
 import os
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from torus_echo import cli
+from torus_echo import cli, scans
 from torus_echo.classical import _step
 from torus_echo.echo import (
     _series,
@@ -29,7 +31,7 @@ from torus_echo.echo import (
 from torus_echo.maps import MapSpec, PerturbedPair, build_matrix
 from torus_echo.scans import PhaseGrid, SweepSpec, load_grid, save_grid, sweep
 from torus_echo.semiclassics import bessel_j0
-from torus_echo.torus import TorusState
+from torus_echo.torus import PhasePoint, TorusState
 
 maps = dict(
     family=st.sampled_from(["sm", "hm"]),
@@ -109,6 +111,28 @@ def test_parity_reduced_trace_matches_full_basis(family, n, k, dkh, t_max):
     reduced = fidelity_trace(pair, t_max).values
     assert reduced[0] == 1.0
     assert np.abs(reduced - full).max() <= 1e-12
+
+
+# sm is drawn at even N only; N below _PAIRED_MIN_N runs the unpaired route
+@derandomized
+@given(family=maps["family"], n=st.integers(2, 32), k=maps["k"],
+       dkh_values=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=2),
+       t_max=maps["t_max"], s=st.integers(1, 6),
+       points=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), max_size=4))
+def test_paired_scan_matches_every_center_evolved(family, n, k, dkh_values, t_max, s, points):
+    # grid centers, free points, their images as 1 - q (not always the bits
+    # of -q mod 1) and repeats shifted by whole periods
+    n -= n % 2 if family == "sm" else 0
+    centers = [PhasePoint(i / s, j / s) for i in range(s) for j in range(s)]
+    centers += [PhasePoint(q, p) for q, p in points]
+    centers += [PhasePoint(1.0 - q, 1.0 - p) for q, p in points]
+    centers += [PhasePoint(q + 1.0, p - 2.0) for q, p in points]
+    u0, u1s = scans._maps(family, n, k, dkh_values)
+    paired = scans._measure_columns(u0, u1s, centers, t_max)
+    with mock.patch.object(scans, "_orbit_representatives", lambda u0, c: (c, slice(None))):
+        every = scans._measure_columns(u0, u1s, centers, t_max)
+    assert paired.shape == every.shape == (len(dkh_values), len(centers))
+    assert np.abs(paired - every).max() <= 1e-9
 
 
 # the first kick averages exp(i dkh cos 2 pi q) over N grid points: J0 up to

@@ -10,9 +10,9 @@ from torus_echo.echo import _overlaps, fidelity_pure, fidelity_trace
 from torus_echo.maps import MATRIX_GUARD, GuardError, MapSpec, PerturbedPair
 from torus_echo.measures import measure, measure_value
 from torus_echo.scans import (
+    _PAIRED_MIN_N,
     PhaseGrid,
     SweepSpec,
-    grid_average,
     line_scan,
     load_grid,
     save_grid,
@@ -86,7 +86,7 @@ def test_average_sweep_matches_grid_mean():
     spec = SweepSpec(family="sm", k_values=(0.9,), dkh_values=(2.0,), n=64,
                      t_max=50, kind="pure-average", s=4)
     (result,) = sweep(spec)
-    assert abs(result.value - grid_average(grid)) < 1e-12
+    assert abs(result.value - grid.values.mean()) < 1e-12
     assert result.kind == "pure-average"
 
 
@@ -152,7 +152,8 @@ def test_line_scan_returns_points_in_order():
 
 
 def test_blocked_scan_matches_unsplit_scan(monkeypatch):
-    # 16 coherent states at N=64 in blocks of 5 rows: 5, 5, 5 and a ragged 1
+    # the 16 centers of a 4 x 4 grid at N=64 form 10 parity orbits; their
+    # representatives in blocks of 3 rows: 3, 3, 3 and a ragged 1
     whole = scan_phase_space("sm", 0.9, 2.0, 64, 50, 4)
     sizes = []
 
@@ -160,11 +161,81 @@ def test_blocked_scan_matches_unsplit_scan(monkeypatch):
         sizes.append(start.shape[0])
         return _overlaps(u0, u1s, start, t_max)
 
-    monkeypatch.setattr(scans, "_BLOCK_ELEMENTS", 5 * 64)
+    monkeypatch.setattr(scans, "_BLOCK_ELEMENTS", 3 * 64)
     monkeypatch.setattr(scans, "_overlaps", spy)
     split = scan_phase_space("sm", 0.9, 2.0, 64, 50, 4)
-    assert sizes == [5, 5, 5, 1]
+    assert sizes == [3, 3, 3, 1]
     assert np.abs(split.values - whole.values).max() < 1e-13
+
+
+def _spy_rows(monkeypatch) -> list[int]:
+    """Start rows of every _overlaps call that scans makes, in call order."""
+    rows = []
+
+    def spy(u0, u1s, start, t_max):
+        rows.append(start.shape[0])
+        return _overlaps(u0, u1s, start, t_max)
+
+    monkeypatch.setattr(scans, "_overlaps", spy)
+    return rows
+
+
+_DIAGONAL = [PhasePoint(v, v) for v in np.linspace(0.0, 1.0, 41)]  # acceptance check 6
+
+
+def test_scans_evolve_one_center_per_parity_orbit(monkeypatch):
+    # 256 grid centers: 4 fixed points and 126 image pairs.  On check 6's
+    # diagonal (q, p) = (v, v) the end points are one point, v = 0.5 is fixed
+    # and v pairs with 1 - v; only 15 of those 41 images agree bit for bit.
+    rows = _spy_rows(monkeypatch)
+    grid = scan_phase_space("hm", 0.2, 2.0, 64, 5, 16)
+    diagonal = line_scan("hm", 0.1, 2.0, 64, 5, _DIAGONAL)
+    sweep(SweepSpec(family="sm", k_values=(0.9,), dkh_values=(1.0, 2.0), n=64, t_max=5,
+                    kind="pure-average", s=16))
+    assert rows == [130, 21, 130]
+    # every center takes the value of its representative, so images agree exactly
+    assert np.array_equal(grid.values, np.roll(grid.values[::-1, ::-1], 1, axis=(0, 1)))
+    assert np.array_equal(diagonal, diagonal[::-1])
+
+
+@pytest.mark.parametrize("family,n", [("sm", 63), ("hm", 7)])
+def test_unpaired_scans_evolve_every_center(monkeypatch, family, n):
+    # sm at odd N is not parity-even; below _PAIRED_MIN_N the truncated
+    # images of coherent_state break the symmetry by more than rounding
+    assert n < _PAIRED_MIN_N or not MapSpec(family=family, n=n, k=0.98).parity_even
+    rows = _spy_rows(monkeypatch)
+    scan_phase_space(family, 0.98, 2.0, n, 5, 16)
+    line_scan(family, 0.98, 2.0, n, 5, _DIAGONAL)
+    assert rows == [256, 41]
+
+
+def test_paired_scans_rerun_byte_identical(tmp_path):
+    runs = []
+    for i in range(2):
+        path = tmp_path / f"grid{i}.csv"
+        save_grid(scan_phase_space("hm", 0.2, 2.0, 64, 30, 8), path)
+        runs.append((path.read_bytes(),
+                     line_scan("sm", 0.9, 2.0, 64, 30, _DIAGONAL).tobytes()))
+    assert runs[0] == runs[1]
+
+
+def test_row_pool_never_outnumbers_the_rows(monkeypatch):
+    # a thread pool stands in for the process pool and records its size, so
+    # no process starts; one row runs in this process and needs no pool
+    import concurrent.futures
+
+    sizes = []
+
+    class Recorded(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    assert scans._run_rows(abs, [-1.5], 4, None, 1) == [1.5]
+    assert scans._run_rows(abs, [-1.5, 2.0], 4, None, 1) == [1.5, 2.0]
+    assert scans._run_rows(abs, [-1.5, 2.0, -3.0], 2, None, 1) == [1.5, 2.0, 3.0]
+    assert sizes == [2, 2]
 
 
 def test_sweep_row_results_do_not_depend_on_maps_per_pass(monkeypatch):
