@@ -14,6 +14,13 @@ alike.  The kick phases and the hm drift are even functions of their index,
 so P commutes with every hm map, and with an sm map exactly when N is even:
 those maps are parity-even (MapSpec.parity_even).
 
+At even N the hm maps have a second, antiunitary symmetry.  The half-period
+shift tau by N/2 in position and in momentum flips the sign of cos(2 pi q)
+and of cos(2 pi p); complex conjugation C in the position basis keeps both
+cosines and flips i.  So C.tau commutes with every hm map at even N, for any
+K1 and K2.  It sends the point (q, p) to (q + 1/2, -p - 1/2) mod 1.  The sm
+drift pi k^2 / N is not even under the shift, so sm has no such symmetry.
+
 The kick amplitudes are fixed by the classical limit.  A diagonal factor
 exp(-i V(q)/hbar) with hbar = 1/(2 pi N) shifts momentum by -V'(q), so the
 amplitudes above make the steps quantize exactly the classical torus maps

@@ -12,13 +12,20 @@ workers run.
 Parity P (maps.MapSpec.parity_even) sends the coherent state at (q, p) to the
 one at (-q, -p) mod 1, up to a global phase and the three-image truncation of
 torus.coherent_state, and commutes with both maps of the pair, so the two
-centers have the same |f(t)|.  A pure scan therefore evolves one center per
-orbit {c, (-q, -p)}, plus each fixed point, and gives the image, or a repeat
-of a center already seen, its representative's value; the outputs keep the
-shape and order of the centers given.  The truncation moves amplitudes by
-about exp(-pi N), which at N = 7 already moves M by 1e-9 within 1000 kicks
-(3e-11 at N = 8), so below N = _PAIRED_MIN_N = 8, and for sm at odd N, every
-center is evolved.
+centers have the same |f(t)|.  For hm at even N the antiunitary C.tau of the
+maps module also commutes with both maps, since the perturbation stays in
+the family, and sends the state at (q, p) to the one at (q + 1/2, -p - 1/2);
+it conjugates f(t), so that center too has the same |f(t)|.  A pure scan
+therefore evolves one center per orbit of these symmetries, {c, (-q, -p)}
+or, for hm at even N, {c, (-q, -p), (q + 1/2, -p - 1/2), (-q - 1/2, p + 1/2)}
+(65 of a 16 x 16 grid's 256 states, or 130 with parity alone), and gives
+an image, or a repeat of a center already seen, its representative's value;
+the outputs keep the shape and order of the centers given.  The truncation
+moves amplitudes by about exp(-pi N), which at N = 7 already moves M by 1e-9
+within 1000 kicks (3e-11 at N = 8), so below N = _PAIRED_MIN_N = 8, and for
+sm at odd N, every center is evolved.  The half shift moves the truncation
+by the same order, since the dropped images stay at distance >= 1 from the
+grid.
 """
 
 from __future__ import annotations
@@ -133,17 +140,19 @@ def _maps(family: str, n: int, k: float, dkh_values) -> tuple[MapSpec, list[MapS
     return u0, [PerturbedPair.from_dkh(u0, dkh).u1 for dkh in dkh_values]
 
 
-def _earliest_images(qp: np.ndarray) -> np.ndarray:
-    """Per center of qp, the earliest center equal to it or to its image (-q, -p), mod 1.
+def _earliest_images(qp: np.ndarray, images: list[np.ndarray]) -> np.ndarray:
+    """Per center of qp, the earliest center equal to it or to one of its images, mod 1.
 
-    Two points are equal when both coordinates agree within _SAME_POINT on the
-    circle.  Such points lie in the same or adjacent cells of width 1/_CELLS,
-    so each center probes its own cell and the 8 around it among the sorted
-    cells of every center and image.
+    images[g][i] is the image of center i under the g-th symmetry; the
+    symmetries and the identity must form a group, so that "equal to an image
+    of" is an equivalence.  Two points are equal when both coordinates agree
+    within _SAME_POINT on the circle.  Such points lie in the same or
+    adjacent cells of width 1/_CELLS, so each center probes its own cell and
+    the 8 around it among the sorted cells of every center and image.
     """
     m = len(qp)
-    pts = np.concatenate([qp, -qp % 1.0])  # the centers, then their images
-    owner = np.tile(np.arange(m), 2)
+    pts = np.concatenate([qp, *images])  # the centers, then each set of images
+    owner = np.tile(np.arange(m), 1 + len(images))
     cells = (pts * _CELLS).astype(np.int64) % _CELLS
     keys = cells[:, 0] * _CELLS + cells[:, 1]
     order = np.lexsort((owner, keys))  # by cell, then by owner
@@ -168,14 +177,21 @@ def _orbit_representatives(u0: MapSpec, centers):
     """The centers to evolve, and the index that spreads their values back over centers.
 
     For parity-even maps at N >= _PAIRED_MIN_N, only the earliest center of
-    each set of repeats and parity images is evolved, and index[i] is the
-    position of center i's representative.  Otherwise every center is evolved
-    in its order, and the index is slice(None).
+    each set of repeats and symmetry images is evolved, and index[i] is the
+    position of center i's representative.  The images are the parity image
+    (-q, -p), and for hm at even N also the half-shift image
+    (q + 1/2, -p - 1/2) and its parity partner (-q - 1/2, p + 1/2), all
+    mod 1.  Otherwise every center is evolved in its order, and the index is
+    slice(None).
     """
     if not (u0.parity_even and u0.n >= _PAIRED_MIN_N):
         return centers, slice(None)
     qp = np.fromiter(((c.q, c.p) for c in centers), dtype=np.dtype((float, 2)))
-    reps, index = np.unique(_earliest_images(qp), return_inverse=True)
+    images = [-qp % 1.0]
+    if u0.family == "hm" and u0.n % 2 == 0:
+        half_shift = (qp * (1.0, -1.0) + (0.5, -0.5)) % 1.0
+        images += [half_shift, -half_shift % 1.0]
+    reps, index = np.unique(_earliest_images(qp, images), return_inverse=True)
     return (PhasePoint(q, p) for q, p in qp[reps]), index
 
 

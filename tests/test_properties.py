@@ -1,9 +1,9 @@
 """Property tests: the split-operator routes against dense matrices, unitary
-map matrices, the parity-reduced trace against the full basis, parity-paired
-scans against every center evolved, the in-place classical step against a
-textbook out-of-place step, sweeps that do not depend on their worker count,
-byte-identical CLI reruns, and lossless round trips of the series and grid
-files.
+map matrices, the parity-reduced trace against the full basis, the real
+Harper trace at even N, symmetry-paired scans against every center evolved,
+the in-place classical step against a textbook out-of-place step, sweeps that
+do not depend on their worker count, byte-identical CLI reruns, and lossless
+round trips of the series and grid files.
 
 The reference builds each map as F^dag D F V from an explicit DFT matrix F
 and the phase formulas of the maps module docstring, so it shares no code
@@ -14,6 +14,7 @@ import os
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -113,19 +114,46 @@ def test_parity_reduced_trace_matches_full_basis(family, n, k, dkh, t_max):
     assert np.abs(reduced - full).max() <= 1e-12
 
 
-# sm is drawn at even N only; N below _PAIRED_MIN_N runs the unpaired route
+# hm at even N commutes with C.tau, complex conjugation in the position basis
+# after the half-period shift by N/2 in position and momentum.  C.tau sends
+# e_n to +-e_{n + N/2} and conjugates its diagonal element of U1^dag(t) U0(t),
+# so the trace is real; this is the symmetry that pairs the half-shift images
+# of the scans
 @derandomized
+@given(half_n=st.integers(1, 32), k=maps["k"], k2=maps["k"], dkh=st.floats(0.0, 3.0),
+       t_max=st.integers(1, 100))
+def test_harper_trace_at_even_n_is_real(half_n, k, k2, dkh, t_max):
+    pair = PerturbedPair.from_dkh(MapSpec(family="hm", n=2 * half_n, k=k, k2=k2), dkh)
+    assert np.abs(fidelity_trace(pair, t_max).values.imag).max() <= 1e-12
+
+
+# without the symmetry the trace is complex: hm at odd N, and sm, whose drift
+# phase pi k^2 / N is not even under the shift
+@pytest.mark.parametrize("family,n,k,least", [("hm", 63, 0.2, 0.05), ("sm", 64, 0.98, 0.2)])
+def test_trace_without_the_symmetry_is_complex(family, n, k, least):
+    pair = PerturbedPair.from_dkh(MapSpec(family=family, n=n, k=k), 2.0)
+    assert np.abs(fidelity_trace(pair, 500).values.imag).max() >= least
+
+
+# sm is drawn at even N only; N below _PAIRED_MIN_N runs the unpaired route.
+# The example is an hm grid at even N with s=6: on a 4 x 4 grid the false
+# image (q + 1/2, p + 1/2) joins only centers the true orbits join too
+@derandomized
+@example(family="hm", n=16, k=1.3, dkh_values=[2.0], t_max=30, s=6,
+         points=[(0.13, 0.71), (0.5, 0.25)])
 @given(family=maps["family"], n=st.integers(2, 32), k=maps["k"],
        dkh_values=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=2),
        t_max=maps["t_max"], s=st.integers(1, 6),
        points=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), max_size=4))
 def test_paired_scan_matches_every_center_evolved(family, n, k, dkh_values, t_max, s, points):
-    # grid centers, free points, their images as 1 - q (not always the bits
-    # of -q mod 1) and repeats shifted by whole periods
+    # grid centers, free points, their parity images as 1 - q and half-shift
+    # images as (q + 0.5, 0.5 - p) (not always the bits of the computed
+    # images mod 1) and repeats shifted by whole periods
     n -= n % 2 if family == "sm" else 0
     centers = [PhasePoint(i / s, j / s) for i in range(s) for j in range(s)]
     centers += [PhasePoint(q, p) for q, p in points]
     centers += [PhasePoint(1.0 - q, 1.0 - p) for q, p in points]
+    centers += [PhasePoint(q + 0.5, 0.5 - p) for q, p in points]
     centers += [PhasePoint(q + 1.0, p - 2.0) for q, p in points]
     u0, u1s = scans._maps(family, n, k, dkh_values)
     paired = scans._measure_columns(u0, u1s, centers, t_max)

@@ -184,18 +184,35 @@ _DIAGONAL = [PhasePoint(v, v) for v in np.linspace(0.0, 1.0, 41)]  # acceptance 
 
 
 def test_scans_evolve_one_center_per_parity_orbit(monkeypatch):
-    # 256 grid centers: 4 fixed points and 126 image pairs.  On check 6's
-    # diagonal (q, p) = (v, v) the end points are one point, v = 0.5 is fixed
-    # and v pairs with 1 - v; only 15 of those 41 images agree bit for bit.
+    # hm at even N has parity and the half shift (q, p) -> (q + 1/2, -p - 1/2):
+    # the 4 fixed points of parity pair up into 2 orbits, and the other 252
+    # grid centers fall into 63 orbits of four, 65 in all.  On check 6's
+    # diagonal (q, p) = (v, v) the end points are one point, v pairs with
+    # 1 - v under parity, and the half shift joins (0, 0) with (1/2, 1/2);
+    # only 15 of the 41 parity images agree bit for bit, so 20 orbits remain.
+    # sm has parity alone: 4 fixed points and 126 pairs.
     rows = _spy_rows(monkeypatch)
     grid = scan_phase_space("hm", 0.2, 2.0, 64, 5, 16)
     diagonal = line_scan("hm", 0.1, 2.0, 64, 5, _DIAGONAL)
     sweep(SweepSpec(family="sm", k_values=(0.9,), dkh_values=(1.0, 2.0), n=64, t_max=5,
                     kind="pure-average", s=16))
-    assert rows == [130, 21, 130]
+    assert rows == [65, 20, 130]
     # every center takes the value of its representative, so images agree exactly
-    assert np.array_equal(grid.values, np.roll(grid.values[::-1, ::-1], 1, axis=(0, 1)))
+    values = grid.values
+    assert np.array_equal(values, np.roll(values[::-1, ::-1], 1, axis=(0, 1)))
+    s = grid.s
+    i, j = np.indices(values.shape)
+    assert np.array_equal(values, values[(i + s // 2) % s, (-j - s // 2) % s])
     assert np.array_equal(diagonal, diagonal[::-1])
+
+
+@pytest.mark.parametrize("family,n", [("hm", 63), ("sm", 64)])
+def test_parity_alone_pairs_odd_hm_and_sm(monkeypatch, family, n):
+    # the half shift needs N/2 grid steps and an hm drift, so these maps
+    # keep the parity pairs of an s=16 grid: 4 fixed points and 126 pairs
+    rows = _spy_rows(monkeypatch)
+    scan_phase_space(family, 0.98, 2.0, n, 5, 16)
+    assert rows == [130]
 
 
 @pytest.mark.parametrize("family,n", [("sm", 63), ("hm", 7)])
