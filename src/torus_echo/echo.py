@@ -17,6 +17,13 @@ A trace is the sum of the basis-row overlaps.  When the maps are parity-even
 and e_{-n} agree, so a trace pass starts from e_0 .. e_{N//2} alone and
 counts every row other than e_0 and (at even N) e_{N/2} twice: it holds
 N//2 + 1 rows per block.  An sm map at odd N keeps all N basis rows.
+
+The blocks are propagated in the frame that maps.step_phases picks from u0:
+sm maps at even N in the chirp frame y = exp(i pi t / 4) C^dag x, one forward
+FFT per kick, and every other map in the position frame.  The frame is a
+diagonal unitary that depends on t, family and N alone, and all maps of a
+pass share family and N, so every block carries the same one and <b|a> is
+the same in either frame: overlaps, weights and series need no conversion.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import MapSpec, PerturbedPair, check_dense, drift_phase, kick_phase, split_step
+from .maps import MapSpec, PerturbedPair, check_dense, split_step, step_phases
 from .torus import DOT_SLICE, PhasePoint, TorusState, coherent_state
 
 __all__ = [
@@ -80,14 +87,17 @@ def _overlaps(u0: MapSpec, u1s, start: np.ndarray, t_max: int):
     start holds one initial state per row and is not modified.  a_t = U0^t start
     and b_t = U1^t start for each of the G maps U1 of u1s, t = 1 .. t_max; after
     every kick the generator yields the overlaps <b_t|a_t> of every row, one
-    array per map, in u1s order.
+    array per map, in u1s order.  The blocks live in u0's frame (module
+    docstring), which leaves the overlaps unchanged.
     """
     a = np.array(start, dtype=complex)
     del start  # a start built for this call is freed before the blocks are
+    entry, kick0, drift0 = step_phases(u0)
+    phases = [step_phases(u1)[1:] for u1 in u1s]
+    if entry is not None:
+        np.multiply(entry, a, out=a)
     bs = [a.copy() for _ in u1s]
     tmp = np.empty_like(a)
-    kick0, drift0 = kick_phase(u0), drift_phase(u0)
-    phases = [(kick_phase(u1), drift_phase(u1)) for u1 in u1s]
     for _ in range(t_max):
         split_step(a, kick0, drift0, tmp)
         for b, (kick, drift) in zip(bs, phases):

@@ -7,7 +7,18 @@ Two one-parameter families, applied by split-operator steps:
 
 On the momentum grid p_k = k/N the sm drift phase is pi k^2 / N.  It
 satisfies D(k + N) = (-1)^N D(k), so it is single valued under k -> k + N
-only at even N.
+only at even N.  Phases are computed from k^2 mod 2N in integers, so their
+float argument stays below 2 pi at every N.
+
+At even N the quadratic Gauss sum turns that periodic drift, in position
+space, into a chirp sandwich:
+
+  F^dag D F = exp(-i pi/4) . C F C,   C = diag(exp(i pi m^2 / N)),
+
+with F the unitary DFT.  Consecutive steps then share a chirp: in the frame
+y_t = exp(i pi t / 4) C^dag x_t one sm step is y -> F (C^2 V) y, a single
+forward FFT.  step_phases picks this frame for sm at even N; at odd N the
+factorisation fails, and sm keeps the drift and its inverse FFT, as hm does.
 
 Parity P sends the grid index n to -n mod N, in position and in momentum
 alike.  The kick phases and the hm drift are even functions of their index,
@@ -158,18 +169,41 @@ def kick_phase(spec: MapSpec) -> np.ndarray:
     return np.exp(1j * spec.n * spec.k * np.cos(2.0 * math.pi * q))
 
 
+def _turns(r: np.ndarray, d: int) -> np.ndarray:
+    """exp(2 pi i r / d) for integers |r| < d, whose argument stays within 2 pi."""
+    return np.exp(1j * (2.0 * math.pi / d) * r)
+
+
 def drift_phase(spec: MapSpec) -> np.ndarray:
     """Diagonal momentum factor, indexed by FFT frequency k."""
-    k = np.arange(spec.n, dtype=float)
+    k = np.arange(spec.n, dtype=np.int64)
     if spec.family == "sm":
-        return np.exp(-1j * math.pi * k * k / spec.n)
+        return _turns(-(k * k % (2 * spec.n)), 2 * spec.n)
     p = k / spec.n
     return np.exp(1j * spec.n * spec.k2 * np.cos(2.0 * math.pi * p))
 
 
-def split_step(x: np.ndarray, kick: np.ndarray, drift: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def step_phases(spec: MapSpec) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """(entry, kick, drift) of the frame in which split_step propagates the map.
+
+    sm at even N runs in the chirp frame: a start is multiplied once by the
+    entry phase C^dag, and a step is fft(C^2 V x), with no drift.  Every other
+    map runs in the position frame: no entry phase, kick V and drift D.  The
+    frame depends on family and N alone, which both maps of a pair share.
+    """
+    if spec.family == "sm" and spec.n % 2 == 0:
+        m2 = np.arange(spec.n, dtype=np.int64) ** 2
+        chirp_sq = _turns(m2 % spec.n, spec.n)
+        return _turns(-(m2 % (2 * spec.n)), 2 * spec.n), chirp_sq * kick_phase(spec), None
+    return None, kick_phase(spec), drift_phase(spec)
+
+
+def split_step(x: np.ndarray, kick: np.ndarray, drift: np.ndarray | None,
+               tmp: np.ndarray) -> np.ndarray:
     """One split-operator step of x (a vector, or one state per row), in place.
 
+    The step is ifft(drift * fft(kick * x)), or fft(kick * x) alone when
+    drift is None: the one-FFT step of the sm chirp frame (step_phases).
     tmp is caller-owned scratch of x's shape.  The FFTs run along the last,
     contiguous axis.  The operand order is part of the result: numpy's SIMD
     complex multiply is not bitwise commutative, and this order gives exactly
@@ -177,8 +211,9 @@ def split_step(x: np.ndarray, kick: np.ndarray, drift: np.ndarray, tmp: np.ndarr
     """
     np.multiply(kick, x, out=tmp)
     np.fft.fft(tmp, norm="ortho", out=x)
-    np.multiply(drift, x, out=x)
-    np.fft.ifft(x, norm="ortho", out=x)
+    if drift is not None:
+        np.multiply(drift, x, out=x)
+        np.fft.ifft(x, norm="ortho", out=x)
     return x
 
 

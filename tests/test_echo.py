@@ -23,6 +23,7 @@ from torus_echo.maps import (
     GuardError,
     MapSpec,
     PerturbedPair,
+    apply_map,
     build_matrix,
     drift_phase,
     kick_phase,
@@ -51,6 +52,39 @@ def test_in_place_step_matches_allocating_step_bit_for_bit(family, k, n, rows):
         assert split_step(y, kick, drift, np.empty_like(y)) is y
         assert np.array_equal(y, expected)
         expected = np.fft.ifft(drift * np.fft.fft(kick * expected, norm="ortho"), norm="ortho")
+
+
+@pytest.mark.parametrize("family,n,ffts,iffts", [
+    ("sm", 64, 1, 0), ("sm", 2, 1, 0), ("sm", 63, 1, 1), ("hm", 64, 1, 1), ("hm", 63, 1, 1),
+])
+def test_fft_calls_per_block_and_kick(monkeypatch, family, n, ffts, iffts):
+    # sm at even N steps in the chirp frame, one forward FFT per kick; a
+    # silent fall back to the position frame would double its FFTs
+    t_max, blocks = 5, 3
+    counts = {"fft": 0, "ifft": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    u0 = MapSpec(family=family, n=n, k=0.9)
+    u1s = [PerturbedPair.from_dkh(u0, dkh).u1 for dkh in (1.0, 2.0)]
+    for _ in _overlaps(u0, u1s, np.eye(2, n, dtype=complex), t_max):
+        pass
+    assert counts == {"fft": ffts * blocks * t_max, "ifft": iffts * blocks * t_max}
+
+
+def test_chirp_frame_matches_position_frame_steps():
+    # _overlaps runs sm at even N in the chirp frame; apply_map stays in the
+    # position frame, so this compares the two routes kick by kick
+    n, t_max = 16384, 100
+    pair = _pair("sm", 0.98, n, 2.0)
+    start = coherent_state(n, PhasePoint(0.3, 0.2))
+    chirped = fidelity_from_state(pair, start, t_max).values
+    a = b = start
+    for t in range(1, t_max + 1):
+        a, b = apply_map(pair.u0, a), apply_map(pair.u1, b)
+        assert abs(chirped[t] - np.vdot(b.amps, a.amps)) <= 1e-10
 
 
 _TRACE_BYTES = """

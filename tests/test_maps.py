@@ -10,6 +10,7 @@ from torus_echo.maps import (
     PerturbedPair,
     apply_map,
     build_matrix,
+    drift_phase,
 )
 from torus_echo.torus import TorusState
 
@@ -143,3 +144,15 @@ def test_iterated_map_matches_matrix_power():
         state = apply_map(spec, state)
     column = np.linalg.matrix_power(build_matrix(spec), 5)[:, 7]
     np.testing.assert_allclose(state.amps, column, atol=1e-8)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="the reference needs an extended-precision long double")
+def test_standard_map_drift_phase_is_exact_at_large_n():
+    # a float argument pi k^2 / N grows to pi N, and its rounding error with it
+    # (8e-10 here); k^2 mod 2N keeps the argument below 2 pi
+    n = 2**20 + 1
+    k = np.arange(n, dtype=np.int64)
+    angle = 4 * np.arctan(np.longdouble(1)) * (k * k % (2 * n)).astype(np.longdouble) / n
+    exact = np.cos(angle).astype(float) - 1j * np.sin(angle).astype(float)
+    assert np.abs(drift_phase(MapSpec(family="sm", n=n, k=1.0)) - exact).max() <= 1e-15

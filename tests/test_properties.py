@@ -1,6 +1,7 @@
 """Property tests: the split-operator routes against dense matrices, unitary
 map matrices, the parity-reduced trace against the full basis, the real
-Harper trace at even N, symmetry-paired scans against every center evolved,
+Harper trace at even N, the chirp factorisation of the sm drift at even N,
+symmetry-paired scans against every center evolved,
 the in-place classical step against a textbook out-of-place step, sweeps that
 do not depend on their worker count, byte-identical CLI reruns, and lossless
 round trips of the series and grid files.
@@ -29,7 +30,7 @@ from torus_echo.echo import (
     load_series,
     save_series,
 )
-from torus_echo.maps import MapSpec, PerturbedPair, build_matrix
+from torus_echo.maps import MapSpec, PerturbedPair, build_matrix, kick_phase
 from torus_echo.scans import PhaseGrid, SweepSpec, load_grid, save_grid, sweep
 from torus_echo.semiclassics import bessel_j0
 from torus_echo.torus import PhasePoint, TorusState
@@ -133,6 +134,37 @@ def test_harper_trace_at_even_n_is_real(half_n, k, k2, dkh, t_max):
 def test_trace_without_the_symmetry_is_complex(family, n, k, least):
     pair = PerturbedPair.from_dkh(MapSpec(family=family, n=n, k=k), 2.0)
     assert np.abs(fidelity_trace(pair, 500).values.imag).max() >= least
+
+
+def _chirp_sandwich(n: int) -> np.ndarray:
+    # exp(-i pi/4) C F C with C = diag(exp(i pi m^2 / N)) and the unitary DFT F
+    idx = np.arange(n)
+    f = np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
+    chirp = np.exp(1j * np.pi * idx**2 / n)
+    return np.exp(-0.25j * np.pi) * chirp[:, None] * f * chirp[None, :]
+
+
+def _sm_drift(n: int, k: float) -> np.ndarray:
+    # the position-space drift of build_matrix, its kick divided out
+    spec = MapSpec(family="sm", n=n, k=k)
+    return build_matrix(spec) * kick_phase(spec).conj()[None, :]
+
+
+# the quadratic Gauss sum behind the one-FFT step of the sm chirp frame
+@derandomized
+@given(half_n=st.integers(1, 32), k=maps["k"])
+def test_standard_map_drift_is_a_chirp_sandwich_at_even_n(half_n, k):
+    n = 2 * half_n
+    assert np.abs(_sm_drift(n, k) - _chirp_sandwich(n)).max() <= 1e-12
+
+
+# at odd N the drift is not periodic in k and the Gauss sum does not apply:
+# the sandwich misses by a spectral norm of about 2, so the frame needs even N
+@derandomized
+@given(half_n=st.integers(1, 31), k=maps["k"])
+def test_chirp_sandwich_fails_at_odd_n(half_n, k):
+    n = 2 * half_n + 1
+    assert np.linalg.norm(_sm_drift(n, k) - _chirp_sandwich(n), 2) >= 0.1
 
 
 # sm is drawn at even N only; N below _PAIRED_MIN_N runs the unpaired route.
