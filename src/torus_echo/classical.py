@@ -3,21 +3,28 @@
   sm : p' = p + (K/2pi) sin(2 pi x),  x' = x + p'
   hm : p' = p - K sin(2 pi x),        x' = x + K2 sin(2 pi p')
 
-Coordinates wrap mod 1 on the torus.  Plane (unwrapped) dynamics keeps the
-wrapped coordinates for the trigonometry and carries integer winding numbers
-alongside, so the two variants agree mod 1 to rounding even over long runs
-and chaotic orbits cannot be split by argument-reduction noise.
+Coordinates wrap into [-1/2, 1/2] on the torus.  Plane (unwrapped) dynamics
+keeps the wrapped coordinates for the trigonometry and carries integer
+winding numbers alongside, so the two variants agree mod 1 to rounding even
+over long runs and chaotic orbits cannot be split by argument-reduction noise.
 
 One kernel, _orbit, steps every orbit of this module.  It owns the windings
 and one scratch array and updates them in place, so an orbit loop allocates
-nothing per step.  It wraps a coordinate v as w += floor(v), v -= floor(v).
-That gives the same bits as v % 1.0 and v - v % 1.0: fmod is exact, so
-v % 1.0 and v - floor(v) are the same real number rounded once, and the
-winding v - v % 1.0 comes out as the integer floor(v) exactly.
+nothing per step.  It wraps a coordinate v as w += rint(v), v -= rint(v).
+v - rint(v) is exact, so the windings stay exact integers.  The frame is odd:
+a step is built from multiplies by constants, sin, adds and rint (round half
+to even), and each of them maps -a to exactly -(its image of a).  Stepping
+-(x, p, wx, wp) therefore gives the exact negation of the step of
+(x, p, wx, wp), bit for bit up to the sign of a zero, and both maps commute
+with this parity.  iterate hands out wrapped histories as v % 1.0, in [0, 1].
 
 The grid measure and the diffusion rate run at most scans._BLOCK_ELEMENTS
 orbits at a time and join the per-orbit values before their one mean, so
 their working set is bounded and their result does not depend on the block.
+The grid measure builds its cell centers as m / (2 side) with m odd in
+(-side, side].  At even side the start of cell c is the exact negation of the
+start of cell side**2 - 1 - c, so it evolves the first half of the cells and
+hands each value to its partner; odd sides evolve every cell.
 """
 
 from __future__ import annotations
@@ -51,8 +58,8 @@ def _check_count(label: str, value, minimum: int = 1) -> None:
 
 
 def _wrap(v, w, tmp):
-    """v -> v - floor(v) in [0, 1], w += floor(v); all in place."""
-    np.floor(v, out=tmp)
+    """v -> v - rint(v) in [-1/2, 1/2], w += rint(v); all in place."""
+    np.rint(v, out=tmp)
     w += tmp
     v -= tmp
 
@@ -85,7 +92,9 @@ def _step(family, k, k2, x, p, wx, wp, tmp):
 def _orbit(family, k, k2, x0, p0, steps):
     """Yield (x, p, wx, wp) at t = 0 .. steps: the same arrays, stepped in place.
 
-    The starts are copied and wrapped, so the windings begin at floor(x0), floor(p0).
+    The starts are copied and wrapped, so the windings begin at rint(x0), rint(p0).
+    Constants and starts broadcast: a (2, n) start with a (2, 1) K runs two
+    families of n orbits side by side.
     """
     x = np.array(x0, dtype=float)
     p = np.array(p0, dtype=float)
@@ -98,17 +107,18 @@ def _orbit(family, k, k2, x0, p0, steps):
         yield x, p, wx, wp
 
 
-def _blocks(count: int):
-    """Consecutive index ranges of at most scans._BLOCK_ELEMENTS over range(count)."""
-    block = scans._BLOCK_ELEMENTS
+def _blocks(count: int, orbits_per_index: int = 1):
+    """Consecutive index ranges over range(count), each with at most
+    scans._BLOCK_ELEMENTS orbits (at least one index per range)."""
+    block = max(1, scans._BLOCK_ELEMENTS // orbits_per_index)
     return (np.arange(i, min(i + block, count)) for i in range(0, count, block))
 
 
 def iterate(family, k, k2, x0, p0, steps, wrapped=True):
     """Orbit histories for a batch of initial conditions.
 
-    Returns (xs, ps) with shape (steps + 1,) + shape(x0); unwrapped output
-    adds the winding numbers back in.
+    Returns (xs, ps) with shape (steps + 1,) + shape(x0); wrapped output lies
+    in [0, 1], unwrapped output adds the winding numbers back in.
     """
     k2 = _check_params(family, k, k2)
     _check_count("steps", steps, minimum=0)
@@ -123,6 +133,9 @@ def iterate(family, k, k2, x0, p0, steps, wrapped=True):
         else:
             np.add(x, wx, out=xs[t, ...])
             np.add(p, wp, out=ps[t, ...])
+    if wrapped:
+        xs %= 1.0
+        ps %= 1.0
     return xs, ps
 
 
@@ -167,29 +180,47 @@ def diffusion_coefficient(family, k, k2=None, horizon=16000, n_orbits=4000, seed
 def _nm_batch(family, k, k2, delta_k, x0, p0, t_max):
     """Classical measure per initial condition, fiducial vs perturbed orbit.
 
-    Both orbits run on the plane from the same start; the perturbation sits
-    where the quantum pair puts it (sm kick, hm momentum kick).  The summed
-    positive increments of exp(-distance) are returned per orbit; the
+    Both orbits run on the plane from the same start, as rows 0 and 1 of one
+    (2, n) orbit block; the perturbation sits where the quantum pair puts it
+    (sm kick, hm momentum kick), as a (2, 1) column of that constant.  The
+    summed positive increments of exp(-distance) are returned per orbit; the
     classical measure carries no factor 2, so measure_rows' sum is halved.
     """
+    x0, p0 = np.asarray(x0, dtype=float), np.asarray(p0, dtype=float)
     if family == "sm":
-        kb, k2b = k + delta_k, k2
+        k = np.array([[k], [k + delta_k]])
     else:
-        kb, k2b = k, k2 + delta_k
-    pairs = zip(_orbit(family, k, k2, x0, p0, t_max), _orbit(family, kb, k2b, x0, p0, t_max))
-    rows = (np.exp(-np.hypot((xa + wxa) - (xb + wxb), (pa + wpa) - (pb + wpb)))
-            for (xa, pa, wxa, wpa), (xb, pb, wxb, wpb) in pairs)
+        k2 = np.array([[k2], [k2 + delta_k]])
+    starts = (np.broadcast_to(c, (2,) + c.shape) for c in (x0, p0))
+    rows = (np.exp(-np.hypot(np.subtract(*(x + wx)), np.subtract(*(p + wp))))
+            for x, p, wx, wp in _orbit(family, k, k2, *starts, t_max))
     return 0.5 * measure_rows(rows)
 
 
+def _centers(index, side: int):
+    """m / (2 side) for the cell index i: m = 2i + 1 brought into (-side, side]."""
+    m = 2 * index + 1
+    return np.where(m > side, m - 2 * side, m) / (2.0 * side)
+
+
 def classical_nm_grid(family, k, k2, delta_k, grid_side, t_max):
-    """Mean classical measure over a grid of cell-center initial conditions."""
+    """Mean classical measure over a grid of cell-center initial conditions.
+
+    Cell c starts at the centers of rows c // grid_side in x and c % grid_side
+    in p.  At even grid_side only the first half of the cells is evolved;
+    cell grid_side**2 - 1 - c starts at the exact negation of cell c and so
+    takes its value.
+    """
     k2 = _check_params(family, k, k2, delta_k)
     _check_count("grid_side", grid_side)
     _check_count("t_max", t_max)
-    values = [
-        _nm_batch(family, k, k2, delta_k, (idx // grid_side + 0.5) / grid_side,
-                  (idx % grid_side + 0.5) / grid_side, t_max)
-        for idx in _blocks(grid_side * grid_side)
-    ]
-    return float(np.concatenate(values).mean())
+    cells = grid_side * grid_side
+    evolved = cells // 2 if grid_side % 2 == 0 else cells
+    values = np.concatenate([
+        _nm_batch(family, k, k2, delta_k, _centers(idx // grid_side, grid_side),
+                  _centers(idx % grid_side, grid_side), t_max)
+        for idx in _blocks(evolved, 2)
+    ])
+    if evolved < cells:
+        values = np.concatenate([values, values[::-1]])
+    return float(values.mean())

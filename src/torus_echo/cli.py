@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -491,8 +491,13 @@ _COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse view of _COMMANDS; options left off the command line stay unset."""
+    """The argparse view of _COMMANDS; options left off the command line stay unset.
+
+    Built once per process: parsing keeps no state in the parser, and
+    _resolve returns a fresh namespace per run.
+    """
     parser = argparse.ArgumentParser(
         prog="torus-echo",
         description="Kicked-map dephasing environments: fidelity, measures, scans.",

@@ -1,12 +1,14 @@
 """Classical kicked maps: orbits, portraits, diffusion, trajectory measure."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from torus_echo import classical, scans
 from torus_echo.classical import (
+    _centers,
     _nm_batch,
     _orbit,
     classical_nm_grid,
@@ -147,8 +149,8 @@ def test_classical_measure_positive_on_generic_orbit():
 
 @pytest.mark.parametrize("family,k,k2", [("sm", 0.9, None), ("hm", 0.3, 0.45)])
 def test_nm_batch_matches_two_plane_histories(family, k, k2):
-    # starts in [0, 1), so both orbits of _nm_batch begin with zero windings,
-    # as the histories of iterate do
+    # both routes wrap the starts the same way, so their plane coordinates
+    # agree from t = 0
     rng = np.random.default_rng(7)
     x0, p0 = rng.random(40), rng.random(40)
     delta_k, steps = 1e-3, 300
@@ -165,24 +167,63 @@ def test_nm_batch_matches_two_plane_histories(family, k, k2):
     assert sum(1 for _ in _orbit(family, k, k2, x0, p0, 0)) == 1
 
 
-def test_classical_orbits_run_in_blocks_of_the_budget(monkeypatch):
-    def results():
-        return (classical_nm_grid("hm", 0.3, 0.4, 1e-3, 5, 40),
-                diffusion_coefficient("sm", 2.5, horizon=40, n_orbits=50, seed=1))
-
-    expected = results()
-    sizes = []
+def _orbit_spy(monkeypatch):
+    """Patch classical._orbit; returns (starts, peak): the orbit count of each
+    start, and the most orbits live at once (generators not yet collected)."""
+    starts, peak, live = [], [0], weakref.WeakKeyDictionary()
     orbit = classical._orbit
 
     def spy(family, k, k2, x0, p0, steps):
-        sizes.append(np.size(x0))
-        return orbit(family, k, k2, x0, p0, steps)
+        gen = orbit(family, k, k2, x0, p0, steps)
+        live[gen] = np.size(x0)
+        starts.append(np.size(x0))
+        peak[0] = max(peak[0], sum(live.values()))
+        return gen
 
     monkeypatch.setattr(classical, "_orbit", spy)
+    return starts, peak
+
+
+def test_classical_orbits_run_in_blocks_of_the_budget(monkeypatch):
+    def results():
+        return (classical_nm_grid("hm", 0.3, 0.4, 1e-3, 5, 40),
+                classical_nm_grid("sm", 0.9, None, 1e-3, 4, 40),
+                diffusion_coefficient("sm", 2.5, horizon=40, n_orbits=50, seed=1))
+
+    expected = results()
+    starts, peak = _orbit_spy(monkeypatch)
     monkeypatch.setattr(scans, "_BLOCK_ELEMENTS", 7)
     assert results() == expected
-    # two orbits per grid cell (fiducial and perturbed), one per diffusion start
-    assert max(sizes) <= 7 and sum(sizes) == 2 * 25 + 50
+    # two orbits per evolved grid cell (fiducial and perturbed): every cell at
+    # odd side, half of them at even side; one orbit per diffusion start
+    assert peak[0] <= 7 and sum(starts) == 2 * 25 + 16 + 50
+
+
+@pytest.mark.parametrize("family,k,k2", [("sm", 0.98, None), ("hm", 0.3, 0.45)])
+@pytest.mark.parametrize("side", [2, 4, 8])
+def test_paired_grid_equals_every_cell_evolved(family, k, k2, side):
+    idx = np.arange(side * side)
+    every = _nm_batch(family, k, k if k2 is None else k2, 0.0245,
+                      _centers(idx // side, side), _centers(idx % side, side), 300)
+    assert classical_nm_grid(family, k, k2, 0.0245, side, 300) == float(every.mean())
+    # partner cells start at exactly negated points and give equal values
+    assert np.array_equal(every, every[::-1])
+
+
+@pytest.mark.parametrize("side", [1, 2, 5, 6])
+def test_grid_centers_are_the_cell_centers_of_the_torus(side):
+    centers = _centers(np.arange(side), side)
+    assert np.all((-0.5 < centers) & (centers <= 0.5))
+    assert np.allclose(centers % 1.0, (np.arange(side) + 0.5) / side, rtol=0, atol=1e-15)
+    if side % 2 == 0:
+        assert np.array_equal(centers, -centers[::-1])
+
+
+@pytest.mark.parametrize("side,pairs", [(4, 8), (6, 18), (5, 25), (3, 9)])
+def test_even_sides_evolve_one_cell_per_parity_pair(monkeypatch, side, pairs):
+    starts, _ = _orbit_spy(monkeypatch)
+    classical_nm_grid("sm", 0.98, None, 0.0245, side, 20)
+    assert sum(starts) == 2 * pairs
 
 
 def test_classical_measure_grid_average_runs():

@@ -475,6 +475,22 @@ def test_classical_nm_csv(tmp_path):
     assert float(k) == 0.9 and t == "50" and float(value) >= 0.0
 
 
+def test_one_parser_serves_every_run_of_a_process(tmp_path):
+    # the parser is built once; a run in between, with other options set,
+    # must leave nothing behind for the next run to pick up
+    argv = ("classical-nm", "--map", "hm", "--k", 0.3, "--k2", 0.4, "--t", 30, "--grid", 4,
+            "--out-dir", tmp_path)
+    assert run(*argv) == 0
+    path = tmp_path / "classical_nm_hm_k0.3_t30.csv"
+    first = path.read_bytes()
+    assert run("diffusion", "--map", "sm", "--k", 1.2, "--horizon", 20, "--orbits", 16,
+               "--seed", 3, "--plot", "--out-dir", tmp_path / "other") == 0
+    assert run(*argv) == 0
+    assert path.read_bytes() == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, "other"]
+    assert cli.build_parser() is cli.build_parser()
+
+
 # ---------------------------------------------------------------------------
 # rate commands
 

@@ -2,7 +2,8 @@
 map matrices, the parity-reduced trace against the full basis, the real
 Harper trace at even N, the chirp factorisation of the sm drift at even N,
 symmetry-paired scans against every center evolved,
-the in-place classical step against a textbook out-of-place step, sweeps that
+the in-place classical step against a textbook out-of-place step and its exact
+oddness under (x, p) -> (-x, -p), sweeps that
 do not depend on their worker count, byte-identical CLI reruns, and lossless
 round trips of the series and grid files.
 
@@ -306,20 +307,20 @@ def test_grid_file_round_trip_is_bit_exact(tmp_path_factory, family, k, dkh, n, 
 
 
 def _reference_step(family, k, k2, x, p, wx, wp):
-    """Textbook classical step: new arrays, wrapping by % 1.0."""
+    """Textbook classical step: new arrays, wrapping into [-1/2, 1/2] by rint."""
     if family == "sm":
         pn = p + (k / (2.0 * np.pi)) * np.sin(2.0 * np.pi * x)
-        pw = pn % 1.0
+        pw = pn - np.rint(pn)
         wp = wp + (pn - pw)
         xn = x + pw
-        xw = xn % 1.0
+        xw = xn - np.rint(xn)
         wx = wx + (xn - xw) + wp
     else:
         pn = p - k * np.sin(2.0 * np.pi * x)
-        pw = pn % 1.0
+        pw = pn - np.rint(pn)
         wp = wp + (pn - pw)
         xn = x + k2 * np.sin(2.0 * np.pi * pw)
-        xw = xn % 1.0
+        xw = xn - np.rint(xn)
         wx = wx + (xn - xw)
     return xw, pw, wx, wp
 
@@ -328,7 +329,7 @@ coordinate = st.floats(-2.0, 2.0)
 
 
 # x = 0 makes the first kick exactly zero, so pn = p: p just below 0, pn an
-# integer, and a pn whose % 1.0 rounds up to 1.0 (a wrapped p of 1.0)
+# integer, and the half-integers where rint rounds half to even
 @derandomized
 @given(
     family=st.sampled_from(["sm", "hm"]),
@@ -343,6 +344,11 @@ coordinate = st.floats(-2.0, 2.0)
 @example(family="hm", k=1.3, k2=1.1, points=[(0.0, 1.0), (0.0, -1.0)], steps=5)
 @example(family="sm", k=2.5, k2=0.0, points=[(0.0, -1e-20), (0.0, -5e-324)], steps=5)
 @example(family="hm", k=0.2, k2=0.2, points=[(0.0, -1e-20), (0.0, -5e-324)], steps=5)
+@example(family="sm", k=1.3, k2=0.0, points=[(0.0, 0.5), (0.0, -0.5), (0.0, 1.5), (0.0, -1.5)],
+         steps=5)
+@example(family="hm", k=1.3, k2=1.1,
+         points=[(0.0, 0.5), (0.0, -0.5), (0.0, 1.5), (0.0, -1.5), (0.5, 0.0), (-1.5, 0.0)],
+         steps=5)
 def test_in_place_step_matches_textbook_step_bit_for_bit(family, k, k2, points, steps):
     x, p = (np.array(c, dtype=float) for c in zip(*points))
     wx, wp = np.zeros_like(x), np.zeros_like(x)
@@ -353,3 +359,28 @@ def test_in_place_step_matches_textbook_step_bit_for_bit(family, k, k2, points, 
         ref = _reference_step(family, k, k2, *ref)
         for got, want in zip((x, p, wx, wp), ref):
             assert got.tobytes() == want.tobytes()
+
+
+# the grid measure pairs cells whose starts are exact negations, so a step of
+# -(x, p, wx, wp) must be the exact negation of the step of (x, p, wx, wp);
+# values are compared, since v - rint(v) gives +0.0 at both signs of an integer
+@derandomized
+@given(
+    family=st.sampled_from(["sm", "hm"]),
+    k=st.floats(0.0, 3.0),
+    k2=st.floats(0.0, 3.0),
+    points=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=8),
+    steps=st.integers(1, 20),
+)
+@example(family="sm", k=0.98, k2=0.0, points=[(0.5, 0.5), (0.25, -0.5), (1.5, 0.0)], steps=5)
+@example(family="hm", k=0.3, k2=0.45, points=[(0.5, 0.5), (0.25, -0.5), (0.0, 1.5)], steps=5)
+def test_classical_step_is_exactly_odd(family, k, k2, points, steps):
+    x, p = (np.array(c, dtype=float) for c in zip(*points))
+    plus = [x, p, np.zeros_like(x), np.zeros_like(x)]
+    minus = [-v for v in plus]
+    tmp = np.empty_like(x)
+    for _ in range(steps):
+        _step(family, k, k2, *plus, tmp)
+        _step(family, k, k2, *minus, tmp)
+        for a, b in zip(plus, minus):
+            assert np.array_equal(b, -a)
