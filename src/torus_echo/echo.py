@@ -7,10 +7,12 @@ and G perturbed blocks b_g = U1g^t start side by side, one kick per step, with
 one initial state per row.  Every block and one shared scratch block are
 updated in place, so a pass holds G + 2 blocks and its memory does not grow
 with the number of kicks.  After every kick each b_g is reduced against a to
-one overlap per row (np.vecdot, in fixed slices of at most 8192 amplitudes),
-and a series value is the weighted sum of the row overlaps; a sweep over
-several perturbations of one map thus propagates U0 once for all of them, and
-nothing is recomputed when measures are extracted from a series.
+one overlap per row (np.vecdot, in fixed slices of at most 8192 amplitudes).
+A pure pass has one row, whose overlap is f(t).  A trace pass yields, after
+every kick, each map's weighted sum of row overlaps divided by N: a series
+function collects these values, and a sweep over several perturbations of
+one map reduces them to its measure as they come, so it propagates U0 once
+for all of them and holds no series.
 
 A trace is the sum of the basis-row overlaps.  When the maps are parity-even
 (maps.MapSpec.parity_even) so is the echo operator, and the overlaps of e_n
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -105,26 +108,19 @@ def _overlaps(u0: MapSpec, u1s, start: np.ndarray, t_max: int):
         yield [_row_overlaps(b, a) for b in bs]
 
 
-def _series(u0: MapSpec, u1s, start: np.ndarray, weights, t_max: int) -> np.ndarray:
-    """(G, T+1) array: column 0 the weight sum, column t each map's weighted row overlaps."""
-    weights = np.asarray(weights, dtype=float)
-    series = np.empty((len(u1s), t_max + 1), dtype=complex)
-    series[:, 0] = weights.sum()
-    passes = _overlaps(u0, u1s, start, t_max)
-    del start  # so that _overlaps frees it once it holds its own copy
-    for t, rows in enumerate(passes, 1):
-        series[:, t] = [(weights * r).sum() for r in rows]
-    return series
+def _collect(values, t_max: int) -> np.ndarray:
+    """f(0) = 1, then f(t) for t = 1 .. t_max from the values of a pass, one per kick."""
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    return np.fromiter(chain([1.0], values), dtype=complex, count=t_max + 1)
 
 
 def fidelity_from_state(pair: PerturbedPair, state: TorusState, t_max: int) -> FidelitySeries:
     """Pure-state fidelity series for an arbitrary initial state."""
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
     if state.n != pair.n:
         raise ValueError(f"state dimension {state.n} does not match pair {pair.n}")
-    (values,) = _series(pair.u0, [pair.u1], state.amps[None, :], [1.0], t_max)
-    return FidelitySeries(values=values, kind="pure")
+    kicks = _overlaps(pair.u0, [pair.u1], state.amps[None, :], t_max)
+    return FidelitySeries(values=_collect((r[0] for (r,) in kicks), t_max), kind="pure")
 
 
 def fidelity_pure(pair: PerturbedPair, center: PhasePoint, t_max: int) -> FidelitySeries:
@@ -137,28 +133,27 @@ def _trace_rows(u0: MapSpec) -> int:
     return u0.n // 2 + 1 if u0.parity_even else u0.n
 
 
-def _trace_series(u0: MapSpec, u1s, t_max: int) -> list[FidelitySeries]:
-    """Basis-averaged series Tr[U1^dag(t) U0(t)] / N for each map of u1s, from one pass.
+def _trace_pass(u0: MapSpec, u1s, t_max: int):
+    """Yield Tr[U1^dag(t) U0(t)] / N for each map of u1s, t = 1 .. t_max, from one pass.
 
-    The weights count each row of the parity-reduced basis once for itself
-    and once for its image e_{-n}; they sum to N, so f(0) = 1 exactly.
+    The pass evolves the _trace_rows(u0) basis rows.  The weights count each
+    row of the parity-reduced basis once for itself and once for its image
+    e_{-n}; they sum to N, so f(0) = 1 exactly.
     """
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
     n = u0.n
     check_dense(n)
     rows = _trace_rows(u0)
     weights = np.ones(rows)
     if rows < n:
         weights[1:(n + 1) // 2] = 2.0  # e_{N/2}, its own image at even N, keeps 1
-    return [FidelitySeries(values=g / n, kind="trace")
-            for g in _series(u0, u1s, np.eye(rows, n, dtype=complex), weights, t_max)]
+    for overlaps in _overlaps(u0, u1s, np.eye(rows, n, dtype=complex), t_max):
+        yield np.array([(weights * r).sum() for r in overlaps]) / n
 
 
 def fidelity_trace(pair: PerturbedPair, t_max: int) -> FidelitySeries:
     """Basis-averaged series Tr[U1^dag(t) U0(t)] / N by evolving the basis."""
-    (series,) = _trace_series(pair.u0, [pair.u1], t_max)
-    return series
+    kicks = _trace_pass(pair.u0, [pair.u1], t_max)
+    return FidelitySeries(values=_collect((f for (f,) in kicks), t_max), kind="trace")
 
 
 def save_series(series: FidelitySeries, path, header: str | None = None) -> None:

@@ -2,8 +2,9 @@
 
 The measure sums every rise of |f(t)| between consecutive kicks and doubles
 it, which is the value attained by the optimal qubit pair of the dephasing
-channel.  Rises are grouped into maximal segments of consecutive increases;
-plateaus and decreases contribute nothing and terminate a segment.
+channel.  Plateaus and decreases contribute nothing.  The rises are summed
+in time order, one kick at a time: measure_rows does so while a pass
+propagates, and measure_value on a stored series gives the same bits.
 """
 
 from __future__ import annotations
@@ -16,18 +17,16 @@ import numpy as np
 
 from .echo import FidelitySeries
 
-__all__ = ["NmResult", "measure", "measure_rows", "measure_value", "rise_segments"]
+__all__ = ["NmResult", "measure", "measure_rows", "measure_value"]
 
 
 @dataclass(frozen=True)
 class NmResult:
-    """Measure value with its sweep coordinates and the contributing rises.
+    """Measure value with its sweep coordinates.
 
     k, dkh, n, t_max and kind are the cell coordinates that scans.sweep was
     given; measure on a bare series knows only t_max and kind, and leaves k,
-    dkh and n at NaN, NaN and 0.  segments is a tuple of (t_start, t_end,
-    rise) triples covering each maximal run of consecutive increases of |f|;
-    value = 2 * sum of rises (empty for a grid-averaged sweep cell).
+    dkh and n at NaN, NaN and 0.
     """
 
     k: float
@@ -36,30 +35,12 @@ class NmResult:
     t_max: int
     kind: str
     value: float
-    segments: tuple[tuple[int, int, float], ...] = ()
-
-
-def rise_segments(absvals: np.ndarray) -> list[tuple[int, int, float]]:
-    """Maximal runs of strictly increasing |f|, with their total rise."""
-    segments = []
-    start = None
-    for t in range(1, len(absvals)):
-        if absvals[t] > absvals[t - 1]:
-            if start is None:
-                start = t - 1
-        elif start is not None:
-            segments.append((start, t - 1, float(absvals[t - 1] - absvals[start])))
-            start = None
-    if start is not None:
-        end = len(absvals) - 1
-        segments.append((start, end, float(absvals[end] - absvals[start])))
-    return segments
 
 
 def measure_value(absvals: np.ndarray) -> float:
-    """2 * sum of all positive one-step increments of |f|."""
-    diffs = np.diff(np.asarray(absvals, dtype=float))
-    return float(2.0 * diffs[diffs > 0.0].sum())
+    """2 * sum of all positive one-step increments of |f|, added in time order."""
+    rises = np.maximum(np.diff(np.asarray(absvals, dtype=float)), 0.0)
+    return float(2.0 * np.cumsum(np.r_[0.0, rises])[-1])
 
 
 def measure_rows(rows) -> np.ndarray:
@@ -71,10 +52,9 @@ def measure_rows(rows) -> np.ndarray:
 
 
 def measure(series: FidelitySeries) -> NmResult:
-    """Evaluate the measure and its rise segments on one series.
+    """Evaluate the measure on one series.
 
     The series carries no map coordinates, so k, dkh and n are NaN, NaN and 0.
     """
-    absvals = np.abs(series.values)
     return NmResult(k=math.nan, dkh=math.nan, n=0, t_max=series.t_max, kind=series.kind,
-                    value=measure_value(absvals), segments=tuple(rise_segments(absvals)))
+                    value=measure_value(np.abs(series.values)))

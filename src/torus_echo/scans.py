@@ -35,9 +35,9 @@ from itertools import chain, islice, product
 
 import numpy as np
 
-from .echo import _overlaps, _trace_rows, _trace_series
+from .echo import _overlaps, _trace_pass, _trace_rows
 from .maps import FAMILIES, MapSpec, PerturbedPair, check_dense
-from .measures import NmResult, measure, measure_rows
+from .measures import NmResult, measure_rows
 from .torus import PhasePoint, coherent_state
 
 __all__ = [
@@ -260,22 +260,22 @@ def line_scan(
     return values
 
 
-def _trace_row(row) -> list[tuple[float, tuple]]:
+def _trace_row(row) -> list[float]:
     spec, k = row
     u0, u1s = _maps(spec.family, spec.n, k, spec.dkh_values)
-    results = [measure(series)
-               for group in _passes(u1s, _trace_rows(u0), spec.n)
-               for series in _trace_series(u0, group, spec.t_max)]
-    return [(r.value, r.segments) for r in results]
+    return [float(value)
+            for group in _passes(u1s, _trace_rows(u0), spec.n)
+            for value in measure_rows(
+                chain([1.0], map(np.abs, _trace_pass(u0, group, spec.t_max))))]
 
 
-def _average_row(row) -> list[tuple[float, tuple]]:
+def _average_row(row) -> list[float]:
     spec, k = row
     u0, u1s = _maps(spec.family, spec.n, k, spec.dkh_values)
     s = spec.s
     values = _measure_columns(u0, u1s, _centers(s), spec.t_max)
     # the mean of each grid as scan_phase_space shapes it, to the last bit
-    return [(float(flat.reshape(s, s).mean()), ()) for flat in values]
+    return [float(flat.reshape(s, s).mean()) for flat in values]
 
 
 _ROWS = {"trace": _trace_row, "pure-average": _average_row}
@@ -317,17 +317,17 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None) -> list[NmResult]:
     the s x s coherent grid of scan_phase_space, so a sweep entry agrees with
     the mean of the corresponding stored grid to the last bit.  Each K row is
     one unit of work, which propagates U0 once per pass of up to G of its dkh
-    values and returns the value and rise segments measured per cell; sweep
-    labels each with the K and dkh of its cell as given and spec's n, t_max
-    and kind.
+    values and sums each cell's rises kick by kick as the pass runs, so a
+    row holds no series; a trace cell equals measure_value of its
+    fidelity_trace series to the last bit.  sweep labels each value with the
+    K and dkh of its cell as given and spec's n, t_max and kind.
     """
     rows = [(spec, k) for k in spec.k_values]
     measured = chain.from_iterable(
         _run_rows(_ROWS[spec.kind], rows, workers, progress, len(spec.dkh_values)))
     return [
-        NmResult(k=k, dkh=d, n=spec.n, t_max=spec.t_max, kind=spec.kind,
-                 value=value, segments=segments)
-        for (k, d), (value, segments) in zip(spec.cells(), measured)
+        NmResult(k=k, dkh=d, n=spec.n, t_max=spec.t_max, kind=spec.kind, value=value)
+        for (k, d), value in zip(spec.cells(), measured)
     ]
 
 

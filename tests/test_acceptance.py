@@ -13,6 +13,7 @@ expected outcome.
 import math
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -89,12 +90,25 @@ def test_02_rate_divergence_then_revival():
            f"|f(1)|={f1:.2e}, max |f(2..20)|={revival:.2e}")
 
 
-def _rate_error(result):
-    """Standard error of M(T)/T from the scatter of its block rates."""
+def _abs_trace(k):
+    """|f(t)| of check 3's sm trace cell at kick strength k."""
+    pair = PerturbedPair.from_dkh(MapSpec("sm", 256, k), 2.0)
+    return np.abs(fidelity_trace(pair, 1000).values)
+
+
+def _rate_error(absvals):
+    """Standard error of M(T)/T from the scatter of its block rates.
+
+    A rise segment is a maximal run of increases of |f|, from index start to
+    index end; its rise counts in the block of the kick at which it ends.
+    """
+    t_max = len(absvals) - 1
+    edges = np.diff(np.r_[0, np.diff(absvals) > 0.0, 0])
+    start, end = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
     block_sums = np.zeros(RATE_BLOCKS)
-    for _, end, rise in result.segments:
-        block_sums[(end - 1) * RATE_BLOCKS // result.t_max] += 2.0 * rise
-    block_rates = block_sums * RATE_BLOCKS / result.t_max
+    np.add.at(block_sums, (end - 1) * RATE_BLOCKS // t_max,
+              2.0 * (absvals[end] - absvals[start]))
+    block_rates = block_sums * RATE_BLOCKS / t_max
     return float(block_rates.std(ddof=1) / math.sqrt(RATE_BLOCKS))
 
 
@@ -120,11 +134,12 @@ def _border_peak(rates, errors, border, regular):
 
 
 def test_03_sm_trace_peak_near_border():
-    spec = SweepSpec(family="sm", k_values=SM_GRID, dkh_values=(2.0,),
-                     n=256, t_max=1000, kind="trace", s=16)
-    results = sweep(spec, workers=WORKERS)
-    _, rates = _argmax_rate(results)
-    errors = {r.k: _rate_error(r) for r in results}
+    # each cell's series gives both its rate, equal to its sweep value / T to
+    # the last bit, and the rate's error
+    with ProcessPoolExecutor(WORKERS) as pool:
+        absvals = dict(zip(SM_GRID, pool.map(_abs_trace, SM_GRID)))
+    rates = {k: measure_value(a) / (len(a) - 1) for k, a in absvals.items()}
+    errors = {k: _rate_error(a) for k, a in absvals.items()}
     ok, top, peak, gap, allow, margins = _border_peak(
         rates, errors, SM_BORDER, SM_REGULAR)
     listing = ", ".join(f"K={k:g}: {rates[k]:.5f}+-{errors[k]:.5f}" for k in SM_GRID)

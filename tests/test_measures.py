@@ -5,7 +5,7 @@ import pytest
 
 from torus_echo.echo import FidelitySeries, fidelity_trace
 from torus_echo.maps import MapSpec, PerturbedPair
-from torus_echo.measures import measure, measure_value, rise_segments
+from torus_echo.measures import measure, measure_value
 from torus_echo.qubit import blp_sampled
 
 
@@ -42,26 +42,19 @@ def _extrema_value(y):
 def test_hand_example():
     vals = np.array([1.0, 0.5, 0.8, 0.3, 0.6])
     assert abs(measure_value(vals) - 1.2) < 1e-12
-    segments = rise_segments(vals)
-    assert segments == [(1, 2, pytest.approx(0.3)), (3, 4, pytest.approx(0.3))]
 
 
 def test_monotone_series_has_zero_measure():
     assert measure_value(np.array([1.0, 0.8, 0.5, 0.5, 0.1])) == 0.0
-    assert rise_segments(np.array([1.0, 0.8, 0.5])) == []
 
 
 def test_result_carries_labels_and_segment_sum():
     pair = PerturbedPair.from_dkh(MapSpec(family="sm", n=64, k=2.5), 2.0)
-    result = measure(fidelity_trace(pair, 40))
+    series = fidelity_trace(pair, 40)
+    result = measure(series)
     # a bare series carries no map coordinates; scans.sweep attaches them
     assert (result.t_max, result.kind) == (40, "trace")
-    rises = sum(r for (_, _, r) in result.segments)
-    assert abs(result.value - 2.0 * rises) < 1e-12
-    starts = [s for (s, _, _) in result.segments]
-    ends = [e for (_, e, _) in result.segments]
-    assert all(s < e for s, e in zip(starts, ends))
-    assert all(ends[i] <= starts[i + 1] for i in range(len(starts) - 1))
+    assert result.value == measure_value(np.abs(series.values))
 
 
 def _prefix(absvals):

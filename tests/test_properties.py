@@ -1,6 +1,7 @@
 """Property tests: the split-operator routes against dense matrices, unitary
 map matrices, the parity-reduced trace against the full basis, the real
-Harper trace at even N, the chirp factorisation of the sm drift at even N,
+Harper trace at even N, the stored measure against the streamed rise sum,
+the chirp factorisation of the sm drift at even N,
 symmetry-paired scans against every center evolved,
 the in-place classical step against a textbook out-of-place step and its exact
 oddness under (x, p) -> (-x, -p), sweeps that
@@ -24,7 +25,7 @@ from hypothesis.extra.numpy import arrays
 from torus_echo import cli, scans
 from torus_echo.classical import _step
 from torus_echo.echo import (
-    _series,
+    _overlaps,
     FidelitySeries,
     fidelity_from_state,
     fidelity_trace,
@@ -32,6 +33,7 @@ from torus_echo.echo import (
     save_series,
 )
 from torus_echo.maps import MapSpec, PerturbedPair, build_matrix, kick_phase
+from torus_echo.measures import measure_rows, measure_value
 from torus_echo.scans import PhaseGrid, SweepSpec, load_grid, save_grid, sweep
 from torus_echo.semiclassics import bessel_j0
 from torus_echo.torus import PhasePoint, TorusState
@@ -110,7 +112,8 @@ def test_parity_reduced_trace_matches_full_basis(family, n, k, dkh, t_max):
     n -= n % 2 if family == "sm" else 0
     pair = PerturbedPair.from_dkh(MapSpec(family=family, n=n, k=k), dkh)
     assert pair.u0.parity_even
-    full = _series(pair.u0, [pair.u1], np.eye(n, dtype=complex), np.ones(n), t_max)[0] / n
+    kicks = _overlaps(pair.u0, [pair.u1], np.eye(n, dtype=complex), t_max)
+    full = np.array([n, *(r.sum() for (r,) in kicks)]) / n
     reduced = fidelity_trace(pair, t_max).values
     assert reduced[0] == 1.0
     assert np.abs(reduced - full).max() <= 1e-12
@@ -263,6 +266,15 @@ def test_cli_reruns_are_byte_identical(tmp_path_factory, command, family, k, dkh
             os.chdir(cwd)
         runs.append({path.name: path.read_bytes() for path in (home / "out").iterdir()})
     assert runs[0] and runs[0] == runs[1]
+
+
+# runs of one value make plateaus, and the pool repeats values across the series
+@derandomized
+@given(runs=st.lists(st.tuples(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+                               st.integers(1, 3)), max_size=400))
+def test_stored_measure_adds_rises_in_streamed_order(runs):
+    absvals = np.repeat([v for v, _ in runs], [r for _, r in runs]).astype(float)
+    assert measure_value(absvals) == float(measure_rows(iter(absvals)))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

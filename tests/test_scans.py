@@ -109,14 +109,17 @@ def _peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("route,columns", [("trace", 64), ("scan", 16)])
+@pytest.mark.parametrize("route,columns", [("trace", 64), ("scan", 16), ("sweep", 1)])
 def test_peak_memory_does_not_grow_with_horizon(route, columns):
     # overlaps are reduced kick by kick; a (T+1) x columns complex buffer
-    # would add 16 * columns bytes per kick, and the allowance is an eighth
+    # would add 16 * columns bytes per kick, and the allowance is an eighth.
+    # A trace-sweep cell keeps no series, so even one stored column fails
     pair = PerturbedPair.from_dkh(MapSpec(family="sm", n=64, k=0.9), 2.0)
     runs = {
         "trace": lambda t: fidelity_trace(pair, t),
         "scan": lambda t: scan_phase_space("sm", 0.9, 2.0, 64, t, 4),
+        "sweep": lambda t: sweep(SweepSpec(family="sm", k_values=(0.9,), dkh_values=(2.0,),
+                                           n=64, t_max=t)),
     }
     run = runs[route]
     run(1)  # the first call fills one-off caches
@@ -271,10 +274,21 @@ def test_sweep_row_results_do_not_depend_on_maps_per_pass(monkeypatch):
         values = {g: np.array([r.value for r in results[kind, g]]) for g in (1, 2, 5)}
         assert np.array_equal(values[2], values[1])
         assert np.array_equal(values[5], values[1])
-        assert [r.segments for r in results[kind, 5]] == [r.segments for r in results[kind, 1]]
     u0 = MapSpec(family="sm", n=32, k=0.5)
     single = [measure(fidelity_trace(PerturbedPair.from_dkh(u0, d), 25)).value for d in dkh]
     assert np.array_equal([r.value for r in results["trace", 5][:6]], single)
+
+
+@pytest.mark.parametrize("family,n", [("sm", 64), ("sm", 63), ("hm", 64)])
+def test_trace_sweep_value_is_the_measure_of_its_series(family, n):
+    # sm at even N runs the chirp frame and the halved basis, sm at odd N
+    # the full basis; the streamed rise sum matches the stored series exactly
+    t_max = 300
+    spec = SweepSpec(family=family, k_values=(0.9,), dkh_values=(1.0, 2.0), n=n, t_max=t_max)
+    u0 = MapSpec(family=family, n=n, k=0.9)
+    stored = [measure_value(np.abs(fidelity_trace(PerturbedPair.from_dkh(u0, d), t_max).values))
+              for d in spec.dkh_values]
+    assert [r.value for r in sweep(spec)] == stored
 
 
 def test_sweep_propagates_u0_once_per_k_row(monkeypatch):
