@@ -98,7 +98,7 @@ def _read_config(path: str) -> dict[str, str]:
 def _resolve_threads(args: argparse.Namespace) -> int:
     hint = args.threads
     if hint is None:
-        raw = os.environ.get(THREADS_ENV, "1")
+        raw = os.environ.get(THREADS_ENV) or "1"  # set but empty reads as unset
         try:
             hint = int(raw)
         except ValueError:

@@ -14,11 +14,13 @@ function collects these values, and a sweep over several perturbations of
 one map reduces them to its measure as they come, so it propagates U0 once
 for all of them and holds no series.
 
-A trace is the sum of the basis-row overlaps.  When the maps are parity-even
-(maps.MapSpec.parity_even) so is the echo operator, and the overlaps of e_n
-and e_{-n} agree, so a trace pass starts from e_0 .. e_{N//2} alone and
-counts every row other than e_0 and (at even N) e_{N/2} twice: it holds
-N//2 + 1 rows per block.  An sm map at odd N keeps all N basis rows.
+A trace is the sum of the basis-row overlaps.  A symmetry of the maps
+(maps.MapSpec.symmetries) sends e_n to a multiple of e_m and makes the
+overlaps of the two rows equal, or conjugate when it is antiunitary.  A
+trace pass therefore starts from one row per orbit, weights it by the orbit
+size, and keeps the real part when the table holds an antiunitary element:
+N//2 + 1 rows per block under parity alone, N//4 + 1 under parity and C.tau,
+and all N rows under no symmetry.
 
 The blocks are propagated in the frame that maps.step_phases picks from u0:
 sm maps at even N in the chirp frame y = exp(i pi t / 4) C^dag x, one forward
@@ -128,26 +130,35 @@ def fidelity_pure(pair: PerturbedPair, center: PhasePoint, t_max: int) -> Fideli
     return fidelity_from_state(pair, coherent_state(pair.n, center), t_max)
 
 
-def _trace_rows(u0: MapSpec) -> int:
-    """Basis rows of a trace pass: e_0 .. e_{N//2} for parity-even maps, else all N."""
-    return u0.n // 2 + 1 if u0.parity_even else u0.n
+def _trace_basis(u0: MapSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The basis rows of a trace pass, the smallest of each symmetry orbit, and the orbit sizes.
+
+    A symmetry of u0.symmetries sends e_n to a multiple of e_m with
+    m = (sq n + aq N) mod N.
+    """
+    n = u0.n
+    rows = np.arange(n)
+    images = [(s.sq * rows + int(s.aq * n)) % n for s in u0.symmetries]
+    return np.unique(np.minimum.reduce([rows, *images]), return_counts=True)
 
 
 def _trace_pass(u0: MapSpec, u1s, t_max: int):
     """Yield Tr[U1^dag(t) U0(t)] / N for each map of u1s, t = 1 .. t_max, from one pass.
 
-    The pass evolves the _trace_rows(u0) basis rows.  The weights count each
-    row of the parity-reduced basis once for itself and once for its image
-    e_{-n}; they sum to N, so f(0) = 1 exactly.
+    The pass evolves the rows of _trace_basis(u0), each weighted by its
+    orbit size.  The sizes sum to N, so f(0) = 1 exactly.  An antiunitary
+    symmetry pairs every overlap in an orbit with its conjugate, so the trace
+    is real and the pass yields the real part of the weighted sum.
     """
     n = u0.n
     check_dense(n)
-    rows = _trace_rows(u0)
-    weights = np.ones(rows)
-    if rows < n:
-        weights[1:(n + 1) // 2] = 2.0  # e_{N/2}, its own image at even N, keeps 1
-    for overlaps in _overlaps(u0, u1s, np.eye(rows, n, dtype=complex), t_max):
-        yield np.array([(weights * r).sum() for r in overlaps]) / n
+    rows, sizes = _trace_basis(u0)
+    real = any(s.antiunitary for s in u0.symmetries)
+    # no name holds the start rows, so _overlaps frees them before the blocks
+    kicks = _overlaps(u0, u1s, (rows[:, None] == np.arange(n)).astype(complex), t_max)
+    for overlaps in kicks:
+        f = np.array([(sizes * r).sum() for r in overlaps]) / n
+        yield f.real if real else f
 
 
 def fidelity_trace(pair: PerturbedPair, t_max: int) -> FidelitySeries:

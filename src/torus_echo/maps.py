@@ -20,17 +20,25 @@ y_t = exp(i pi t / 4) C^dag x_t one sm step is y -> F (C^2 V) y, a single
 forward FFT.  step_phases picks this frame for sm at even N; at odd N the
 factorisation fails, and sm keeps the drift and its inverse FFT, as hm does.
 
+MapSpec.symmetries is the one table of the symmetries that hold: the
+non-identity elements of the group they form, each an affine torus map
+(q, p) -> (sq q + aq, sp p + ap) mod 1 with an antiunitary flag.  Every
+reduction by symmetry, of trace rows and of scan centers alike, reads it.
+
 Parity P sends the grid index n to -n mod N, in position and in momentum
 alike.  The kick phases and the hm drift are even functions of their index,
-so P commutes with every hm map, and with an sm map exactly when N is even:
-those maps are parity-even (MapSpec.parity_even).
+so P commutes with every hm map, and with an sm map exactly when N is even.
 
 At even N the hm maps have a second, antiunitary symmetry.  The half-period
 shift tau by N/2 in position and in momentum flips the sign of cos(2 pi q)
 and of cos(2 pi p); complex conjugation C in the position basis keeps both
 cosines and flips i.  So C.tau commutes with every hm map at even N, for any
-K1 and K2.  It sends the point (q, p) to (q + 1/2, -p - 1/2) mod 1.  The sm
-drift pi k^2 / N is not even under the shift, so sm has no such symmetry.
+K1 and K2.  It sends the point (q, p) to (q + 1/2, -p - 1/2) mod 1, and its
+product with P sends it to (-q - 1/2, p + 1/2).  The sm drift pi k^2 / N is
+not even under the shift, so sm has no such symmetry.
+
+None of these depends on a kick strength, so both maps of a perturbed pair,
+which share family and N, have the same table.
 
 The kick amplitudes are fixed by the classical limit.  A diagonal factor
 exp(-i V(q)/hbar) with hbar = 1/(2 pi N) shifts momentum by -V'(q), so the
@@ -53,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +94,20 @@ def check_family(family: str, k2) -> None:
         raise ValueError("K2 applies to the hm family only")
 
 
+class Symmetry(NamedTuple):
+    """The torus map (q, p) -> (sq q + aq, sp p + ap) mod 1; antiunitary ones conjugate."""
+
+    sq: int
+    aq: float
+    sp: int
+    ap: float
+    antiunitary: bool = False
+
+
+PARITY = Symmetry(-1, 0.0, -1, 0.0)
+C_TAU = Symmetry(1, 0.5, -1, -0.5, True)
+
+
 @dataclass(frozen=True)
 class MapSpec:
     """One quantized map: family, dimension and kick strengths.
@@ -110,15 +133,18 @@ class MapSpec:
             object.__setattr__(self, "k2", self.k)
 
     @property
-    def parity_even(self) -> bool:
-        """Whether the map commutes with parity n -> -n mod N.
+    def symmetries(self) -> tuple[Symmetry, ...]:
+        """The non-identity elements of the map's symmetry group (module docstring).
 
-        cos(2 pi n/N) is even under n -> -n, so every kick and the hm drift
-        are; the sm drift exp(-i pi k^2/N) picks up (-1)^N under k -> k + N,
-        so it is even only at even N.  Both maps of a perturbed pair share
-        family and N, so they are parity-even together.
+        Parity for every hm map and for sm at even N, where the sm drift
+        exp(-i pi k^2/N) is single valued; for hm at even N also C.tau and
+        its product with parity; nothing for sm at odd N.
         """
-        return self.family == "hm" or self.n % 2 == 0
+        if self.family == "sm":
+            return (PARITY,) if self.n % 2 == 0 else ()
+        if self.n % 2:
+            return (PARITY,)
+        return PARITY, C_TAU, Symmetry(-1, -0.5, 1, 0.5, True)
 
     @property
     def dkh_unit(self) -> float:

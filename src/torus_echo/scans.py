@@ -1,31 +1,27 @@
 """Sweeps and phase-space scans of the non-Markovianity measure.
 
 The unit of work of a sweep is one K row: its start block (the basis rows of
-the trace measure, N//2 + 1 of them for parity-even maps, or the coherent
-grid for the pure average) goes through U0 once and through the perturbed
+the trace measure, one per symmetry orbit, or the coherent grid for the
+pure average) goes through U0 once and through the perturbed
 maps of all its dkh values, G of them per pass, with G capped by the block
 budget for the rows the pass holds.  Rows are pure functions of their spec,
 so they can be farmed out to a process pool of at most one worker per row;
 results are placed by row index and the output is byte-identical however many
 workers run.
 
-Parity P (maps.MapSpec.parity_even) sends the coherent state at (q, p) to the
-one at (-q, -p) mod 1, up to a global phase and the three-image truncation of
-torus.coherent_state, and commutes with both maps of the pair, so the two
-centers have the same |f(t)|.  For hm at even N the antiunitary C.tau of the
-maps module also commutes with both maps, since the perturbation stays in
-the family, and sends the state at (q, p) to the one at (q + 1/2, -p - 1/2);
-it conjugates f(t), so that center too has the same |f(t)|.  A pure scan
-therefore evolves one center per orbit of these symmetries, {c, (-q, -p)}
-or, for hm at even N, {c, (-q, -p), (q + 1/2, -p - 1/2), (-q - 1/2, p + 1/2)}
-(65 of a 16 x 16 grid's 256 states, or 130 with parity alone), and gives
-an image, or a repeat of a center already seen, its representative's value;
-the outputs keep the shape and order of the centers given.  The truncation
-moves amplitudes by about exp(-pi N), which at N = 7 already moves M by 1e-9
+Each symmetry of the pair (maps.MapSpec.symmetries) sends the coherent state
+at (q, p) to the one at its image point, up to a global phase and the
+three-image truncation of torus.coherent_state, and leaves |f(t)| unchanged:
+a unitary one keeps f(t), an antiunitary one conjugates it.  A pure scan
+therefore evolves one center per orbit of the table (65 of a 16 x 16 grid's
+256 states for hm at even N, 130 with parity alone), and gives an image, or
+a repeat of a center already seen, its representative's value; the outputs
+keep the shape and order of the centers given.  The truncation moves
+amplitudes by about exp(-pi N), which at N = 7 already moves M by 1e-9
 within 1000 kicks (3e-11 at N = 8), so below N = _PAIRED_MIN_N = 8, and for
-sm at odd N, every center is evolved.  The half shift moves the truncation
-by the same order, since the dropped images stay at distance >= 1 from the
-grid.
+maps with an empty table, every center is evolved.  The half shift of hm at
+even N moves the truncation by the same order, since the dropped images
+stay at distance >= 1 from the grid.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from itertools import chain, islice, product
 
 import numpy as np
 
-from .echo import _overlaps, _trace_pass, _trace_rows
+from .echo import _overlaps, _trace_basis, _trace_pass
 from .maps import FAMILIES, MapSpec, PerturbedPair, check_dense
 from .measures import NmResult, measure_rows
 from .torus import PhasePoint, coherent_state
@@ -176,21 +172,15 @@ def _earliest_images(qp: np.ndarray, images: list[np.ndarray]) -> np.ndarray:
 def _orbit_representatives(u0: MapSpec, centers):
     """The centers to evolve, and the index that spreads their values back over centers.
 
-    For parity-even maps at N >= _PAIRED_MIN_N, only the earliest center of
-    each set of repeats and symmetry images is evolved, and index[i] is the
-    position of center i's representative.  The images are the parity image
-    (-q, -p), and for hm at even N also the half-shift image
-    (q + 1/2, -p - 1/2) and its parity partner (-q - 1/2, p + 1/2), all
-    mod 1.  Otherwise every center is evolved in its order, and the index is
-    slice(None).
+    When u0 has symmetries and N >= _PAIRED_MIN_N, only the earliest center
+    of each set of repeats and symmetry images mod 1 is evolved, and
+    index[i] is the position of center i's representative.  Otherwise every
+    center is evolved in its order, and the index is slice(None).
     """
-    if not (u0.parity_even and u0.n >= _PAIRED_MIN_N):
+    if not (u0.symmetries and u0.n >= _PAIRED_MIN_N):
         return centers, slice(None)
     qp = np.fromiter(((c.q, c.p) for c in centers), dtype=np.dtype((float, 2)))
-    images = [-qp % 1.0]
-    if u0.family == "hm" and u0.n % 2 == 0:
-        half_shift = (qp * (1.0, -1.0) + (0.5, -0.5)) % 1.0
-        images += [half_shift, -half_shift % 1.0]
+    images = [(qp * (s.sq, s.sp) + (s.aq, s.ap)) % 1.0 for s in u0.symmetries]
     reps, index = np.unique(_earliest_images(qp, images), return_inverse=True)
     return (PhasePoint(q, p) for q, p in qp[reps]), index
 
@@ -264,7 +254,7 @@ def _trace_row(row) -> list[float]:
     spec, k = row
     u0, u1s = _maps(spec.family, spec.n, k, spec.dkh_values)
     return [float(value)
-            for group in _passes(u1s, _trace_rows(u0), spec.n)
+            for group in _passes(u1s, _trace_basis(u0)[0].size, spec.n)
             for value in measure_rows(
                 chain([1.0], map(np.abs, _trace_pass(u0, group, spec.t_max))))]
 

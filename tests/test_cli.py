@@ -368,6 +368,17 @@ def test_threads_env_must_be_an_integer(tmp_path, monkeypatch, capsys):
     assert cli.THREADS_ENV in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    "nm-sweep --map sm --k 0.5 --dkh 1 --n 32 --t 5",
+    "avg-mp-sweep --map sm --k 0.5 --dkh 1 --n 32 --t 5 --s 2",
+    "diffusion --map sm --k 0.5 --horizon 10 --orbits 4",
+    "classical-nm --map sm --k 0.5 --delta-k 0.01 --t 10 --grid 2",
+], ids=["nm-sweep", "avg-mp-sweep", "diffusion", "classical-nm"])
+def test_empty_threads_env_reads_as_unset(tmp_path, monkeypatch, argv):
+    monkeypatch.setenv(cli.THREADS_ENV, "")
+    assert run(*argv.split(), "--out-dir", tmp_path) == 0
+
+
 def test_threads_env_drives_the_pool(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.THREADS_ENV, "2")
     rc = run("nm-sweep", "--map", "sm", "--k-values", "0.5,1.0", "--dkh", 1,

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -246,10 +247,13 @@ def test_odd_standard_map_trace_equals_position_basis_average():
 
 
 @pytest.mark.parametrize("family,n,rows", [
-    ("hm", 64, 33), ("hm", 63, 32), ("sm", 64, 33), ("sm", 63, 63), ("sm", 2, 2), ("hm", 3, 2),
+    ("hm", 64, 17), ("hm", 62, 16), ("hm", 2, 1), ("hm", 63, 32), ("sm", 64, 33),
+    ("sm", 63, 63), ("sm", 2, 2), ("hm", 3, 2),
 ])
 def test_trace_pass_starts_from_the_parity_reduced_basis(monkeypatch, family, n, rows):
-    # parity-even maps start from e_0 .. e_{N//2}; sm at odd N from all N rows
+    # parity alone (hm at odd N, sm at even N) starts from e_0 .. e_{N//2},
+    # parity and C.tau (hm at even N) from e_0 .. e_{N//4}, sm at odd N from
+    # all N rows
     starts = []
 
     def spy(u0, u1s, start, t_max):
@@ -260,6 +264,23 @@ def test_trace_pass_starts_from_the_parity_reduced_basis(monkeypatch, family, n,
     fidelity_trace(_pair(family, 0.9, n, 2.0), 3)
     (start,) = starts
     assert np.array_equal(start, np.eye(n)[:rows])
+
+
+@pytest.mark.parametrize("family,n,rows", [
+    ("sm", 512, 257), ("hm", 512, 129), ("sm", 511, 511), ("hm", 511, 256),
+])
+def test_trace_pass_holds_three_blocks(family, n, rows):
+    # one perturbed map: U0's block, U1's block and the scratch block of the
+    # pass's rows; a start held beside them would make a fourth
+    pair = _pair(family, 0.9, n, 2.0)
+    fidelity_trace(pair, 5)  # the first call fills one-off caches
+    tracemalloc.start()
+    try:
+        fidelity_trace(pair, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * rows * n * 16
 
 
 def _dense_standard_map(n, k):

@@ -220,9 +220,9 @@ def test_parity_alone_pairs_odd_hm_and_sm(monkeypatch, family, n):
 
 @pytest.mark.parametrize("family,n", [("sm", 63), ("hm", 7)])
 def test_unpaired_scans_evolve_every_center(monkeypatch, family, n):
-    # sm at odd N is not parity-even; below _PAIRED_MIN_N the truncated
+    # sm at odd N has no symmetry; below _PAIRED_MIN_N the truncated
     # images of coherent_state break the symmetry by more than rounding
-    assert n < _PAIRED_MIN_N or not MapSpec(family=family, n=n, k=0.98).parity_even
+    assert n < _PAIRED_MIN_N or not MapSpec(family=family, n=n, k=0.98).symmetries
     rows = _spy_rows(monkeypatch)
     scan_phase_space(family, 0.98, 2.0, n, 5, 16)
     line_scan(family, 0.98, 2.0, n, 5, _DIAGONAL)
