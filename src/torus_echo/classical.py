@@ -18,9 +18,9 @@ to even), and each of them maps -a to exactly -(its image of a).  Stepping
 (x, p, wx, wp), bit for bit up to the sign of a zero, and both maps commute
 with this parity.  iterate hands out wrapped histories as v % 1.0, in [0, 1].
 
-The grid measure and the diffusion rate run at most scans._BLOCK_ELEMENTS
-orbits at a time and join the per-orbit values before their one mean, so
-their working set is bounded and their result does not depend on the block.
+The grid measure and the diffusion rate run their orbits in the blocks of
+maps.blocks and join the per-orbit values before their one mean, so their
+working set is bounded and their result does not depend on the block.
 The grid measure builds its cell centers as m / (2 side) with m odd in
 (-side, side].  At even side the start of cell c is the exact negation of the
 start of cell side**2 - 1 - c, so it evolves the first half of the cells and
@@ -34,8 +34,7 @@ import numbers
 
 import numpy as np
 
-from . import scans
-from .maps import check_family
+from .maps import blocks, check_family
 from .measures import measure_rows
 
 __all__ = ["classical_nm_grid", "diffusion_coefficient", "iterate", "phase_portrait"]
@@ -107,13 +106,6 @@ def _orbit(family, k, k2, x0, p0, steps):
         yield x, p, wx, wp
 
 
-def _blocks(count: int, orbits_per_index: int = 1):
-    """Consecutive index ranges over range(count), each with at most
-    scans._BLOCK_ELEMENTS orbits (at least one index per range)."""
-    block = max(1, scans._BLOCK_ELEMENTS // orbits_per_index)
-    return (np.arange(i, min(i + block, count)) for i in range(0, count, block))
-
-
 def iterate(family, k, k2, x0, p0, steps, wrapped=True):
     """Orbit histories for a batch of initial conditions.
 
@@ -169,12 +161,15 @@ def diffusion_coefficient(family, k, k2=None, horizon=16000, n_orbits=4000, seed
     x0 = rng.random(n_orbits)
     p0 = rng.random(n_orbits)
     squares = []
-    for idx in _blocks(n_orbits):
-        for _, p, _, wp in _orbit(family, k, k2, x0[idx], p0[idx], horizon):
+    for block in blocks(n_orbits, 1):
+        for _, p, _, wp in _orbit(family, k, k2, x0[block], p0[block], horizon):
             pass
-        spread = (p + wp) - p0[idx]
+        spread = (p + wp) - p0[block]
         squares.append(spread * spread)
-    return float(np.mean(np.concatenate(squares)) / horizon)
+    rate = float(np.mean(np.concatenate(squares)) / horizon)
+    if not math.isfinite(rate):
+        raise ValueError(f"diffusion rate at K={k} is not finite, got {rate}")
+    return rate
 
 
 def _nm_batch(family, k, k2, delta_k, x0, p0, t_max):
@@ -215,12 +210,15 @@ def classical_nm_grid(family, k, k2, delta_k, grid_side, t_max):
     _check_count("grid_side", grid_side)
     _check_count("t_max", t_max)
     cells = grid_side * grid_side
-    evolved = cells // 2 if grid_side % 2 == 0 else cells
+    evolved = np.arange(cells // 2 if grid_side % 2 == 0 else cells)
     values = np.concatenate([
-        _nm_batch(family, k, k2, delta_k, _centers(idx // grid_side, grid_side),
-                  _centers(idx % grid_side, grid_side), t_max)
-        for idx in _blocks(evolved, 2)
+        _nm_batch(family, k, k2, delta_k, _centers(evolved[block] // grid_side, grid_side),
+                  _centers(evolved[block] % grid_side, grid_side), t_max)
+        for block in blocks(evolved.size, 2)
     ])
-    if evolved < cells:
+    if evolved.size < cells:
         values = np.concatenate([values, values[::-1]])
-    return float(values.mean())
+    mean = float(values.mean())
+    if not math.isfinite(mean):
+        raise ValueError(f"classical measure at K={k} is not finite, got {mean}")
+    return mean

@@ -5,9 +5,10 @@ mixed average <f(t)> = Tr[U1^dag(t) U0(t)] / N for the trace variant.  One
 kernel runs every route: a pass evolves one unperturbed block a = U0^t start
 and G perturbed blocks b_g = U1g^t start side by side, one kick per step, with
 one initial state per row.  Every block and one shared scratch block are
-updated in place, so a pass holds G + 2 blocks and its memory does not grow
-with the number of kicks.  After every kick each b_g is reduced against a to
-one overlap per row (np.vecdot, in fixed slices of at most 8192 amplitudes).
+updated in place, so a pass holds G + 2 blocks (_passes fits them to the
+block budget) and its memory does not grow with the number of kicks.  After
+every kick each b_g is reduced against a to one overlap per row (np.vecdot,
+in fixed slices of at most 8192 amplitudes).
 A pure pass has one row, whose overlap is f(t).  A trace pass yields, after
 every kick, each map's weighted sum of row overlaps divided by N: a series
 function collects these values, and a sweep over several perturbations of
@@ -38,7 +39,7 @@ from itertools import chain
 
 import numpy as np
 
-from .maps import MapSpec, PerturbedPair, check_dense, split_step, step_phases
+from .maps import MapSpec, PerturbedPair, blocks, check_dense, split_step, step_phases
 from .torus import DOT_SLICE, PhasePoint, TorusState, coherent_state
 
 __all__ = [
@@ -110,6 +111,11 @@ def _overlaps(u0: MapSpec, u1s, start: np.ndarray, t_max: int):
         yield [_row_overlaps(b, a) for b in bs]
 
 
+def _passes(u1s, rows: int, n: int):
+    """u1s in groups of G, one per pass; a pass holds G + 2 blocks of rows x n."""
+    return (u1s[s] for s in blocks(len(u1s), rows * n, 2 * rows * n))
+
+
 def _collect(values, t_max: int) -> np.ndarray:
     """f(0) = 1, then f(t) for t = 1 .. t_max from the values of a pass, one per kick."""
     if t_max < 1:
@@ -142,28 +148,28 @@ def _trace_basis(u0: MapSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(np.minimum.reduce([rows, *images]), return_counts=True)
 
 
-def _trace_pass(u0: MapSpec, u1s, t_max: int):
-    """Yield Tr[U1^dag(t) U0(t)] / N for each map of u1s, t = 1 .. t_max, from one pass.
+def _trace_passes(u0: MapSpec, u1s, t_max: int):
+    """One pass per group of _passes, each yielding Tr[U1^dag(t) U0(t)] / N for its maps.
 
-    The pass evolves the rows of _trace_basis(u0), each weighted by its
-    orbit size.  The sizes sum to N, so f(0) = 1 exactly.  An antiunitary
-    symmetry pairs every overlap in an orbit with its conjugate, so the trace
-    is real and the pass yields the real part of the weighted sum.
+    A pass covers t = 1 .. t_max and evolves the rows of _trace_basis(u0),
+    each weighted by its orbit size.  The sizes sum to N, so f(0) = 1 exactly.
+    An antiunitary symmetry pairs every overlap in an orbit with its
+    conjugate, so the trace is real and the pass yields the real part.
     """
     n = u0.n
     check_dense(n)
     rows, sizes = _trace_basis(u0)
     real = any(s.antiunitary for s in u0.symmetries)
-    # no name holds the start rows, so _overlaps frees them before the blocks
-    kicks = _overlaps(u0, u1s, (rows[:, None] == np.arange(n)).astype(complex), t_max)
-    for overlaps in kicks:
-        f = np.array([(sizes * r).sum() for r in overlaps]) / n
-        yield f.real if real else f
+    for group in _passes(u1s, rows.size, n):
+        # no name holds the start rows, so _overlaps frees them before the blocks
+        kicks = _overlaps(u0, group, (rows[:, None] == np.arange(n)).astype(complex), t_max)
+        traces = (np.array([(sizes * r).sum() for r in overlaps]) / n for overlaps in kicks)
+        yield (f.real for f in traces) if real else traces
 
 
 def fidelity_trace(pair: PerturbedPair, t_max: int) -> FidelitySeries:
     """Basis-averaged series Tr[U1^dag(t) U0(t)] / N by evolving the basis."""
-    kicks = _trace_pass(pair.u0, [pair.u1], t_max)
+    (kicks,) = _trace_passes(pair.u0, [pair.u1], t_max)
     return FidelitySeries(values=_collect((f for (f,) in kicks), t_max), kind="trace")
 
 

@@ -81,9 +81,19 @@ FAMILIES = ("sm", "hm")
 # Largest dimension for which dense N x N matrices may be materialized.
 MATRIX_GUARD = 8192
 
+# Element budget of one block of states or orbits, to bound the working set.
+BLOCK_ELEMENTS = 1 << 21
+
 
 class GuardError(RuntimeError):
     """A resource guard was exceeded; the message names the guard."""
+
+
+def blocks(count: int, per_item: int, reserved: int = 0):
+    """Consecutive slices of range(count): as many items of per_item elements
+    as fit BLOCK_ELEMENTS - reserved, and at least one."""
+    size = max(1, (BLOCK_ELEMENTS - reserved) // per_item)
+    return (slice(i, min(i + size, count)) for i in range(0, count, size))
 
 
 def check_family(family: str, k2) -> None:
@@ -127,8 +137,10 @@ class MapSpec:
         if self.n < 2:
             raise ValueError(f"dimension must be >= 2, got {self.n}")
         for label, val in (("K", self.k), ("K2", self.k2)):
-            if val is not None and not (math.isfinite(val) and val >= 0.0):
-                raise ValueError(f"{label} must be finite and >= 0, got {val}")
+            # the phases scale the strength by N, and an inf there would give nan
+            if val is not None and not (math.isfinite(self.n * val) and val >= 0.0):
+                raise ValueError(f"{label} must be finite and >= 0, with N*{label} finite;"
+                                 f" got {val} at N={self.n}")
         if self.family == "hm" and self.k2 is None:
             object.__setattr__(self, "k2", self.k)
 

@@ -2,12 +2,12 @@
 
 The unit of work of a sweep is one K row: its start block (the basis rows of
 the trace measure, one per symmetry orbit, or the coherent grid for the
-pure average) goes through U0 once and through the perturbed
-maps of all its dkh values, G of them per pass, with G capped by the block
-budget for the rows the pass holds.  Rows are pure functions of their spec,
-so they can be farmed out to a process pool of at most one worker per row;
-results are placed by row index and the output is byte-identical however many
-workers run.
+pure average) goes through U0 once and through the perturbed maps of all its
+dkh values, G of them per pass.  One splitter, maps.blocks, sizes both G
+(echo._passes) and the blocks of a pure scan.  Rows are pure functions of
+their spec, so they can be farmed out to a process pool of at most one
+worker per row; results are placed by row index and the output is
+byte-identical however many workers run.
 
 Each symmetry of the pair (maps.MapSpec.symmetries) sends the coherent state
 at (q, p) to the one at its image point, up to a global phase and the
@@ -27,12 +27,12 @@ stay at distance >= 1 from the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice, product
+from itertools import chain, product
 
 import numpy as np
 
-from .echo import _overlaps, _trace_basis, _trace_pass
-from .maps import FAMILIES, MapSpec, PerturbedPair, check_dense
+from .echo import _overlaps, _passes, _trace_passes
+from .maps import FAMILIES, MapSpec, PerturbedPair, blocks, check_dense
 from .measures import NmResult, measure_rows
 from .torus import PhasePoint, coherent_state
 
@@ -47,9 +47,6 @@ __all__ = [
     "sweep",
 ]
 
-# Element budget per evolution block of states, to bound the working set.
-_BLOCK_ELEMENTS = 1 << 21
-
 # Two centers are one point of the torus when both coordinates agree within
 # _SAME_POINT mod 1, far below the 1/N width of any coherent state.  Cells of
 # width 1/_CELLS >= _SAME_POINT index them; _CELLS**2 fits an int64 key.
@@ -57,17 +54,6 @@ _SAME_POINT = 1e-12
 _CELLS = 1 << 31
 # Smallest N whose scans are paired; see the module docstring.
 _PAIRED_MIN_N = 8
-
-
-def _per_pass(rows: int, n: int) -> int:
-    """Perturbed blocks G per pass; a pass holds G + 2 blocks of rows x n."""
-    return max(1, _BLOCK_ELEMENTS // (rows * n) - 2)
-
-
-def _passes(u1s: list, rows: int, n: int):
-    """u1s in consecutive groups of _per_pass(rows, n), one group per pass."""
-    group = _per_pass(rows, n)
-    return (u1s[i:i + group] for i in range(0, len(u1s), group))
 
 
 @dataclass(frozen=True)
@@ -170,19 +156,19 @@ def _earliest_images(qp: np.ndarray, images: list[np.ndarray]) -> np.ndarray:
 
 
 def _orbit_representatives(u0: MapSpec, centers):
-    """The centers to evolve, and the index that spreads their values back over centers.
+    """The (q, p) of the centers to evolve, an (m, 2) array, and the index back to centers.
 
     When u0 has symmetries and N >= _PAIRED_MIN_N, only the earliest center
     of each set of repeats and symmetry images mod 1 is evolved, and
     index[i] is the position of center i's representative.  Otherwise every
     center is evolved in its order, and the index is slice(None).
     """
-    if not (u0.symmetries and u0.n >= _PAIRED_MIN_N):
-        return centers, slice(None)
     qp = np.fromiter(((c.q, c.p) for c in centers), dtype=np.dtype((float, 2)))
+    if not (u0.symmetries and u0.n >= _PAIRED_MIN_N):
+        return qp, slice(None)
     images = [(qp * (s.sq, s.sp) + (s.aq, s.ap)) % 1.0 for s in u0.symmetries]
     reps, index = np.unique(_earliest_images(qp, images), return_inverse=True)
-    return (PhasePoint(q, p) for q, p in qp[reps]), index
+    return qp[reps], index
 
 
 def _measure_columns(u0: MapSpec, u1s: list, centers, t_max: int) -> np.ndarray:
@@ -191,7 +177,7 @@ def _measure_columns(u0: MapSpec, u1s: list, centers, t_max: int) -> np.ndarray:
     Row g of the result holds the measure at every center of the pair
     (u0, u1s[g]), in the order of centers.  Only the representatives of
     _orbit_representatives are evolved, and each center takes its
-    representative's value.  Representatives run in blocks of the budget.
+    representative's value.  Representatives run in blocks of maps.blocks.
     Each pass builds its own start states, one per row, so they too stay
     within the budget; no name here holds them, so they are freed after the
     first kick.
@@ -199,11 +185,10 @@ def _measure_columns(u0: MapSpec, u1s: list, centers, t_max: int) -> np.ndarray:
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     n = u0.n
-    block = max(1, _BLOCK_ELEMENTS // n)
     reps, index = _orbit_representatives(u0, centers)
-    reps = iter(reps)
     values = []
-    while chunk := list(islice(reps, block)):
+    for block in blocks(len(reps), n):
+        chunk = [PhasePoint(q, p) for q, p in reps[block]]
         passes = (
             _overlaps(u0, group, np.array([coherent_state(n, c).amps for c in chunk]), t_max)
             for group in _passes(u1s, len(chunk), n)
@@ -252,11 +237,9 @@ def line_scan(
 
 def _trace_row(row) -> list[float]:
     spec, k = row
-    u0, u1s = _maps(spec.family, spec.n, k, spec.dkh_values)
-    return [float(value)
-            for group in _passes(u1s, _trace_basis(u0)[0].size, spec.n)
-            for value in measure_rows(
-                chain([1.0], map(np.abs, _trace_pass(u0, group, spec.t_max))))]
+    passes = _trace_passes(*_maps(spec.family, spec.n, k, spec.dkh_values), spec.t_max)
+    return [float(value) for kicks in passes
+            for value in measure_rows(chain([1.0], map(np.abs, kicks)))]
 
 
 def _average_row(row) -> list[float]:

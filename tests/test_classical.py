@@ -1,12 +1,16 @@
 """Classical kicked maps: orbits, portraits, diffusion, trajectory measure."""
 
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from torus_echo import classical, scans
+from torus_echo import classical, maps
 from torus_echo.classical import (
     _centers,
     _nm_batch,
@@ -192,11 +196,28 @@ def test_classical_orbits_run_in_blocks_of_the_budget(monkeypatch):
 
     expected = results()
     starts, peak = _orbit_spy(monkeypatch)
-    monkeypatch.setattr(scans, "_BLOCK_ELEMENTS", 7)
+    monkeypatch.setattr(maps, "BLOCK_ELEMENTS", 7)
     assert results() == expected
     # two orbits per evolved grid cell (fiducial and perturbed): every cell at
     # odd side, half of them at even side; one orbit per diffusion start
     assert peak[0] <= 7 and sum(starts) == 2 * 25 + 16 + 50
+
+
+def test_classical_imports_without_the_quantum_scans():
+    code = "import sys, torus_echo.classical; print('torus_echo.scans' in sys.modules)"
+    env = os.environ | {"PYTHONPATH": str(Path(classical.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False"]
+
+
+# the orbits overflow on their way to the refused value
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_values_that_are_not_finite_are_refused():
+    with pytest.raises(ValueError, match=r"diffusion rate at K=1e\+308 is not finite"):
+        diffusion_coefficient("sm", 1e308, horizon=10, n_orbits=10)
+    with pytest.raises(ValueError, match=r"classical measure at K=1e\+308 is not finite"):
+        classical_nm_grid("hm", 1e308, None, 0.01, 2, 5)
 
 
 @pytest.mark.parametrize("family,k,k2", [("sm", 0.98, None), ("hm", 0.3, 0.45)])

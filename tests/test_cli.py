@@ -296,6 +296,41 @@ def test_nm_sweep_refuses_a_bad_k_row_before_any_cell(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("nm-sweep", "--map", "sm", "--k-values", 1e308, "--dkh", 1, "--n", 8, "--t", 3),
+    ("avg-mp-sweep", "--map", "hm", "--k-values", 1e308, "--dkh", 1, "--n", 8, "--t", 3,
+     "--s", 2),
+    ("fidelity", "--map", "sm", "--k", 1e308, "--dkh", 1, "--n", 8, "--t", 3),
+], ids=lambda argv: argv[0])
+def test_a_kick_phase_that_overflows_exits_2_before_propagating(tmp_path, capsys, argv):
+    # N*K = 8e308 is inf, and an inf phase amplitude would give nan overlaps
+    assert run(*argv, "--out-dir", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "K must be finite and >= 0, with N*K finite" in err and "cell" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_finite_huge_kick_phase_still_runs(tmp_path):
+    # hm perturbs K2 by dkh / N, so N*K2 = 8 + 1e308 stays finite
+    assert run("nm-sweep", "--map", "hm", "--k-values", 1, "--dkh", 1e308, "--n", 8,
+               "--t", 3, "--out-dir", tmp_path) == 0
+    (path,) = tmp_path.iterdir()
+    assert np.isfinite(float(read_lines(path)[-1].split(",")[-1]))
+
+
+# the orbits overflow on their way to the refused value
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ("diffusion", "--map", "sm", "--k-values", 1e308, "--horizon", 10, "--orbits", 10),
+    ("classical-nm", "--map", "hm", "--k-values", 1e308, "--delta-k", 0.01, "--grid", 2,
+     "--t", 5),
+], ids=lambda argv: argv[0])
+def test_a_classical_value_that_is_not_finite_exits_2(tmp_path, capsys, argv):
+    assert run(*argv, "--out-dir", tmp_path) == 2
+    assert "at K=1e+308 is not finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_nm_sweep_gamma_companion_needs_plot_and_a_dkh_grid(tmp_path):
     base = ("nm-sweep", "--map", "sm", "--k", 0.5, "--n", 32, "--t", 5,
             "--out-dir", tmp_path)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from torus_echo import classical, echo, maps, scans
+from torus_echo.classical import classical_nm_grid
 from torus_echo.maps import (
     MATRIX_GUARD,
     GuardError,
@@ -12,6 +14,7 @@ from torus_echo.maps import (
     build_matrix,
     drift_phase,
 )
+from torus_echo.scans import SweepSpec, scan_phase_space, sweep
 from torus_echo.torus import TorusState
 
 
@@ -27,6 +30,12 @@ def test_map_spec_validation():
         MapSpec(family="sm", n=8, k=-1.0)
     with pytest.raises(ValueError, match="K2 applies"):
         MapSpec(family="sm", n=8, k=1.0, k2=5.0)
+    # the phases scale K by N: an N*K that overflows to inf is refused
+    with pytest.raises(ValueError, match=r"K must be finite and >= 0, with N\*K finite"):
+        MapSpec(family="sm", n=8, k=1e308)
+    with pytest.raises(ValueError, match=r"K2 must be finite and >= 0, with N\*K2 finite"):
+        MapSpec(family="hm", n=8, k=1.0, k2=1e308)
+    assert MapSpec(family="hm", n=8, k=1.0, k2=1e307).k2 == 1e307
 
 
 def test_harper_momentum_kick_defaults_to_k():
@@ -156,3 +165,44 @@ def test_standard_map_drift_phase_is_exact_at_large_n():
     angle = 4 * np.arctan(np.longdouble(1)) * (k * k % (2 * n)).astype(np.longdouble) / n
     exact = np.cos(angle).astype(float) - 1j * np.sin(angle).astype(float)
     assert np.abs(drift_phase(MapSpec(family="sm", n=n, k=1.0)) - exact).max() <= 1e-15
+
+
+def test_one_budget_sizes_every_block(monkeypatch):
+    # one patch of the budget in maps shrinks the blocks of every route: the
+    # coherent states of a pure scan (10 parity orbits of a 4 x 4 grid), the
+    # perturbed maps of a trace pass (17 rows at N=32) and the classical grid
+    # cells (8 of 16 evolved, two orbits each); the results stay as they were
+    sizes = []
+
+    def spy(label, fn, size):
+        def recorded(*args):
+            sizes.append((label, size(*args)))
+            return fn(*args)
+        return recorded
+
+    def rows_and_maps(u0, u1s, start, t_max):
+        return start.shape[0], len(u1s)
+
+    def orbits(family, k, k2, x0, p0, steps):
+        return x0.shape
+
+    monkeypatch.setattr(scans, "_overlaps", spy("pure", echo._overlaps, rows_and_maps))
+    monkeypatch.setattr(echo, "_overlaps", spy("trace", echo._overlaps, rows_and_maps))
+    monkeypatch.setattr(classical, "_orbit", spy("classical", classical._orbit, orbits))
+
+    def run():
+        sizes.clear()
+        values = (scan_phase_space("sm", 0.9, 2.0, 64, 5, 4).values,
+                  [r.value for r in sweep(SweepSpec(family="sm", k_values=(0.9,),
+                                                    dkh_values=(1.0, 2.0, 3.0), n=32, t_max=5))],
+                  classical_nm_grid("sm", 0.9, None, 1e-3, 4, 10))
+        return values, list(sizes)
+
+    values, whole = run()
+    assert whole == [("pure", (10, 1)), ("trace", (17, 3)), ("classical", (2, 8))]
+    monkeypatch.setattr(maps, "BLOCK_ELEMENTS", 7)
+    split_values, split = run()
+    assert split == ([("pure", (1, 1))] * 10 + [("trace", (17, 1))] * 3
+                     + [("classical", (2, 3))] * 2 + [("classical", (2, 2))])
+    assert np.array_equal(split_values[0], values[0])
+    assert split_values[1:] == values[1:]

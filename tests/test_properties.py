@@ -235,7 +235,8 @@ def test_paired_scan_matches_every_center_evolved(family, n, k, dkh_values, t_ma
     centers += [PhasePoint(q + 1.0, p - 2.0) for q, p in points]
     u0, u1s = scans._maps(family, n, k, dkh_values)
     paired = scans._measure_columns(u0, u1s, centers, t_max)
-    with mock.patch.object(scans, "_orbit_representatives", lambda u0, c: (c, slice(None))):
+    every_center = (np.array([(c.q, c.p) for c in centers]), slice(None))
+    with mock.patch.object(scans, "_orbit_representatives", lambda u0, c: every_center):
         every = scans._measure_columns(u0, u1s, centers, t_max)
     assert paired.shape == every.shape == (len(dkh_values), len(centers))
     assert np.abs(paired - every).max() <= 1e-9

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torus_echo import echo, scans
+from torus_echo import echo, maps, scans
 from torus_echo.echo import _overlaps, fidelity_pure, fidelity_trace
 from torus_echo.maps import MATRIX_GUARD, GuardError, MapSpec, PerturbedPair
 from torus_echo.measures import measure, measure_value
@@ -131,7 +131,7 @@ def test_start_states_are_built_per_block(monkeypatch):
     # 64-row blocks at N=64: going from s=8 to s=32 adds 960 coherent states,
     # 0.98 MB of complex start rows if they were all built up front; the
     # allowance is a quarter of that
-    monkeypatch.setattr(scans, "_BLOCK_ELEMENTS", 1 << 12)
+    monkeypatch.setattr(maps, "BLOCK_ELEMENTS", 1 << 12)
 
     def scan(s):
         return scan_phase_space("sm", 0.9, 2.0, 64, 5, s)
@@ -164,7 +164,7 @@ def test_blocked_scan_matches_unsplit_scan(monkeypatch):
         sizes.append(start.shape[0])
         return _overlaps(u0, u1s, start, t_max)
 
-    monkeypatch.setattr(scans, "_BLOCK_ELEMENTS", 3 * 64)
+    monkeypatch.setattr(maps, "BLOCK_ELEMENTS", 3 * 64)
     monkeypatch.setattr(scans, "_overlaps", spy)
     split = scan_phase_space("sm", 0.9, 2.0, 64, 50, 4)
     assert sizes == [3, 3, 3, 1]
@@ -268,8 +268,8 @@ def test_sweep_row_results_do_not_depend_on_maps_per_pass(monkeypatch):
                          t_max=25, kind=kind, s=3)
         rows = 32 // 2 + 1 if kind == "trace" else 9  # parity halves the sm trace basis
         for g in (1, 2, 5):
-            monkeypatch.setattr(scans, "_BLOCK_ELEMENTS", (g + 2) * rows * 32)
-            assert scans._per_pass(rows, 32) == g
+            monkeypatch.setattr(maps, "BLOCK_ELEMENTS", (g + 2) * rows * 32)
+            assert len(next(echo._passes(dkh, rows, 32))) == g
             results[kind, g] = sweep(spec)
         values = {g: np.array([r.value for r in results[kind, g]]) for g in (1, 2, 5)}
         assert np.array_equal(values[2], values[1])
@@ -317,10 +317,10 @@ def test_trace_sweep_sizes_its_passes_by_the_rows_it_holds(monkeypatch, family, 
         sizes.append(start.shape)
         return _overlaps(u0, u1s, start, t_max)
 
-    per_pass = scans._per_pass
+    passes = echo._passes
     calls = []
     monkeypatch.setattr(echo, "_overlaps", spy)
-    monkeypatch.setattr(scans, "_per_pass", lambda *a: calls.append(a) or per_pass(*a))
+    monkeypatch.setattr(echo, "_passes", lambda u1s, *a: calls.append(a) or passes(u1s, *a))
     sweep(SweepSpec(family=family, k_values=(0.5, 0.9), dkh_values=(1.0, 2.0), n=n, t_max=3))
     assert sizes == [(rows, n)] * 2
     assert calls == [(rows, n)] * 2
@@ -332,8 +332,8 @@ def test_maps_per_pass_are_capped_by_the_budget(monkeypatch):
     # no more memory than one; uncapped, the five-dkh pass would hold four
     # blocks (256 KB at N=64) more.  The slack is a quarter block.
     n = 64
-    monkeypatch.setattr(scans, "_BLOCK_ELEMENTS", n * n)
-    assert scans._per_pass(n, n) == 1
+    monkeypatch.setattr(maps, "BLOCK_ELEMENTS", n * n)
+    assert [len(group) for group in echo._passes([1.0] * 5, n, n)] == [1] * 5
 
     def run(dkh_values):
         sweep(SweepSpec(family="sm", k_values=(0.9,), dkh_values=dkh_values, n=n, t_max=20))
