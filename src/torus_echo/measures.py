@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import pairwise
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .echo import FidelitySeries
+if TYPE_CHECKING:
+    from .echo import FidelitySeries
 
 __all__ = ["NmResult", "measure", "measure_rows", "measure_value"]
 

@@ -9,11 +9,14 @@ recovers the closed-form measure from below.
 from __future__ import annotations
 
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .echo import FidelitySeries
 from .measures import measure_rows, measure_value
+
+if TYPE_CHECKING:
+    from .echo import FidelitySeries
 
 __all__ = [
     "apply_channel",

@@ -14,9 +14,10 @@ at (q, p) to the one at its image point, up to a global phase and the
 three-image truncation of torus.coherent_state, and leaves |f(t)| unchanged:
 a unitary one keeps f(t), an antiunitary one conjugates it.  A pure scan
 therefore evolves one center per orbit of the table (65 of a 16 x 16 grid's
-256 states for hm at even N, 130 with parity alone), and gives an image, or
-a repeat of a center already seen, its representative's value; the outputs
-keep the shape and order of the centers given.  The truncation moves
+256 states for hm at even N, 130 with parity alone).  A center whose two
+coordinates round, mod 1, to the same multiple of 2**-31 as an earlier center
+or one of its images takes that representative's value; the outputs keep
+the shape and order of the centers given.  The truncation moves
 amplitudes by about exp(-pi N), which at N = 7 already moves M by 1e-9
 within 1000 kicks (3e-11 at N = 8), so below N = _PAIRED_MIN_N = 8, and for
 maps with an empty table, every center is evolved.  The half shift of hm at
@@ -27,7 +28,7 @@ stay at distance >= 1 from the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain
 
 import numpy as np
 
@@ -47,10 +48,10 @@ __all__ = [
     "sweep",
 ]
 
-# Two centers are one point of the torus when both coordinates agree within
-# _SAME_POINT mod 1, far below the 1/N width of any coherent state.  Cells of
-# width 1/_CELLS >= _SAME_POINT index them; _CELLS**2 fits an int64 key.
-_SAME_POINT = 1e-12
+# Two centers are one point of the torus when both coordinates round to the
+# same multiple of 1/_CELLS mod 1, far below the 1/N width of any coherent
+# state; a near pair on either side of a half step is two points, and both
+# are evolved.  _CELLS**2 fits an int64 key.
 _CELLS = 1 << 31
 # Smallest N whose scans are paired; see the module docstring.
 _PAIRED_MIN_N = 8
@@ -122,52 +123,25 @@ def _maps(family: str, n: int, k: float, dkh_values) -> tuple[MapSpec, list[MapS
     return u0, [PerturbedPair.from_dkh(u0, dkh).u1 for dkh in dkh_values]
 
 
-def _earliest_images(qp: np.ndarray, images: list[np.ndarray]) -> np.ndarray:
-    """Per center of qp, the earliest center equal to it or to one of its images, mod 1.
-
-    images[g][i] is the image of center i under the g-th symmetry; the
-    symmetries and the identity must form a group, so that "equal to an image
-    of" is an equivalence.  Two points are equal when both coordinates agree
-    within _SAME_POINT on the circle.  Such points lie in the same or
-    adjacent cells of width 1/_CELLS, so each center probes its own cell and
-    the 8 around it among the sorted cells of every center and image.
-    """
-    m = len(qp)
-    pts = np.concatenate([qp, *images])  # the centers, then each set of images
-    owner = np.tile(np.arange(m), 1 + len(images))
-    cells = (pts * _CELLS).astype(np.int64) % _CELLS
-    keys = cells[:, 0] * _CELLS + cells[:, 1]
-    order = np.lexsort((owner, keys))  # by cell, then by owner
-    keys = keys[order]
-    first = np.arange(m)
-    for dq, dp in product((-1, 0, 1), repeat=2):
-        probe = (cells[:m, 0] + dq) % _CELLS * _CELLS + (cells[:m, 1] + dp) % _CELLS
-        lo, hi = np.searchsorted(keys, probe), np.searchsorted(keys, probe, "right")
-        live = np.flatnonzero(lo < hi)
-        # a cell's first point within reach has its smallest owner
-        while live.size:
-            j = order[lo[live]]
-            d = np.abs(pts[j] - qp[live])
-            near = (np.minimum(d, 1.0 - d) <= _SAME_POINT).all(axis=1)
-            first[live[near]] = np.minimum(first[live[near]], owner[j[near]])
-            lo[live] += 1
-            live = live[~near & (lo[live] < hi[live])]
-    return first
-
-
 def _orbit_representatives(u0: MapSpec, centers):
     """The (q, p) of the centers to evolve, an (m, 2) array, and the index back to centers.
 
-    When u0 has symmetries and N >= _PAIRED_MIN_N, only the earliest center
-    of each set of repeats and symmetry images mod 1 is evolved, and
-    index[i] is the position of center i's representative.  Otherwise every
-    center is evolved in its order, and the index is slice(None).
+    When u0 has symmetries and N >= _PAIRED_MIN_N, every center and image
+    rounds to a lattice point (q, p) * _CELLS mod _CELLS, owned by the
+    earliest center landing there.  Only owners are evolved: index[i] is the
+    position of the owner of center i's own point.  Otherwise every center is
+    evolved in its order, and index is slice(None).
     """
     qp = np.fromiter(((c.q, c.p) for c in centers), dtype=np.dtype((float, 2)))
     if not (u0.symmetries and u0.n >= _PAIRED_MIN_N):
         return qp, slice(None)
-    images = [(qp * (s.sq, s.sp) + (s.aq, s.ap)) % 1.0 for s in u0.symmetries]
-    reps, index = np.unique(_earliest_images(qp, images), return_inverse=True)
+    m = len(qp)
+    pts = np.concatenate([qp, *(qp * (s.sq, s.sp) + (s.aq, s.ap) for s in u0.symmetries)])
+    cells = np.rint(pts * _CELLS).astype(np.int64) % _CELLS
+    keys, point = np.unique(cells[:, 0] * _CELLS + cells[:, 1], return_inverse=True)
+    owner = np.full(len(keys), m)
+    np.minimum.at(owner, point, np.tile(np.arange(m), 1 + len(u0.symmetries)))
+    reps, index = np.unique(owner[point[:m]], return_inverse=True)
     return qp[reps], index
 
 

@@ -22,14 +22,15 @@ DOT_SLICE = 8192
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point (q, p) on the unit torus; coordinates wrap mod 1."""
+    """A point (q, p) on the unit torus; coordinates wrap into [0, 1)."""
 
     q: float
     p: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", float(self.q) % 1.0)
-        object.__setattr__(self, "p", float(self.p) % 1.0)
+        # x % 1.0 rounds a negative x above about -1.1e-16 up to 1.0
+        object.__setattr__(self, "q", float(self.q) % 1.0 % 1.0)
+        object.__setattr__(self, "p", float(self.p) % 1.0 % 1.0)
 
 
 @dataclass(frozen=True)

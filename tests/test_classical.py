@@ -204,11 +204,12 @@ def test_classical_orbits_run_in_blocks_of_the_budget(monkeypatch):
 
 
 def test_classical_imports_without_the_quantum_scans():
-    code = "import sys, torus_echo.classical; print('torus_echo.scans' in sys.modules)"
+    code = ("import sys, torus_echo.classical; "
+            "print(*(m in sys.modules for m in ('torus_echo.scans', 'torus_echo.echo')))")
     env = os.environ | {"PYTHONPATH": str(Path(classical.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["False"]
+    assert out.split() == ["False", "False"]
 
 
 # the orbits overflow on their way to the refused value

@@ -77,6 +77,20 @@ def test_fidelity_pure_kind_names_the_center(tmp_path):
     assert read_lines(path)[1] == "# kind=pure"
 
 
+def test_fidelity_pure_center_just_below_zero_is_the_center_at_zero(tmp_path):
+    # -1e-17 % 1.0 rounds to 1.0, whose coherent amplitudes differ in the
+    # last bit from those at 0; the center wraps to 0 and the rows agree
+    rows = []
+    for q0 in ("-1e-17", "0"):
+        out = tmp_path / q0
+        assert run("fidelity", "--map", "sm", "--k", 0.9, "--dkh", 1.5, "--n", 32,
+                   "--t", 10, "--kind", "pure", f"--q0={q0}", "--p0", 0.5,
+                   "--out-dir", out) == 0
+        (path,) = out.iterdir()
+        rows.append(read_lines(path)[2:])
+    assert rows[0] == rows[1]
+
+
 def test_plot_flag_emits_gnuplot_script(tmp_path):
     rc = run("fidelity", "--map", "sm", "--k", 1.2, "--dkh", 2, "--n", 32,
              "--t", 10, "--plot", "--out-dir", tmp_path)

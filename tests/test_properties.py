@@ -2,7 +2,8 @@
 map matrices, every entry of the symmetry table against the map matrix, the
 symmetry-reduced trace against the full basis, the real Harper trace at even
 N, the stored measure against the streamed rise sum, the chirp factorisation of the sm drift at even N,
-symmetry-paired scans against every center evolved,
+symmetry-paired scans against every center evolved, scan representatives
+against a brute-force lattice rule,
 the in-place classical step against a textbook out-of-place step and its exact
 oddness under (x, p) -> (-x, -p), sweeps that
 do not depend on their worker count, byte-identical CLI reruns, and lossless
@@ -240,6 +241,44 @@ def test_paired_scan_matches_every_center_evolved(family, n, k, dkh_values, t_ma
         every = scans._measure_columns(u0, u1s, centers, t_max)
     assert paired.shape == every.shape == (len(dkh_values), len(centers))
     assert np.abs(paired - every).max() <= 1e-9
+
+
+def _lattice_point(q: float, p: float) -> tuple[int, int]:
+    cells = 1 << 31
+    return round(q * cells) % cells, round(p * cells) % cells
+
+
+# a brute-force reference: the representative of a center is the earliest
+# center that, itself or through one of its images under the table, rounds
+# to the same lattice point mod 1; sm at odd N has no table and is unpaired
+@pytest.mark.parametrize("family", ["sm", "hm"])
+@pytest.mark.parametrize("parity", [0, 1])
+@derandomized
+@example(half_n=32, s=4, points=[(-1e-17, 0.3), (1e-17, -1e-17)])
+@given(half_n=st.integers(4, 20), s=st.integers(1, 12),
+       points=st.lists(st.tuples(st.floats(-2.0, 2.0) | st.sampled_from([-1e-17, 1e-17]),
+                                 st.floats(-2.0, 2.0) | st.sampled_from([-1e-17, 1e-17])),
+                       max_size=6))
+def test_orbit_representatives_match_the_lattice_rule(family, parity, half_n, s, points):
+    n = 2 * half_n + parity
+    centers = [PhasePoint(i / s, j / s) for i in range(s) for j in range(s)]
+    centers += [PhasePoint(q, p) for q, p in points]
+    centers += [PhasePoint(1.0 - q, 1.0 - p) for q, p in points]
+    centers += [PhasePoint(q + 0.5, 0.5 - p) for q, p in points]
+    centers += [PhasePoint(q + 1.0, p - 2.0) for q, p in points]
+    u0 = MapSpec(family=family, n=n, k=0.5)
+    qp = np.array([(c.q, c.p) for c in centers])
+    reps, index = scans._orbit_representatives(u0, centers)
+    if not u0.symmetries:
+        assert index == slice(None) and np.array_equal(reps, qp)
+        return
+    orbits = [{_lattice_point(q, p)}
+              | {_lattice_point(g.sq * q + g.aq, g.sp * p + g.ap) for g in u0.symmetries}
+              for q, p in qp]
+    first = [min(j for j, orbit in enumerate(orbits) if _lattice_point(q, p) in orbit)
+             for q, p in qp]
+    assert np.array_equal(reps, qp[sorted(set(first))])
+    assert np.array_equal(reps[index], qp[first])
 
 
 # the first kick averages exp(i dkh cos 2 pi q) over N grid points: J0 up to

@@ -1,6 +1,7 @@
 """Sweep engines and phase-space imaging of the pure-state measure."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -207,6 +208,26 @@ def test_scans_evolve_one_center_per_parity_orbit(monkeypatch):
     i, j = np.indices(values.shape)
     assert np.array_equal(values, values[(i + s // 2) % s, (-j - s // 2) % s])
     assert np.array_equal(diagonal, diagonal[::-1])
+
+
+def test_centers_in_one_lattice_cell_are_evolved_once(monkeypatch):
+    # 0.25 lies on the 2**-31 lattice and 0.25 + 1e-10 is 0.21 steps off it:
+    # one point, though the two are not equal bit for bit
+    rows = _spy_rows(monkeypatch)
+    points = [PhasePoint(0.25, 0.4), PhasePoint(0.25 + 1e-10, 0.4)]
+    values = line_scan("hm", 0.3, 2.0, 64, 5, points)
+    assert rows == [1] and values[0] == values[1]
+
+
+def test_a_center_just_below_zero_is_the_center_at_zero(monkeypatch):
+    rows = _spy_rows(monkeypatch)
+    values = line_scan("sm", 0.98, 2.0, 64, 5, [PhasePoint(-1e-17, 0.3), PhasePoint(0.0, 0.3)])
+    assert rows == [1] and values[0] == values[1]
+    # a coordinate stored as 1.0 folds onto 0 on the lattice too
+    u0 = MapSpec(family="hm", n=63, k=0.5)
+    reps, index = scans._orbit_representatives(u0, [SimpleNamespace(q=1.0, p=0.3),
+                                                    PhasePoint(0.0, 0.3)])
+    assert reps.tolist() == [[1.0, 0.3]] and index.tolist() == [0, 0]
 
 
 @pytest.mark.parametrize("family,n", [("hm", 63), ("sm", 64)])

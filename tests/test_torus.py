@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torus_echo.maps import MapSpec
 from torus_echo.torus import PhasePoint, TorusState, coherent_state
@@ -11,6 +13,17 @@ def test_phase_point_wraps_into_unit_square():
     pt = PhasePoint(1.2, -0.3)
     assert abs(pt.q - 0.2) < 1e-12
     assert abs(pt.p - 0.7) < 1e-12
+
+
+# x % 1.0 alone rounds a negative x above about -1.1e-16 up to 1.0
+@settings(derandomize=True, max_examples=200, deadline=None)
+@example(q=-1e-17, p=-1e-17)
+@example(q=-5e-324, p=1.0)
+@given(q=st.floats(allow_nan=False, allow_infinity=False),
+       p=st.floats(allow_nan=False, allow_infinity=False))
+def test_phase_point_coordinates_lie_in_the_unit_interval(q, p):
+    pt = PhasePoint(q, p)
+    assert 0.0 <= pt.q < 1.0 and 0.0 <= pt.p < 1.0
 
 
 def test_dimension_must_be_at_least_two():
