@@ -161,12 +161,14 @@ def diffusion_coefficient(family, k, k2=None, horizon=16000, n_orbits=4000, seed
     x0 = rng.random(n_orbits)
     p0 = rng.random(n_orbits)
     squares = []
-    for block in blocks(n_orbits, 1):
-        for _, p, _, wp in _orbit(family, k, k2, x0[block], p0[block], horizon):
-            pass
-        spread = (p + wp) - p0[block]
-        squares.append(spread * spread)
-    rate = float(np.mean(np.concatenate(squares)) / horizon)
+    # an orbit that overflows gives a rate that is not finite, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks(n_orbits, 1):
+            for _, p, _, wp in _orbit(family, k, k2, x0[block], p0[block], horizon):
+                pass
+            spread = (p + wp) - p0[block]
+            squares.append(spread * spread)
+        rate = float(np.mean(np.concatenate(squares)) / horizon)
     if not math.isfinite(rate):
         raise ValueError(f"diffusion rate at K={k} is not finite, got {rate}")
     return rate
@@ -211,14 +213,16 @@ def classical_nm_grid(family, k, k2, delta_k, grid_side, t_max):
     _check_count("t_max", t_max)
     cells = grid_side * grid_side
     evolved = np.arange(cells // 2 if grid_side % 2 == 0 else cells)
-    values = np.concatenate([
-        _nm_batch(family, k, k2, delta_k, _centers(evolved[block] // grid_side, grid_side),
-                  _centers(evolved[block] % grid_side, grid_side), t_max)
-        for block in blocks(evolved.size, 2)
-    ])
-    if evolved.size < cells:
-        values = np.concatenate([values, values[::-1]])
-    mean = float(values.mean())
+    # an orbit that overflows gives a mean that is not finite, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.concatenate([
+            _nm_batch(family, k, k2, delta_k, _centers(evolved[block] // grid_side, grid_side),
+                      _centers(evolved[block] % grid_side, grid_side), t_max)
+            for block in blocks(evolved.size, 2)
+        ])
+        if evolved.size < cells:
+            values = np.concatenate([values, values[::-1]])
+        mean = float(values.mean())
     if not math.isfinite(mean):
         raise ValueError(f"classical measure at K={k} is not finite, got {mean}")
     return mean

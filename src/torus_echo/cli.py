@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import time
 from functools import cache, partial
@@ -491,6 +492,12 @@ _COMMANDS = {
 }
 
 
+# Python 3.11's argparse reads only the -1 and -.5 forms as negative numbers,
+# so `--q0 -1e-17` would take its value for an option; every parser of
+# build_parser reads the exponent forms too
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse view of _COMMANDS; options left off the command line stay unset.
@@ -502,9 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="torus-echo",
         description="Kicked-map dephasing environments: fidelity, measures, scans.",
     )
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     subs = parser.add_subparsers(dest="cmd", required=True)
     for name, command in _COMMANDS.items():
         sub = subs.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        sub._negative_number_matcher = _NEGATIVE_NUMBER
         for opt in command.options:
             sub.add_argument(opt.flag, **opt.argparse_kwargs())
     return parser

@@ -4,11 +4,11 @@ f(t) = <psi| U1^dag(t) U0(t) |psi> for pure initial states, and the maximally
 mixed average <f(t)> = Tr[U1^dag(t) U0(t)] / N for the trace variant.  One
 kernel runs every route: a pass evolves one unperturbed block a = U0^t start
 and G perturbed blocks b_g = U1g^t start side by side, one kick per step, with
-one initial state per row.  Every block and one shared scratch block are
-updated in place, so a pass holds G + 2 blocks (_passes fits them to the
-block budget) and its memory does not grow with the number of kicks.  After
-every kick each b_g is reduced against a to one overlap per row (np.vecdot,
-in fixed slices of at most 8192 amplitudes).
+one initial state per row.  Every block is updated in place and no scratch
+block is needed (maps.split_step), so a pass holds G + 1 blocks (_passes
+fits them to the block budget) and its memory does not grow with the number
+of kicks.  After every kick each b_g is reduced against a to one overlap per
+row (np.vecdot, in fixed slices of at most 8192 amplitudes).
 A pure pass has one row, whose overlap is f(t).  A trace pass yields, after
 every kick, each map's weighted sum of row overlaps divided by N: a series
 function collects these values, and a sweep over several perturbations of
@@ -103,17 +103,20 @@ def _overlaps(u0: MapSpec, u1s, start: np.ndarray, t_max: int):
     if entry is not None:
         np.multiply(entry, a, out=a)
     bs = [a.copy() for _ in u1s]
-    tmp = np.empty_like(a)
     for _ in range(t_max):
-        split_step(a, kick0, drift0, tmp)
+        split_step(a, kick0, drift0)
         for b, (kick, drift) in zip(bs, phases):
-            split_step(b, kick, drift, tmp)
+            split_step(b, kick, drift)
         yield [_row_overlaps(b, a) for b in bs]
 
 
 def _passes(u1s, rows: int, n: int):
-    """u1s in groups of G, one per pass; a pass holds G + 2 blocks of rows x n."""
-    return (u1s[s] for s in blocks(len(u1s), rows * n, 2 * rows * n))
+    """u1s in groups of G, one per pass; a pass holds G + 1 blocks of rows x n.
+
+    U0's block is reserved, and G is the number of perturbed blocks that fit
+    the rest of the budget, and at least 1.
+    """
+    return (u1s[s] for s in blocks(len(u1s), rows * n, rows * n))
 
 
 def _collect(values, t_max: int) -> np.ndarray:

@@ -236,19 +236,20 @@ def step_phases(spec: MapSpec) -> tuple[np.ndarray | None, np.ndarray, np.ndarra
     return None, kick_phase(spec), drift_phase(spec)
 
 
-def split_step(x: np.ndarray, kick: np.ndarray, drift: np.ndarray | None,
-               tmp: np.ndarray) -> np.ndarray:
+def split_step(x: np.ndarray, kick: np.ndarray, drift: np.ndarray | None) -> np.ndarray:
     """One split-operator step of x (a vector, or one state per row), in place.
 
     The step is ifft(drift * fft(kick * x)), or fft(kick * x) alone when
     drift is None: the one-FFT step of the sm chirp frame (step_phases).
-    tmp is caller-owned scratch of x's shape.  The FFTs run along the last,
-    contiguous axis.  The operand order is part of the result: numpy's SIMD
-    complex multiply is not bitwise commutative, and this order gives exactly
-    the bits of ifft(drift * fft(kick * x)), where ``x *= drift`` would not.
+    Every operation writes into x, which needs no scratch array: with input
+    and output the same array, numpy transforms each row where it lies.  The
+    FFTs run along the last, contiguous axis.  The operand order is part of
+    the result: numpy's SIMD complex multiply is not bitwise commutative, and
+    this order gives exactly the bits of ifft(drift * fft(kick * x)), where
+    ``x *= kick`` or ``x *= drift`` would not.
     """
-    np.multiply(kick, x, out=tmp)
-    np.fft.fft(tmp, norm="ortho", out=x)
+    np.multiply(kick, x, out=x)
+    np.fft.fft(x, norm="ortho", out=x)
     if drift is not None:
         np.multiply(drift, x, out=x)
         np.fft.ifft(x, norm="ortho", out=x)
@@ -260,7 +261,7 @@ def apply_map(spec: MapSpec, state: TorusState) -> TorusState:
     if state.n != spec.n:
         raise ValueError(f"state dimension {state.n} does not match spec {spec.n}")
     amps = np.array(state.amps)
-    return TorusState(split_step(amps, kick_phase(spec), drift_phase(spec), np.empty_like(amps)))
+    return TorusState(split_step(amps, kick_phase(spec), drift_phase(spec)))
 
 
 def check_dense(n: int) -> None:
@@ -273,4 +274,4 @@ def build_matrix(spec: MapSpec) -> np.ndarray:
     """Dense N x N matrix of the map; column j is the image of basis state j."""
     check_dense(spec.n)
     eye = np.eye(spec.n, dtype=complex)
-    return split_step(eye, kick_phase(spec), drift_phase(spec), np.empty_like(eye)).T
+    return split_step(eye, kick_phase(spec), drift_phase(spec)).T

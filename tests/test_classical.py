@@ -212,9 +212,9 @@ def test_classical_imports_without_the_quantum_scans():
     assert out.split() == ["False", "False"]
 
 
-# the orbits overflow on their way to the refused value
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_values_that_are_not_finite_are_refused():
+    # the orbits overflow on their way to the refused value, and no warning
+    # escapes: the suite turns one into an error
     with pytest.raises(ValueError, match=r"diffusion rate at K=1e\+308 is not finite"):
         diffusion_coefficient("sm", 1e308, horizon=10, n_orbits=10)
     with pytest.raises(ValueError, match=r"classical measure at K=1e\+308 is not finite"):

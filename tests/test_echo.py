@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torus_echo import echo
+from torus_echo import echo, maps
 from torus_echo.echo import (
     _overlaps,
     FidelitySeries,
@@ -29,6 +29,7 @@ from torus_echo.maps import (
     drift_phase,
     kick_phase,
     split_step,
+    step_phases,
 )
 from torus_echo.measures import measure
 from torus_echo.torus import PhasePoint, TorusState, coherent_state
@@ -50,7 +51,7 @@ def test_in_place_step_matches_allocating_step_bit_for_bit(family, k, n, rows):
     expected = np.fft.ifft(drift * np.fft.fft(kick * x, norm="ortho"), norm="ortho")
     y = x.copy()
     for _ in range(3):
-        assert split_step(y, kick, drift, np.empty_like(y)) is y
+        assert split_step(y, kick, drift) is y
         assert np.array_equal(y, expected)
         expected = np.fft.ifft(drift * np.fft.fft(kick * expected, norm="ortho"), norm="ortho")
 
@@ -266,21 +267,57 @@ def test_trace_pass_starts_from_the_parity_reduced_basis(monkeypatch, family, n,
     assert np.array_equal(start, np.eye(n)[:rows])
 
 
-@pytest.mark.parametrize("family,n,rows", [
-    ("sm", 512, 257), ("hm", 512, 129), ("sm", 511, 511), ("hm", 511, 256),
-])
-def test_trace_pass_holds_three_blocks(family, n, rows):
-    # one perturbed map: U0's block, U1's block and the scratch block of the
-    # pass's rows; a start held beside them would make a fourth
-    pair = _pair(family, 0.9, n, 2.0)
-    fidelity_trace(pair, 5)  # the first call fills one-off caches
+def _peak_bytes(fn) -> int:
+    fn()  # the first call fills one-off caches
     tracemalloc.start()
     try:
-        fidelity_trace(pair, 5)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * rows * n * 16
+
+
+@pytest.mark.parametrize("family", ["sm", "hm"])
+def test_split_step_allocates_no_block(family):
+    # sm at N=256 steps in the chirp frame (one FFT), hm runs the FFT pair; a
+    # scratch block, or a copy that numpy made for the aliased out=, would
+    # add a whole block of 64 x 256 amplitudes.  The broadcast kick multiply
+    # fills numpy's ufunc buffer, np.getbufsize() amplitudes whatever the block
+    spec = MapSpec(family=family, n=256, k=0.9)
+    _, kick, drift = step_phases(spec)
+    x = np.ones((64, 256), dtype=complex)
+    ufunc_buffer = np.getbufsize() * x.itemsize
+    assert _peak_bytes(lambda: split_step(x, kick, drift)) < x.nbytes / 4 + ufunc_buffer
+
+
+_TRACE_PASS_SHAPES = pytest.mark.parametrize("family,n,rows", [
+    ("sm", 512, 257), ("hm", 512, 129), ("sm", 511, 511), ("hm", 511, 256),
+])
+
+
+@_TRACE_PASS_SHAPES
+def test_trace_pass_holds_three_blocks(family, n, rows):
+    # one perturbed map: U0's block and U1's block of the pass's rows, and no
+    # scratch block; a start held beside them would make a third, and a
+    # fourth block breaks this bound
+    pair = _pair(family, 0.9, n, 2.0)
+    assert _peak_bytes(lambda: fidelity_trace(pair, 5)) <= 3.5 * rows * n * 16
+
+
+@_TRACE_PASS_SHAPES
+def test_one_map_trace_pass_holds_two_blocks(family, n, rows):
+    # U0's block and U1's block alone; a scratch block or a start held beside
+    # them would make a third
+    pair = _pair(family, 0.9, n, 2.0)
+    assert _peak_bytes(lambda: fidelity_trace(pair, 5)) <= 2.5 * rows * n * 16
+
+
+def test_a_pass_budget_counts_u0_and_the_perturbed_blocks(monkeypatch):
+    # a budget of 3 blocks of the pass's rows holds U0's block and G = 2
+    # perturbed blocks; a pass that also reserved a scratch block gets G = 1
+    rows, n = 17, 32
+    monkeypatch.setattr(maps, "BLOCK_ELEMENTS", 3 * rows * n)
+    assert [len(g) for g in echo._passes([0.5, 1.0, 1.5, 2.0, 2.5], rows, n)] == [2, 2, 1]
 
 
 def _dense_standard_map(n, k):

@@ -289,7 +289,7 @@ def test_sweep_row_results_do_not_depend_on_maps_per_pass(monkeypatch):
                          t_max=25, kind=kind, s=3)
         rows = 32 // 2 + 1 if kind == "trace" else 9  # parity halves the sm trace basis
         for g in (1, 2, 5):
-            monkeypatch.setattr(maps, "BLOCK_ELEMENTS", (g + 2) * rows * 32)
+            monkeypatch.setattr(maps, "BLOCK_ELEMENTS", (g + 1) * rows * 32)
             assert len(next(echo._passes(dkh, rows, 32))) == g
             results[kind, g] = sweep(spec)
         values = {g: np.array([r.value for r in results[kind, g]]) for g in (1, 2, 5)}
@@ -348,10 +348,10 @@ def test_trace_sweep_sizes_its_passes_by_the_rows_it_holds(monkeypatch, family, 
 
 
 def test_maps_per_pass_are_capped_by_the_budget(monkeypatch):
-    # with the budget at one N x N block, G = 1: a pass holds U0's block, one
-    # perturbed block and the scratch block, so five dkh values in a row cost
-    # no more memory than one; uncapped, the five-dkh pass would hold four
-    # blocks (256 KB at N=64) more.  The slack is a quarter block.
+    # with the budget at one N x N block, G = 1: a pass holds U0's block and
+    # one perturbed block, so five dkh values in a row cost no more memory
+    # than one; uncapped, the five-dkh pass would hold four blocks (256 KB at
+    # N=64) more.  The slack is a quarter block.
     n = 64
     monkeypatch.setattr(maps, "BLOCK_ELEMENTS", n * n)
     assert [len(group) for group in echo._passes([1.0] * 5, n, n)] == [1] * 5
