@@ -109,6 +109,15 @@ def _resolve_threads(args: argparse.Namespace) -> int:
     return hint
 
 
+def _linspace(lo: float, hi: float, npts: int, flags: str) -> np.ndarray:
+    """np.linspace(lo, hi, npts), refused when a point is not finite (an overflowing span)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = np.linspace(lo, hi, npts)
+    if not np.isfinite(points).all():
+        raise ValueError(f"{flags}: the range {lo!r} .. {hi!r} overflows to non-finite points")
+    return points
+
+
 def _grid_values(args, prefix: str) -> tuple[float, ...]:
     """Resolve a parameter grid from --<p>, --<p>-values or --<p>-min/max/points."""
     single = getattr(args, prefix)
@@ -141,7 +150,7 @@ def _grid_values(args, prefix: str) -> tuple[float, ...]:
         raise ValueError(f"--{prefix}-points must be >= 1, got {npts}")
     if npts == 1:
         return (float(lo),)
-    return tuple(float(v) for v in np.linspace(lo, hi, npts))
+    return tuple(float(v) for v in _linspace(lo, hi, npts, f"--{prefix}-min/--{prefix}-max"))
 
 
 def _grid_tag(prefix: str, grid: tuple[float, ...]) -> str:
@@ -317,8 +326,8 @@ def _cmd_phase_scan(args) -> list[str]:
 
 
 def _cmd_line_scan(args) -> list[str]:
-    qs = np.linspace(args.q0, args.q1, args.points)
-    ps = np.linspace(args.p0, args.p1, args.points)
+    qs = _linspace(args.q0, args.q1, args.points, "--q0/--q1")
+    ps = _linspace(args.p0, args.p1, args.points, "--p0/--p1")
     points = [PhasePoint(q, p) for q, p in zip(qs, ps)]
     values = line_scan(args.map, args.k, args.dkh, args.n, args.t, points)
     stem = f"line_scan_{args.map}_k{_fmt(args.k)}_dkh{_fmt(args.dkh)}_n{args.n}_t{args.t}"

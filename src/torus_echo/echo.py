@@ -113,8 +113,8 @@ def _overlaps(u0: MapSpec, u1s, start: np.ndarray, t_max: int):
 def _passes(u1s, rows: int, n: int):
     """u1s in groups of G, one per pass; a pass holds G + 1 blocks of rows x n.
 
-    U0's block is reserved, and G is the number of perturbed blocks that fit
-    the rest of the budget, and at least 1.
+    U0's block is reserved and G perturbed blocks, at least 1, fill the rest of
+    the budget; this one rule bounds every pass, of trace rows and pure scans.
     """
     return (u1s[s] for s in blocks(len(u1s), rows * n, rows * n))
 

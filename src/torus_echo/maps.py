@@ -81,7 +81,7 @@ FAMILIES = ("sm", "hm")
 # Largest dimension for which dense N x N matrices may be materialized.
 MATRIX_GUARD = 8192
 
-# Element budget of one block of states or orbits, to bound the working set.
+# Element budget of a pass (G + 1 blocks, echo._passes) or a block of orbits.
 BLOCK_ELEMENTS = 1 << 21
 
 
@@ -178,7 +178,6 @@ class PerturbedPair:
 
     u0: MapSpec
     u1: MapSpec
-    delta_k: float
 
     @classmethod
     def from_base(cls, u0: MapSpec, delta_k: float) -> "PerturbedPair":
@@ -186,7 +185,7 @@ class PerturbedPair:
             u1 = replace(u0, k=u0.k + delta_k)
         else:
             u1 = replace(u0, k2=u0.k2 + delta_k)
-        return cls(u0=u0, u1=u1, delta_k=delta_k)
+        return cls(u0=u0, u1=u1)
 
     @classmethod
     def from_dkh(cls, u0: MapSpec, dkh: float) -> "PerturbedPair":

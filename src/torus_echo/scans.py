@@ -1,13 +1,13 @@
 """Sweeps and phase-space scans of the non-Markovianity measure.
 
 The unit of work of a sweep is one K row: its start block (the basis rows of
-the trace measure, one per symmetry orbit, or the coherent grid for the
-pure average) goes through U0 once and through the perturbed maps of all its
-dkh values, G of them per pass.  One splitter, maps.blocks, sizes both G
-(echo._passes) and the blocks of a pure scan.  Rows are pure functions of
-their spec, so they can be farmed out to a process pool of at most one
-worker per row; results are placed by row index and the output is
-byte-identical however many workers run.
+the trace measure, one per symmetry orbit, or the coherent grid for the pure
+average) goes through the perturbed maps of its dkh values, G per pass, and
+through U0 once per pass.  One G + 1 rule (echo._passes) bounds every pass,
+and a pure scan's blocks of representatives leave room for U0 and all maps.
+One reducer, _measure, turns the passes of both routes into measures.  Rows
+are pure functions of their spec, so a pool of at most one worker per row
+may run them; placed by row index, the output is byte-identical either way.
 
 Each symmetry of the pair (maps.MapSpec.symmetries) sends the coherent state
 at (q, p) to the one at its image point, up to a global phase and the
@@ -145,30 +145,32 @@ def _orbit_representatives(u0: MapSpec, centers):
     return qp[reps], index
 
 
+def _measure(passes) -> np.ndarray:
+    """The measure of each map of each pass (and each row), summed kick by kick, in pass order."""
+    return np.concatenate([measure_rows(chain([1.0], map(np.abs, kicks))) for kicks in passes])
+
+
 def _measure_columns(u0: MapSpec, u1s: list, centers, t_max: int) -> np.ndarray:
     """Pure-state measure per perturbed map and coherent center, summed kick by kick.
 
     Row g of the result holds the measure at every center of the pair
     (u0, u1s[g]), in the order of centers.  Only the representatives of
     _orbit_representatives are evolved, and each center takes its
-    representative's value.  Representatives run in blocks of maps.blocks.
-    Each pass builds its own start states, one per row, so they too stay
-    within the budget; no name here holds them, so they are freed after the
-    first kick.
+    representative's value.  A block of representatives leaves room for U0
+    and every map (the G + 1 rule of echo._passes), so it is one pass unless
+    one row of each overflows the budget.  Each pass builds its own start
+    states; no name here holds them, so they are freed after the first kick.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     n = u0.n
     reps, index = _orbit_representatives(u0, centers)
     values = []
-    for block in blocks(len(reps), n):
+    for block in blocks(len(reps), (len(u1s) + 1) * n):
         chunk = [PhasePoint(q, p) for q, p in reps[block]]
-        passes = (
+        values.append(_measure(
             _overlaps(u0, group, np.array([coherent_state(n, c).amps for c in chunk]), t_max)
-            for group in _passes(u1s, len(chunk), n)
-        )
-        values.append(np.concatenate(
-            [measure_rows(chain([1.0], map(np.abs, rows))) for rows in passes]))
+            for group in _passes(u1s, len(chunk), n)))
     return np.concatenate(values, axis=1)[:, index]
 
 
@@ -211,9 +213,8 @@ def line_scan(
 
 def _trace_row(row) -> list[float]:
     spec, k = row
-    passes = _trace_passes(*_maps(spec.family, spec.n, k, spec.dkh_values), spec.t_max)
-    return [float(value) for kicks in passes
-            for value in measure_rows(chain([1.0], map(np.abs, kicks)))]
+    u0, u1s = _maps(spec.family, spec.n, k, spec.dkh_values)
+    return _measure(_trace_passes(u0, u1s, spec.t_max)).tolist()
 
 
 def _average_row(row) -> list[float]:

@@ -22,12 +22,14 @@ DOT_SLICE = 8192
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point (q, p) on the unit torus; coordinates wrap into [0, 1)."""
+    """A point (q, p) on the unit torus; coordinates wrap into [0, 1) and must be finite."""
 
     q: float
     p: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.q) and math.isfinite(self.p)):
+            raise ValueError(f"phase-space point must be finite, got ({self.q}, {self.p})")
         # x % 1.0 rounds a negative x above about -1.1e-16 up to 1.0
         object.__setattr__(self, "q", float(self.q) % 1.0 % 1.0)
         object.__setattr__(self, "p", float(self.p) % 1.0 % 1.0)

@@ -362,6 +362,33 @@ def test_a_classical_value_that_is_not_finite_exits_2(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+_LINE = ("line-scan", "--map", "sm", "--k", 0.9, "--dkh", 2, "--n", 16, "--t", 3, "--points", 3)
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (_LINE + ("--q0=-1e308", "--q1", 1e308, "--p0", 0, "--p1", 0.5), "--q0/--q1"),
+    (_LINE + ("--q0", 0, "--q1", 1, "--p0=-1e308", "--p1", 1e308), "--p0/--p1"),
+    (("avg-mp-sweep", "--map", "sm", "--k-min=-1e308", "--k-max", 1e308, "--k-points", 3,
+      "--dkh", 2, "--n", 16, "--t", 3, "--s", 2), "--k-min/--k-max"),
+    (("nm-sweep", "--map", "hm", "--k", 0.2, "--dkh-min=-1e308", "--dkh-max", 1e308,
+      "--dkh-points", 2, "--n", 16, "--t", 3), "--dkh-min/--dkh-max"),
+], ids=["line-q", "line-p", "avg-mp-k", "nm-dkh"])
+def test_a_range_whose_span_overflows_exits_2_before_any_compute(tmp_path, capsys, monkeypatch,
+                                                                 argv, flags):
+    # finite end points 2e308 apart: np.linspace overflows to nan, which would
+    # reach the maps or the coherent states; the suite turns a warning into an error
+    def computed(*args, **kwargs):
+        raise AssertionError("the range reached the computation")
+
+    monkeypatch.setattr(cli, "line_scan", computed)
+    monkeypatch.setattr(cli, "SweepSpec", computed)
+    assert run(*argv, "--out-dir", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"{flags}: the range -1e+308 .. 1e+308 overflows" in err
+    assert "Warning" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_nm_sweep_gamma_companion_needs_plot_and_a_dkh_grid(tmp_path):
     base = ("nm-sweep", "--map", "sm", "--k", 0.5, "--n", 32, "--t", 5,
             "--out-dir", tmp_path)

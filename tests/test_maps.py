@@ -56,7 +56,7 @@ def test_perturbation_placement():
     assert hm.u1.k == 0.2 and hm.u1.k2 == 0.25
 
     pair = PerturbedPair.from_dkh(MapSpec(family="sm", n=32, k=1.0), 2.0)
-    assert abs(pair.delta_k - 2.0 * 2 * np.pi / 32) < 1e-15
+    assert abs((pair.u1.k - pair.u0.k) - 2.0 * 2 * np.pi / 32) < 1e-15
 
 
 def test_free_standard_map_is_momentum_diagonal():

@@ -129,9 +129,9 @@ def test_peak_memory_does_not_grow_with_horizon(route, columns):
 
 
 def test_start_states_are_built_per_block(monkeypatch):
-    # 64-row blocks at N=64: going from s=8 to s=32 adds 960 coherent states,
-    # 0.98 MB of complex start rows if they were all built up front; the
-    # allowance is a quarter of that
+    # 32-row blocks at N=64, with room for U0 and one perturbed map: going
+    # from s=8 to s=32 adds 960 coherent states, 0.98 MB of complex start
+    # rows if they were all built up front; the allowance is a quarter of that
     monkeypatch.setattr(maps, "BLOCK_ELEMENTS", 1 << 12)
 
     def scan(s):
@@ -156,8 +156,9 @@ def test_line_scan_returns_points_in_order():
 
 
 def test_blocked_scan_matches_unsplit_scan(monkeypatch):
-    # the 16 centers of a 4 x 4 grid at N=64 form 10 parity orbits; their
-    # representatives in blocks of 3 rows: 3, 3, 3 and a ragged 1
+    # the 16 centers of a 4 x 4 grid at N=64 form 10 parity orbits; a budget
+    # of 6 rows leaves room for U0 and the one perturbed map of 3 rows, so
+    # the representatives run in blocks of 3, 3, 3 and a ragged 1
     whole = scan_phase_space("sm", 0.9, 2.0, 64, 50, 4)
     sizes = []
 
@@ -165,7 +166,7 @@ def test_blocked_scan_matches_unsplit_scan(monkeypatch):
         sizes.append(start.shape[0])
         return _overlaps(u0, u1s, start, t_max)
 
-    monkeypatch.setattr(maps, "BLOCK_ELEMENTS", 3 * 64)
+    monkeypatch.setattr(maps, "BLOCK_ELEMENTS", 6 * 64)
     monkeypatch.setattr(scans, "_overlaps", spy)
     split = scan_phase_space("sm", 0.9, 2.0, 64, 50, 4)
     assert sizes == [3, 3, 3, 1]
@@ -182,6 +183,19 @@ def _spy_rows(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(scans, "_overlaps", spy)
     return rows
+
+
+def _spy_passes(monkeypatch) -> list[tuple[int, int]]:
+    """(start rows, perturbed maps) of every pass that echo and scans run, in call order."""
+    passes = []
+
+    def spy(u0, u1s, start, t_max):
+        passes.append((start.shape[0], len(u1s)))
+        return _overlaps(u0, u1s, start, t_max)
+
+    monkeypatch.setattr(echo, "_overlaps", spy)
+    monkeypatch.setattr(scans, "_overlaps", spy)
+    return passes
 
 
 _DIAGONAL = [PhasePoint(v, v) for v in np.linspace(0.0, 1.0, 41)]  # acceptance check 6
@@ -281,17 +295,24 @@ def test_row_pool_never_outnumbers_the_rows(monkeypatch):
 
 def test_sweep_row_results_do_not_depend_on_maps_per_pass(monkeypatch):
     # six dkh per K row at N=32: G = 1, 2 and 5 perturbed blocks per pass
-    # (six passes of one, 2+2+2 and 5+1) give the same bits as one pass per cell
+    # (six passes of one, 2+2+2 and 5+1) give the same bits as one pass per cell.
+    # A trace pass holds the 17 rows of the halved basis; a pure-average pass
+    # holds one of the 5 parity representatives of the s=3 grid, since the
+    # budget fits one row of U0 and g maps but not two rows
     dkh = (0.5, 1.0, 1.7, 2.0, 2.4, 3.1)
+    groups = {1: [1] * 6, 2: [2, 2, 2], 5: [5, 1]}
+    passes = _spy_passes(monkeypatch)
     results = {}
     for kind in ("trace", "pure-average"):
         spec = SweepSpec(family="sm", k_values=(0.5, 1.3), dkh_values=dkh, n=32,
                          t_max=25, kind=kind, s=3)
-        rows = 32 // 2 + 1 if kind == "trace" else 9  # parity halves the sm trace basis
+        rows, starts = (32 // 2 + 1, 2) if kind == "trace" else (1, 2 * 5)
         for g in (1, 2, 5):
             monkeypatch.setattr(maps, "BLOCK_ELEMENTS", (g + 1) * rows * 32)
             assert len(next(echo._passes(dkh, rows, 32))) == g
+            passes.clear()
             results[kind, g] = sweep(spec)
+            assert passes == [(rows, size) for size in groups[g]] * starts
         values = {g: np.array([r.value for r in results[kind, g]]) for g in (1, 2, 5)}
         assert np.array_equal(values[2], values[1])
         assert np.array_equal(values[5], values[1])
@@ -363,6 +384,38 @@ def test_maps_per_pass_are_capped_by_the_budget(monkeypatch):
     one = _peak_bytes(lambda: run((1.0,)))
     five = _peak_bytes(lambda: run((1.0, 1.5, 2.0, 2.5, 3.0)))
     assert five <= one + n * n * 16 / 4
+
+
+def _pure_average_row(n: int, s: int, dkh_values):
+    return sweep(SweepSpec(family="sm", k_values=(0.9,), dkh_values=dkh_values, n=n, t_max=3,
+                           kind="pure-average", s=s))
+
+
+def test_a_pure_pass_fits_the_budget(monkeypatch):
+    # a block of representatives leaves room for U0 and every perturbed map,
+    # so a pass holds one budget of blocks; the start rows, the overlaps and
+    # numpy's buffers come on top.  Rows sized by the budget alone, with U0
+    # and the maps on top, held two budgets (2.34 here)
+    n = 512
+    budget = 64 * n
+    monkeypatch.setattr(maps, "BLOCK_ELEMENTS", budget)
+    for run in (lambda: scan_phase_space("sm", 0.9, 2.0, n, 3, 16),
+                lambda: _pure_average_row(n, 16, (1.0, 2.0, 3.0))):
+        run()  # the first call fills one-off caches
+        assert _peak_bytes(run) <= 1.5 * budget * 16
+
+
+def test_pure_average_row_propagates_u0_once_per_block(monkeypatch):
+    # 10 parity representatives of a 4 x 4 grid at N=32 and a budget of 10
+    # rows: blocks of 2 rows leave room for U0 and all three maps.  Filling
+    # the budget with 10 rows would leave room for no map beside U0, and U0
+    # would run again for every dkh value
+    whole = _pure_average_row(32, 4, (1.0, 2.0, 3.0))
+    monkeypatch.setattr(maps, "BLOCK_ELEMENTS", 10 * 32)
+    passes = _spy_passes(monkeypatch)
+    split = _pure_average_row(32, 4, (1.0, 2.0, 3.0))
+    assert passes == [(2, 3)] * 5
+    assert [r.value for r in split] == [r.value for r in whole]
 
 
 def test_scan_is_deterministic():

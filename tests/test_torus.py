@@ -1,5 +1,7 @@
 """Hilbert space on the unit torus: phase points, states, coherent states."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +26,14 @@ def test_phase_point_wraps_into_unit_square():
 def test_phase_point_coordinates_lie_in_the_unit_interval(q, p):
     pt = PhasePoint(q, p)
     assert 0.0 <= pt.q < 1.0 and 0.0 <= pt.p < 1.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_phase_point_refuses_coordinates_that_are_not_finite(bad):
+    # x % 1.0 of an inf or a nan is nan, which reaches coherent_state
+    for q, p in ((bad, 0.2), (0.2, bad)):
+        with pytest.raises(ValueError, match="must be finite"):
+            PhasePoint(q, p)
 
 
 def test_dimension_must_be_at_least_two():
