@@ -136,7 +136,8 @@ def phase_portrait(family, k, k2=None, n_orbits=100, steps=300, seed=0):
 
     The torus is cut into a near-square grid of cells, one jittered initial
     condition per cell, so portraits cover uniformly at any orbit count.
-    Returns an array of (x, p) rows, orbits concatenated.
+    Returns an array of (x, p) rows, time-major: the n_orbits points of step
+    0, then those of step 1, and so on, (steps + 1) * n_orbits rows in all.
     """
     _check_params(family, k, k2)
     _check_count("n_orbits", n_orbits)

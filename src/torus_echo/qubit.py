@@ -19,11 +19,9 @@ if TYPE_CHECKING:
     from .echo import FidelitySeries
 
 __all__ = [
-    "apply_channel",
     "blp_sampled",
     "bloch_state",
     "closed_form",
-    "random_pure_pairs",
     "trace_distance",
 ]
 
@@ -38,7 +36,7 @@ def bloch_state(nx: float, ny: float, nz: float) -> np.ndarray:
     )
 
 
-def apply_channel(f: complex, rho: np.ndarray) -> np.ndarray:
+def _apply_channel(f: complex, rho: np.ndarray) -> np.ndarray:
     """Dephase a qubit state: diagonal kept, coherence scaled by f."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
@@ -55,7 +53,7 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
-def random_pure_pairs(n_pairs: int, seed: int) -> np.ndarray:
+def _random_pure_pairs(n_pairs: int, seed: int) -> np.ndarray:
     """Antipodal Bloch pairs with axes drawn uniformly on the sphere.
 
     Distinguishability under dephasing is maximized by orthogonal pure
@@ -81,7 +79,7 @@ def blp_sampled(series: FidelitySeries, n_pairs: int = 500, seed: int = 7) -> fl
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    nx, ny, nz = random_pure_pairs(n_pairs, seed)[:, 0].T
+    nx, ny, nz = _random_pure_pairs(n_pairs, seed)[:, 0].T
     nxy2, nz2 = nx * nx + ny * ny, nz * nz
     rows = (np.sqrt(nz2 + g * nxy2) for g in np.abs(series.values[1:]) ** 2)
     return float(np.max(measure_rows(chain([np.sqrt(nxy2 + nz2)], rows))))

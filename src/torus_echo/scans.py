@@ -15,14 +15,14 @@ three-image truncation of torus.coherent_state, and leaves |f(t)| unchanged:
 a unitary one keeps f(t), an antiunitary one conjugates it.  A pure scan
 therefore evolves one center per orbit of the table (65 of a 16 x 16 grid's
 256 states for hm at even N, 130 with parity alone).  A center whose two
-coordinates round, mod 1, to the same multiple of 2**-31 as an earlier center
-or one of its images takes that representative's value; the outputs keep
-the shape and order of the centers given.  The truncation moves
-amplitudes by about exp(-pi N), which at N = 7 already moves M by 1e-9
-within 1000 kicks (3e-11 at N = 8), so below N = _PAIRED_MIN_N = 8, and for
-maps with an empty table, every center is evolved.  The half shift of hm at
-even N moves the truncation by the same order, since the dropped images
-stay at distance >= 1 from the grid.
+coordinates round, mod 1, to the same multiple of 2**-44 as an earlier center
+or one of its images takes that representative's value, so a repeated point
+is evolved once in every scan; the outputs keep the shape and order of the
+centers given.  The truncation moves amplitudes by about exp(-pi N), which
+at N = 7 already moves M by 1e-9 within 1000 kicks (3e-11 at N = 8), so
+below N = _PAIRED_MIN_N = 8 no image is used, and every distinct center is
+evolved.  The half shift of hm at even N moves the truncation by the same
+order, since the dropped images stay at distance >= 1 from the grid.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ __all__ = [
 # Two centers are one point of the torus when both coordinates round to the
 # same multiple of 1/_CELLS mod 1, far below the 1/N width of any coherent
 # state; a near pair on either side of a half step is two points, and both
-# are evolved.  _CELLS**2 fits an int64 key.
-_CELLS = 1 << 31
+# are evolved.  Each coordinate's cell is exact in a float below 2**53, and
+# numpy sorts the complex key (q cell, p cell) lexicographically.
+_CELLS = 1 << 44
 # Smallest N whose scans are paired; see the module docstring.
 _PAIRED_MIN_N = 8
 
@@ -126,22 +127,20 @@ def _maps(family: str, n: int, k: float, dkh_values) -> tuple[MapSpec, list[MapS
 def _orbit_representatives(u0: MapSpec, centers):
     """The (q, p) of the centers to evolve, an (m, 2) array, and the index back to centers.
 
-    When u0 has symmetries and N >= _PAIRED_MIN_N, every center and image
-    rounds to a lattice point (q, p) * _CELLS mod _CELLS, owned by the
-    earliest center landing there.  Only owners are evolved: index[i] is the
-    position of the owner of center i's own point.  Otherwise every center is
-    evolved in its order, and index is slice(None).
+    Every center and each of its images under the table (empty below
+    _PAIRED_MIN_N) rounds to a lattice point (q, p) * _CELLS mod _CELLS,
+    owned by the earliest center landing there.  Only owners are evolved, in
+    the order of centers: index[i] is the position of the owner of center
+    i's own point, so repeated points share one evolution in every scan.
     """
     qp = np.fromiter(((c.q, c.p) for c in centers), dtype=np.dtype((float, 2)))
-    if not (u0.symmetries and u0.n >= _PAIRED_MIN_N):
-        return qp, slice(None)
-    m = len(qp)
-    pts = np.concatenate([qp, *(qp * (s.sq, s.sp) + (s.aq, s.ap) for s in u0.symmetries)])
-    cells = np.rint(pts * _CELLS).astype(np.int64) % _CELLS
-    keys, point = np.unique(cells[:, 0] * _CELLS + cells[:, 1], return_inverse=True)
-    owner = np.full(len(keys), m)
-    np.minimum.at(owner, point, np.tile(np.arange(m), 1 + len(u0.symmetries)))
-    reps, index = np.unique(owner[point[:m]], return_inverse=True)
+    table = u0.symmetries if u0.n >= _PAIRED_MIN_N else ()
+    # center-major, so a point's first occurrence is its earliest center's
+    pts = np.stack([qp, *(qp * (s.sq, s.sp) + (s.aq, s.ap) for s in table)], axis=1)
+    cells = np.rint(pts * _CELLS) % _CELLS
+    _, first, point = np.unique((cells[..., 0] + 1j * cells[..., 1]).ravel(),
+                                return_index=True, return_inverse=True)
+    reps, index = np.unique(first[point[::pts.shape[1]]] // pts.shape[1], return_inverse=True)
     return qp[reps], index
 
 

@@ -251,6 +251,15 @@ def test_config_supplies_defaults_and_flags_override(tmp_path):
     assert (tmp_path / "fidelity_sm_k0.9_dkh1.5_n32_t10_trace.gp").exists()
 
 
+def test_config_reads_a_false_switch(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("map = sm\nplot = no\n")
+    argv = ["phase-scan", "--config", str(cfg), "--k", "0.9", "--dkh", "1", "--n", "16",
+            "--t", "3", "--s", "2"]
+    args = cli._resolve(cli.build_parser().parse_args(argv))
+    assert args.map == "sm" and args.plot is False
+
+
 # `config` names the file itself; a config file cannot chain to another one
 @pytest.mark.parametrize("key", ["bogus", "config"])
 def test_unknown_config_key_is_rejected(tmp_path, capsys, key):
@@ -437,6 +446,26 @@ def test_missing_grid_names_all_three_forms(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, error", [
+    (("--k-values", ","), "--k-values is empty"),
+    (("--k-min", 0.1, "--k-max", 0.5), "--k-min, --k-max and --k-points go together"),
+    (("--k-min", 0.1, "--k-max", 0.5, "--k-points", 0), "--k-points must be >= 1, got 0"),
+], ids=["empty-list", "range-without-points", "zero-points"])
+def test_bad_grid_forms_exit_2_before_any_compute(tmp_path, capsys, flags, error):
+    rc = run("nm-sweep", "--map", "sm", *flags, "--dkh", 1, "--n", 16, "--t", 3,
+             "--out-dir", tmp_path)
+    assert rc == 2
+    assert error in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_one_point_range_is_its_minimum():
+    argv = ["nm-sweep", "--map", "sm", "--k-min", "0.3", "--k-max", "0.7", "--k-points", "1",
+            "--dkh", "1", "--n", "16", "--t", "3"]
+    args = cli._resolve(cli.build_parser().parse_args(argv))
+    assert cli._grid_values(args, "k") == (0.3,)
+
+
 @pytest.mark.parametrize("flags, entries", [
     (("--k", 0.5, "--k-values", "1,2", "--dkh", 1), ""),
     (("--k", 0.5, "--dkh", 1, "--dkh-min", 1, "--dkh-max", 2, "--dkh-points", 2), ""),
@@ -616,6 +645,12 @@ def test_gamma_curve_beyond_the_j0_range_exits_2(tmp_path, capsys):
     rc = run("gamma-curve", "--dkh-max", 10000, "--points", 5, "--out-dir", tmp_path)
     assert rc == 2
     assert "|x| <= 8192" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gamma_curve_with_a_zero_dkh_max_exits_2(tmp_path, capsys):
+    assert run("gamma-curve", "--dkh-max", 0, "--points", 5, "--out-dir", tmp_path) == 2
+    assert "--dkh-max must be positive, got 0.0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -845,3 +880,24 @@ def test_readme_command_lines_parse_and_resolve():
     for line in lines:
         argv = shlex.split(line)[1:]
         assert cli._resolve(parser.parse_args(argv)).cmd == argv[0], line
+
+
+def test_benchmark_command_lines_parse_and_resolve():
+    # every command line of every benchmark workload, at both shapes, goes
+    # through the parser and the config merge of a real run; importing the
+    # harness also resolves every library name it calls
+    import importlib.util
+    import json
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_harness", root / "bench" / "harness.py")
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    assert len(workloads) == 3
+    parser = cli.build_parser()
+    for shapes in harness.SHAPES.values():
+        for workload in workloads:
+            for argv in harness.cli_argvs(workload, shapes[workload], 0, "out"):
+                args = cli._resolve(parser.parse_args(argv))
+                assert args.cmd == argv[0] and args.out_dir == "out", argv

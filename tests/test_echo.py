@@ -378,3 +378,20 @@ def test_save_load_roundtrip(tmp_path):
     assert back.kind == "trace"
     # repr round-trips doubles exactly
     assert np.array_equal(back.values, series.values)
+
+
+def test_a_modulus_beyond_the_double_range_is_written_as_inf(tmp_path):
+    # both parts are finite, but |f| overflows a double
+    series = FidelitySeries(np.array([1.0, 1.5e308 * (1 + 1j)]), kind="trace")
+    path = tmp_path / "series.csv"
+    save_series(series, path)
+    assert path.read_text().splitlines()[-1] == "1,1.5e+308,1.5e+308,inf"
+    assert np.array_equal(load_series(path).values, series.values)
+
+
+def test_refusals_of_the_series_routes():
+    pair = _pair("sm", 1.0, 16, 2.0)
+    with pytest.raises(ValueError, match="t_max must be >= 1, got 0"):
+        fidelity_trace(pair, 0)
+    with pytest.raises(ValueError, match="state dimension 8 does not match pair 16"):
+        fidelity_from_state(pair, coherent_state(8, PhasePoint(0.5, 0.5)), 3)

@@ -75,6 +75,11 @@ def test_kickless_harper_is_identity():
     assert abs(abs(np.vdot(out.amps, state.amps)) - 1.0) < 1e-12
 
 
+def test_apply_map_refuses_a_state_of_another_dimension():
+    with pytest.raises(ValueError, match="state dimension 8 does not match spec 16"):
+        apply_map(MapSpec(family="sm", n=16, k=1.0), _momentum_state(8, 3))
+
+
 def test_two_site_standard_map_matches_hand_computation():
     # N=2: kick diag(e^{-iK/pi}, e^{+iK/pi}) from cos(2*pi*q) = +/-1, drift
     # diag(1, -i) from exp(-i*pi*k^2/2), and the 2-point transform

@@ -8,11 +8,11 @@ import pytest
 from torus_echo.echo import FidelitySeries, fidelity_trace
 from torus_echo.maps import MapSpec, PerturbedPair
 from torus_echo.qubit import (
-    apply_channel,
+    _apply_channel,
+    _random_pure_pairs,
     blp_sampled,
     bloch_state,
     closed_form,
-    random_pure_pairs,
     trace_distance,
 )
 
@@ -24,12 +24,12 @@ def _series(absvals):
 def _blp_loop(series, n_pairs, seed):
     """Sampled measure pair by pair and kick by kick, from the 2x2 matrices."""
     best = 0.0
-    for na, nb in random_pure_pairs(n_pairs, seed):
+    for na, nb in _random_pure_pairs(n_pairs, seed):
         rho_a, rho_b = bloch_state(*na), bloch_state(*nb)
         gain = 0.0
         d_prev = trace_distance(rho_a, rho_b)
         for f in series.values[1:]:
-            d = trace_distance(apply_channel(f, rho_a), apply_channel(f, rho_b))
+            d = trace_distance(_apply_channel(f, rho_a), _apply_channel(f, rho_b))
             if d > d_prev:
                 gain += d - d_prev
             d_prev = d
@@ -64,22 +64,29 @@ def test_bloch_states_are_valid_density_matrices():
 
 def test_channel_identity_and_full_dephasing():
     rho = bloch_state(0.6, 0.3, 0.5)
-    np.testing.assert_allclose(apply_channel(1.0, rho), rho, atol=1e-15)
-    dephased = apply_channel(0.0, rho)
+    np.testing.assert_allclose(_apply_channel(1.0, rho), rho, atol=1e-15)
+    dephased = _apply_channel(0.0, rho)
     assert dephased[0, 1] == 0.0 and dephased[1, 0] == 0.0
     np.testing.assert_allclose(np.diag(dephased), np.diag(rho), atol=1e-15)
 
 
 def test_channel_halves_equatorial_coherence():
-    out = apply_channel(0.5, bloch_state(1, 0, 0))
+    out = _apply_channel(0.5, bloch_state(1, 0, 0))
     np.testing.assert_allclose(out, [[0.5, 0.25], [0.25, 0.5]], atol=1e-15)
+
+
+def test_refusals_of_the_channel_and_the_sampled_measure():
+    with pytest.raises(ValueError, match="expected a 2x2 density matrix, got shape"):
+        _apply_channel(0.5, np.eye(3) / 3)
+    with pytest.raises(ValueError, match="n_pairs must be >= 1, got 0"):
+        blp_sampled(_series([1.0, 0.5, 0.7]), n_pairs=0)
 
 
 def test_channel_preserves_trace_and_positivity():
     rng = np.random.default_rng(9)
     for rho in _random_states(30, seed=2):
         f = rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform())
-        out = apply_channel(f, rho)
+        out = _apply_channel(f, rho)
         assert abs(np.trace(out) - 1.0) < 1e-12
         assert np.linalg.eigvalsh(out).min() > -1e-12
 
@@ -95,7 +102,7 @@ def test_equatorial_pair_distance_equals_fidelity_modulus():
     # restricted to the xy block, whose eigenvalues are +/-|f|
     f = 0.3 * np.exp(1j * np.pi / 5)
     plus, minus = bloch_state(1, 0, 0), bloch_state(-1, 0, 0)
-    d = trace_distance(apply_channel(f, plus), apply_channel(f, minus))
+    d = trace_distance(_apply_channel(f, plus), _apply_channel(f, minus))
     assert abs(d - 0.3) < 1e-12
 
 
@@ -105,8 +112,8 @@ def test_channel_is_a_contraction():
     for i in range(0, 12, 2):
         f = rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform())
         before = trace_distance(states[i], states[i + 1])
-        after = trace_distance(apply_channel(f, states[i]),
-                               apply_channel(f, states[i + 1]))
+        after = trace_distance(_apply_channel(f, states[i]),
+                               _apply_channel(f, states[i + 1]))
         assert after <= before + 1e-12
 
 
@@ -121,7 +128,7 @@ def test_trace_distance_unitary_invariance():
 
 
 def test_random_pairs_are_antipodal_unit_vectors():
-    pairs = random_pure_pairs(40, seed=3)
+    pairs = _random_pure_pairs(40, seed=3)
     assert pairs.shape == (40, 2, 3)
     np.testing.assert_allclose(np.linalg.norm(pairs, axis=2), 1.0, atol=1e-12)
     np.testing.assert_allclose(pairs[:, 0], -pairs[:, 1], atol=0)

@@ -225,12 +225,22 @@ def test_scans_evolve_one_center_per_parity_orbit(monkeypatch):
 
 
 def test_centers_in_one_lattice_cell_are_evolved_once(monkeypatch):
-    # 0.25 lies on the 2**-31 lattice and 0.25 + 1e-10 is 0.21 steps off it:
+    # 0.25 lies on the 2**-44 lattice and 0.25 + 1e-14 is 0.18 steps off it:
     # one point, though the two are not equal bit for bit
+    rows = _spy_rows(monkeypatch)
+    points = [PhasePoint(0.25, 0.4), PhasePoint(0.25 + 1e-14, 0.4)]
+    values = line_scan("hm", 0.3, 2.0, 64, 5, points)
+    assert rows == [1] and values[0] == values[1]
+
+
+def test_centers_1e_10_apart_are_evolved_separately(monkeypatch):
+    # 1e-10 is about 1760 steps of the lattice: two points, each evolved, and
+    # each value that of the center evolved alone
     rows = _spy_rows(monkeypatch)
     points = [PhasePoint(0.25, 0.4), PhasePoint(0.25 + 1e-10, 0.4)]
     values = line_scan("hm", 0.3, 2.0, 64, 5, points)
-    assert rows == [1] and values[0] == values[1]
+    assert rows == [2]
+    assert values.tolist() == [line_scan("hm", 0.3, 2.0, 64, 5, [c])[0] for c in points]
 
 
 def test_a_center_just_below_zero_is_the_center_at_zero(monkeypatch):
@@ -256,12 +266,15 @@ def test_parity_alone_pairs_odd_hm_and_sm(monkeypatch, family, n):
 @pytest.mark.parametrize("family,n", [("sm", 63), ("hm", 7)])
 def test_unpaired_scans_evolve_every_center(monkeypatch, family, n):
     # sm at odd N has no symmetry; below _PAIRED_MIN_N the truncated
-    # images of coherent_state break the symmetry by more than rounding
+    # images of coherent_state break the symmetry by more than rounding.
+    # Every distinct center is evolved: the diagonal's ends (0, 0) and
+    # (1, 1) are one point of the torus and share one evolution
     assert n < _PAIRED_MIN_N or not MapSpec(family=family, n=n, k=0.98).symmetries
     rows = _spy_rows(monkeypatch)
     scan_phase_space(family, 0.98, 2.0, n, 5, 16)
-    line_scan(family, 0.98, 2.0, n, 5, _DIAGONAL)
-    assert rows == [256, 41]
+    values = line_scan(family, 0.98, 2.0, n, 5, _DIAGONAL)
+    assert rows == [256, 40]
+    assert values[0].tobytes() == values[-1].tobytes()
 
 
 def test_paired_scans_rerun_byte_identical(tmp_path):
@@ -456,6 +469,15 @@ def test_grid_save_load_roundtrip(tmp_path):
     assert (back.family, back.k, back.dkh) == ("sm", 0.9, 2.0)
     assert (back.n, back.t_max, back.s) == (64, 30, 4)
     assert np.array_equal(back.values, grid.values)
+
+
+def test_refusals_of_grids_and_their_files(tmp_path):
+    with pytest.raises(ValueError, match="grid side must be >= 1, got 0"):
+        scan_phase_space("sm", 0.9, 2.0, 16, 3, 0)
+    path = tmp_path / "grid.csv"
+    path.write_text("# demo\n0.5,0.25\n0.125,1.0\n")
+    with pytest.raises(ValueError, match="no metadata line found"):
+        load_grid(path)
 
 
 def test_pgm_rendering_scales_min_to_max(tmp_path):
