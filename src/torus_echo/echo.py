@@ -2,13 +2,15 @@
 
 f(t) = <psi| U1^dag(t) U0(t) |psi> for pure initial states, and the maximally
 mixed average <f(t)> = Tr[U1^dag(t) U0(t)] / N for the trace variant.  One
-kernel runs every route: a pass evolves one unperturbed block a = U0^t start
-and G perturbed blocks b_g = U1g^t start side by side, one kick per step, with
-one initial state per row.  Every block is updated in place and no scratch
-block is needed (maps.split_step), so a pass holds G + 1 blocks (_passes
-fits them to the block budget) and its memory does not grow with the number
-of kicks.  After every kick each b_g is reduced against a to one overlap per
-row (np.vecdot, in fixed slices of at most 8192 amplitudes).
+kernel runs every route: a pass is one stack of G + 1 blocks, the unperturbed
+block a = U0^t start and G perturbed blocks b_g = U1g^t start, with one
+initial state per row.  Each kick is one maps.split_step over the whole
+stack, with the maps' phase tables stacked as (G + 1) x N, and updates it in
+place with no scratch block.  The start grows into the stack in place, so a
+pass holds G + 1 blocks (_passes fits them to the block budget) and its
+memory does not grow with the number of kicks.  After every kick one overlap
+call reduces each b_g against a to one overlap per row, a (G, rows) array
+(np.vecdot, in fixed slices of at most 8192 amplitudes).
 A pure pass has one row, whose overlap is f(t).  A trace pass yields, after
 every kick, each map's weighted sum of row overlaps divided by N: a series
 function collects these values, and a sweep over several perturbations of
@@ -88,33 +90,39 @@ def _row_overlaps(b: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _overlaps(u0: MapSpec, u1s, start: np.ndarray, t_max: int):
-    """Propagate `start` under u0 and under each map of u1s; yield G row overlaps per kick.
+    """Propagate `start` under u0 and each map of u1s; yield (G, rows) overlaps per kick.
 
-    start holds one initial state per row and is not modified.  a_t = U0^t start
-    and b_t = U1^t start for each of the G maps U1 of u1s, t = 1 .. t_max; after
-    every kick the generator yields the overlaps <b_t|a_t> of every row, one
-    array per map, in u1s order.  The blocks live in u0's frame (module
-    docstring), which leaves the overlaps unchanged.
+    start holds one initial state per row and is not modified.  A pass is one
+    stack of G + 1 blocks, a_t = U0^t start first and then b_t = U1^t start for
+    each of the G maps U1 of u1s, t = 1 .. t_max.  Each kick is one split_step
+    over the whole stack, with the maps' phase tables stacked as (G + 1, 1, N);
+    after it the generator yields the overlaps <b_t|a_t> of every row, row g
+    for u1s[g].  The blocks live in u0's frame (module docstring), which
+    leaves the overlaps unchanged.
     """
-    a = np.array(start, dtype=complex)
-    del start  # a start built for this call is freed before the blocks are
+    a = np.array(start, dtype=complex, order="C")
+    del start  # a start built for this call is freed before the stack is
     entry, kick0, drift0 = step_phases(u0)
-    phases = [step_phases(u1)[1:] for u1 in u1s]
+    phases = [(kick0, drift0), *(step_phases(u1)[1:] for u1 in u1s)]
+    kicks = np.stack([kick for kick, _ in phases])[:, None]
+    drifts = None if drift0 is None else np.stack([drift for _, drift in phases])[:, None]
     if entry is not None:
         np.multiply(entry, a, out=a)
-    bs = [a.copy() for _ in u1s]
+    # the start grows into the stack in place, so the two are never held side
+    # by side; a was made above and no other name or view holds it
+    a.resize((len(phases), *a.shape), refcheck=False)
+    a[1:] = a[0]
     for _ in range(t_max):
-        split_step(a, kick0, drift0)
-        for b, (kick, drift) in zip(bs, phases):
-            split_step(b, kick, drift)
-        yield [_row_overlaps(b, a) for b in bs]
+        split_step(a, kicks, drifts)
+        yield _row_overlaps(a[1:], a[0])
 
 
 def _passes(u1s, rows: int, n: int):
-    """u1s in groups of G, one per pass; a pass holds G + 1 blocks of rows x n.
+    """u1s in groups of G, one per pass; a pass is one stack of G + 1 blocks of rows x n.
 
     U0's block is reserved and G perturbed blocks, at least 1, fill the rest of
     the budget; this one rule bounds every pass, of trace rows and pure scans.
+    Each pass steps its whole stack by one split_step per kick (_overlaps).
     """
     return (u1s[s] for s in blocks(len(u1s), rows * n, rows * n))
 
@@ -164,9 +172,9 @@ def _trace_passes(u0: MapSpec, u1s, t_max: int):
     rows, sizes = _trace_basis(u0)
     real = any(s.antiunitary for s in u0.symmetries)
     for group in _passes(u1s, rows.size, n):
-        # no name holds the start rows, so _overlaps frees them before the blocks
+        # no name holds the start rows, so _overlaps frees them before the stack
         kicks = _overlaps(u0, group, (rows[:, None] == np.arange(n)).astype(complex), t_max)
-        traces = (np.array([(sizes * r).sum() for r in overlaps]) / n for overlaps in kicks)
+        traces = ((sizes * overlaps).sum(axis=1) / n for overlaps in kicks)
         yield (f.real for f in traces) if real else traces
 
 

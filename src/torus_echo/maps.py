@@ -236,10 +236,18 @@ def step_phases(spec: MapSpec) -> tuple[np.ndarray | None, np.ndarray, np.ndarra
 
 
 def split_step(x: np.ndarray, kick: np.ndarray, drift: np.ndarray | None) -> np.ndarray:
-    """One split-operator step of x (a vector, or one state per row), in place.
+    """One split-operator step of x (a vector, rows of states or a stack of blocks), in place.
 
     The step is ifft(drift * fft(kick * x)), or fft(kick * x) alone when
-    drift is None: the one-FFT step of the sm chirp frame (step_phases).
+    drift is None: the one-FFT step of the sm chirp frame (step_phases).  The
+    phase tables broadcast against x, so a stack of blocks (G + 1, rows, N)
+    steps under tables (G + 1, 1, N), one map per block.  The position-frame
+    pair is scaled as numpy's default, an unscaled forward FFT and a 1/N
+    inverse, one scaling pass per step where 1/sqrt(N) on each side takes two;
+    the two scalings give the same bits when sqrt(N) is a power of two
+    (N = 4, 16, 64, 256, ...) and agree at rounding level elsewhere.  The
+    chirp frame's single FFT is unitary (norm="ortho").
+
     Every operation writes into x, which needs no scratch array: with input
     and output the same array, numpy transforms each row where it lies.  The
     FFTs run along the last, contiguous axis.  The operand order is part of
@@ -248,11 +256,11 @@ def split_step(x: np.ndarray, kick: np.ndarray, drift: np.ndarray | None) -> np.
     ``x *= kick`` or ``x *= drift`` would not.
     """
     np.multiply(kick, x, out=x)
-    np.fft.fft(x, norm="ortho", out=x)
-    if drift is not None:
-        np.multiply(drift, x, out=x)
-        np.fft.ifft(x, norm="ortho", out=x)
-    return x
+    if drift is None:
+        return np.fft.fft(x, norm="ortho", out=x)
+    np.fft.fft(x, out=x)
+    np.multiply(drift, x, out=x)
+    return np.fft.ifft(x, out=x)
 
 
 def apply_map(spec: MapSpec, state: TorusState) -> TorusState:

@@ -42,38 +42,95 @@ def _pair(family, k, n, dkh):
 @pytest.mark.parametrize("family,k,n", [("sm", 0.9, 256), ("hm", 0.3, 100), ("sm", 2.5, 33)])
 @pytest.mark.parametrize("rows", [None, 1, 5, "n"])
 def test_in_place_step_matches_allocating_step_bit_for_bit(family, k, n, rows):
-    # the operand order of the kernel is pinned: drift * x, not x * drift
+    # the operand order of the kernel is pinned: drift * x, not x * drift,
+    # and so is its scaling: an unscaled forward FFT and a 1/N inverse
     spec = MapSpec(family=family, n=n, k=k)
     kick, drift = kick_phase(spec), drift_phase(spec)
     shape = (n,) if rows is None else (n if rows == "n" else rows, n)
     rng = np.random.default_rng(7)
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    expected = np.fft.ifft(drift * np.fft.fft(kick * x, norm="ortho"), norm="ortho")
+    expected = np.fft.ifft(drift * np.fft.fft(kick * x))
     y = x.copy()
     for _ in range(3):
         assert split_step(y, kick, drift) is y
         assert np.array_equal(y, expected)
-        expected = np.fft.ifft(drift * np.fft.fft(kick * expected, norm="ortho"), norm="ortho")
+        expected = np.fft.ifft(drift * np.fft.fft(kick * expected))
 
 
 @pytest.mark.parametrize("family,n,ffts,iffts", [
     ("sm", 64, 1, 0), ("sm", 2, 1, 0), ("sm", 63, 1, 1), ("hm", 64, 1, 1), ("hm", 63, 1, 1),
 ])
 def test_fft_calls_per_block_and_kick(monkeypatch, family, n, ffts, iffts):
-    # sm at even N steps in the chirp frame, one forward FFT per kick; a
-    # silent fall back to the position frame would double its FFTs
-    t_max, blocks = 5, 3
-    counts = {"fft": 0, "ifft": 0}
-    for name in counts:
-        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+    # a pass steps its G + 1 blocks as one stack, so every FFT call of a kick
+    # transforms all (G + 1) * rows rows; sm at even N steps in the chirp
+    # frame, one forward FFT per kick, and a silent fall back to the position
+    # frame would add an inverse FFT
+    t_max, rows = 5, 2
     u0 = MapSpec(family=family, n=n, k=0.9)
     u1s = [PerturbedPair.from_dkh(u0, dkh).u1 for dkh in (1.0, 2.0)]
-    for _ in _overlaps(u0, u1s, np.eye(2, n, dtype=complex), t_max):
+    calls = {"fft": [], "ifft": []}
+    for name in calls:
+        def counted(x, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls[_name].append(x.size // n)
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    for _ in _overlaps(u0, u1s, np.eye(rows, n, dtype=complex), t_max):
         pass
-    assert counts == {"fft": ffts * blocks * t_max, "ifft": iffts * blocks * t_max}
+    stacked = (len(u1s) + 1) * rows
+    assert calls == {"fft": [stacked] * ffts * t_max, "ifft": [stacked] * iffts * t_max}
+
+
+def _per_block_overlaps(u0, u1s, start, t_max):
+    # the reference: each block stepped alone, one split_step per block and
+    # one overlap call per map
+    a = np.array(start, dtype=complex)
+    entry, kick0, drift0 = step_phases(u0)
+    phases = [step_phases(u1)[1:] for u1 in u1s]
+    if entry is not None:
+        np.multiply(entry, a, out=a)
+    bs = [a.copy() for _ in u1s]
+    for _ in range(t_max):
+        split_step(a, kick0, drift0)
+        for b, (kick, drift) in zip(bs, phases):
+            split_step(b, kick, drift)
+        yield [echo._row_overlaps(b, a) for b in bs]
+
+
+@pytest.mark.parametrize("family,n", [("sm", 64), ("sm", 63), ("hm", 64), ("hm", 63)])
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_stacked_pass_matches_blocks_stepped_alone(family, n, g):
+    u0 = MapSpec(family=family, n=n, k=0.9)
+    u1s = [PerturbedPair.from_dkh(u0, dkh).u1 for dkh in (1.0, 2.0, 3.0)[:g]]
+    start = np.array([coherent_state(n, PhasePoint(q, 0.3)).amps for q in (0.1, 0.45, 0.7)])
+    for stacked, alone in zip(_overlaps(u0, u1s, start, 20),
+                              _per_block_overlaps(u0, u1s, start, 20), strict=True):
+        assert stacked.shape == (g, 3)
+        assert np.array_equal(stacked, np.array(alone))
+
+
+def _ortho_step(x, kick, drift):
+    # the FFT pair scaled by 1/sqrt(N) on each side
+    np.multiply(kick, x, out=x)
+    np.fft.fft(x, norm="ortho", out=x)
+    if drift is not None:
+        np.multiply(drift, x, out=x)
+        np.fft.ifft(x, norm="ortho", out=x)
+    return x
+
+
+@pytest.mark.parametrize("family", ["sm", "hm"])
+@pytest.mark.parametrize("n,tol", [(64, 0.0), (256, 0.0), (63, 1e-12), (250, 1e-12)])
+def test_fft_pair_scaling_matches_the_ortho_pair(monkeypatch, family, n, tol):
+    # an unscaled forward FFT and a 1/N inverse give the bits of the ortho
+    # pair when sqrt(N) is a power of two, and agree at rounding level elsewhere
+    pair = _pair(family, 0.9, n, 2.0)
+    state = coherent_state(n, PhasePoint(0.3, 0.2))
+    amps, trace = apply_map(pair.u0, state).amps, fidelity_trace(pair, 100).values
+    monkeypatch.setattr(maps, "split_step", _ortho_step)
+    monkeypatch.setattr(echo, "split_step", _ortho_step)
+    ortho_amps, ortho_trace = apply_map(pair.u0, state).amps, fidelity_trace(pair, 100).values
+    assert np.abs(amps - ortho_amps).max() <= tol
+    assert np.abs(trace - ortho_trace).max() <= tol
 
 
 def test_chirp_frame_matches_position_frame_steps():

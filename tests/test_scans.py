@@ -471,6 +471,18 @@ def test_grid_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.values, grid.values)
 
 
+def test_grid_load_skips_blank_lines(tmp_path):
+    # a file edited by hand may hold blank lines between and after the rows
+    grid = scan_phase_space("hm", 0.2, 2.0, 16, 10, 3)
+    path = tmp_path / "grid.csv"
+    save_grid(grid, path, header="demo")
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines[:3], "", *lines[3:], "   "]) + "\n\n")
+    back = load_grid(path)
+    assert (back.family, back.n, back.t_max, back.s) == ("hm", 16, 10, 3)
+    assert np.array_equal(back.values, grid.values)
+
+
 def test_refusals_of_grids_and_their_files(tmp_path):
     with pytest.raises(ValueError, match="grid side must be >= 1, got 0"):
         scan_phase_space("sm", 0.9, 2.0, 16, 3, 0)
