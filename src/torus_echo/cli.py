@@ -10,6 +10,13 @@ One table, _COMMANDS, gives each subcommand's runner, help text and options;
 the argparse parser, the config-file merge and the required/count checks
 are all read from it.
 
+A run imports only the layers it executes.  `maps`, `torus`, `echo` and
+`scans` (and through them `measures`) load with this module: the parser and
+the error handling read `maps`, and the quantum runners call the others.
+`classical` and `semiclassics` load inside the runners that call them, so
+`phase-scan` never compiles either one, and `nm-sweep` loads `semiclassics`
+only to plot a dkh grid over the rate curve.
+
 Exit codes: 0 success, 2 configuration error, 1 resource guard violation.
 """
 
@@ -26,7 +33,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .classical import classical_nm_grid, diffusion_coefficient, phase_portrait
 from .echo import fidelity_pure, fidelity_trace, save_series
 from .maps import FAMILIES, GuardError, MapSpec, PerturbedPair
 from .scans import (
@@ -38,7 +44,6 @@ from .scans import (
     scan_phase_space,
     sweep,
 )
-from .semiclassics import gamma_curve, short_time_check
 from .torus import PhasePoint
 
 __all__ = ["main"]
@@ -175,6 +180,8 @@ _RESULT_HEADER = "K,deltaK_over_hbar,N,T,kind,value"
 
 
 def _gamma_rows(dkh_values: np.ndarray) -> list[str]:
+    from .semiclassics import gamma_curve
+
     curve = gamma_curve(dkh_values)
     return [f"{float(d)!r},{float(g)!r}" for d, g in zip(dkh_values, curve)]
 
@@ -337,6 +344,8 @@ def _cmd_line_scan(args) -> list[str]:
 
 
 def _cmd_classical_portrait(args) -> list[str]:
+    from .classical import phase_portrait
+
     cloud = phase_portrait(args.map, args.k, k2=args.k2, n_orbits=args.orbits,
                            steps=args.steps, seed=args.seed)
     rows = [f"{float(x)!r},{float(p)!r}" for x, p in cloud]
@@ -351,6 +360,8 @@ def _per_k(args, second, value: Callable[[float], float]) -> tuple[str, list[str
 
 
 def _cmd_diffusion(args) -> list[str]:
+    from .classical import diffusion_coefficient
+
     tag, rows = _per_k(args, args.horizon, partial(diffusion_coefficient, args.map, k2=args.k2,
                        horizon=args.horizon, n_orbits=args.orbits, seed=args.seed))
     stem = f"diffusion_{args.map}_{tag}_h{args.horizon}"
@@ -358,6 +369,8 @@ def _cmd_diffusion(args) -> list[str]:
 
 
 def _cmd_classical_nm(args) -> list[str]:
+    from .classical import classical_nm_grid
+
     tag, rows = _per_k(args, args.t, partial(classical_nm_grid, args.map, k2=args.k2,
                        delta_k=args.delta_k, grid_side=args.grid, t_max=args.t))
     return _save(args, f"classical_nm_{args.map}_{tag}_t{args.t}", "K,T,value", rows, "classical")
@@ -372,6 +385,8 @@ def _cmd_gamma_curve(args) -> list[str]:
 
 
 def _cmd_short_time_check(args) -> list[str]:
+    from .semiclassics import short_time_check
+
     result = short_time_check(args.map, args.k, args.dkh, args.n)
     print(
         f"short-time-check {args.map} K={_fmt(args.k)} dkh={_fmt(args.dkh)} N={args.n}: "

@@ -212,6 +212,33 @@ def test_classical_imports_without_the_quantum_scans():
     assert out.split() == ["False", "False"]
 
 
+def test_quantum_runs_of_the_cli_import_no_classical_layer(tmp_path):
+    # the front end loads classical and semiclassics only inside the runners
+    # that call them; each print lists which of the two are loaded by then
+    code = """
+import sys
+from torus_echo import cli
+
+def loaded():
+    print(*(f"torus_echo.{m}" in sys.modules for m in ("classical", "semiclassics")))
+
+cli.build_parser()
+assert cli.main("nm-sweep --map sm --k-values 0.5,0.9 --dkh 1 --n 16 --t 3".split()) == 0
+assert cli.main("phase-scan --map hm --k 0.2 --dkh 1 --n 16 --t 3 --s 2".split()) == 0
+loaded()
+assert cli.main("diffusion --map sm --k 2.5 --horizon 10 --orbits 10".split()) == 0
+loaded()
+assert cli.main("gamma-curve --dkh-max 2 --points 5".split()) == 0
+loaded()
+"""
+    env = os.environ | {"PYTHONPATH": str(Path(classical.__file__).resolve().parents[1])}
+    env.pop("TORUS_ECHO_THREADS", None)
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    assert [line.split() for line in out.splitlines() if not line.startswith("wrote ")] == [
+        ["False", "False"], ["True", "False"], ["True", "True"]]
+
+
 def test_values_that_are_not_finite_are_refused():
     # the orbits overflow on their way to the refused value, and no warning
     # escapes: the suite turns one into an error

@@ -871,6 +871,24 @@ def test_every_option_is_read_by_its_subcommand(tmp_path, monkeypatch):
     assert unread == {}
 
 
+def test_help_lists_every_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per subcommand, however narrow the terminal
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out and command.help in out for name, command in cli._COMMANDS.items())
+
+
+@pytest.mark.parametrize("cmd", list(cli._COMMANDS))
+def test_subcommand_help_lists_every_flag_of_its_table(capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([cmd, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert [opt.flag for opt in cli._COMMANDS[cmd].options if opt.flag not in out] == []
+
+
 def test_readme_command_lines_parse_and_resolve():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```")[1]
