@@ -10,13 +10,16 @@ over long runs and chaotic orbits cannot be split by argument-reduction noise.
 
 One kernel, _orbit, steps every orbit of this module.  It owns the windings
 and one scratch array and updates them in place, so an orbit loop allocates
-nothing per step.  It wraps a coordinate v as w += rint(v), v -= rint(v).
-v - rint(v) is exact, so the windings stay exact integers.  The frame is odd:
-a step is built from multiplies by constants, sin, adds and rint (round half
-to even), and each of them maps -a to exactly -(its image of a).  Stepping
+nothing per step, and it forms the step constants once per orbit: sm K/2pi,
+hm K and K2, a scalar as a scalar and an array broadcast to the block.  It
+wraps a coordinate v as w += rint(v), v -= rint(v).  v - rint(v) is exact,
+so the windings stay exact integers.  The frame is odd: a step is built
+from multiplies by constants, sin, adds and rint (round half to even), and
+each of them maps -a to exactly -(its image of a).  Stepping
 -(x, p, wx, wp) therefore gives the exact negation of the step of
 (x, p, wx, wp), bit for bit up to the sign of a zero, and both maps commute
-with this parity.  iterate hands out wrapped histories as v % 1.0, in [0, 1].
+with this parity.  iterate hands out wrapped histories as v % 1.0 % 1.0, in
+[0, 1): the second % maps the 1.0 that a tiny negative v rounds to onto 0.0.
 
 The grid measure and the diffusion rate run their orbits in the blocks of
 maps.blocks and join the per-orbit values before their one mean, so their
@@ -63,46 +66,58 @@ def _wrap(v, w, tmp):
     v -= tmp
 
 
-def _step(family, k, k2, x, p, wx, wp, tmp):
+def _step(family, c1, c2, x, p, wx, wp, tmp):
     """One step of wrapped x, p with windings wx, wp, all updated in place.
 
-    tmp is scratch of the same shape; the caller owns every buffer.
+    c1, c2 are the constants of _step_constants: K/2pi for sm; K and K2 for
+    hm.  tmp is scratch of the same shape; the caller owns every buffer.
     """
     np.multiply(x, 2.0 * math.pi, out=tmp)
     np.sin(tmp, out=tmp)
+    tmp *= c1
     if family == "sm":
-        tmp *= k / (2.0 * math.pi)
         p += tmp
         _wrap(p, wp, tmp)
         x += p
         _wrap(x, wx, tmp)
         wx += wp
     else:
-        tmp *= k
         p -= tmp
         _wrap(p, wp, tmp)
         np.multiply(p, 2.0 * math.pi, out=tmp)
         np.sin(tmp, out=tmp)
-        tmp *= k2
+        tmp *= c2
         x += tmp
         _wrap(x, wx, tmp)
+
+
+def _step_constants(family, k, k2, shape):
+    """(c1, c2) of _step: (K/2pi, None) for sm, (K, K2) for hm.
+
+    A scalar stays a scalar.  An array constant, such as the fiducial/perturbed
+    column of _nm_batch, is broadcast to the block's full shape, so no step
+    multiplies through numpy's buffered broadcast.
+    """
+    consts = (k / (2.0 * math.pi), None) if family == "sm" else (k, k2)
+    return tuple(c if np.ndim(c) == 0 else np.broadcast_to(c, shape).copy() for c in consts)
 
 
 def _orbit(family, k, k2, x0, p0, steps):
     """Yield (x, p, wx, wp) at t = 0 .. steps: the same arrays, stepped in place.
 
     The starts are copied and wrapped, so the windings begin at rint(x0), rint(p0).
-    Constants and starts broadcast: a (2, n) start with a (2, 1) K runs two
-    families of n orbits side by side.
+    A (2, n) start with a (2, 1) constant runs two families of n orbits side by
+    side; the step constants are formed once per orbit (_step_constants).
     """
     x = np.array(x0, dtype=float)
     p = np.array(p0, dtype=float)
     wx, wp, tmp = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+    c1, c2 = _step_constants(family, k, k2, x.shape)
     _wrap(x, wx, tmp)
     _wrap(p, wp, tmp)
     yield x, p, wx, wp
     for _ in range(steps):
-        _step(family, k, k2, x, p, wx, wp, tmp)
+        _step(family, c1, c2, x, p, wx, wp, tmp)
         yield x, p, wx, wp
 
 
@@ -110,7 +125,7 @@ def iterate(family, k, k2, x0, p0, steps, wrapped=True):
     """Orbit histories for a batch of initial conditions.
 
     Returns (xs, ps) with shape (steps + 1,) + shape(x0); wrapped output lies
-    in [0, 1], unwrapped output adds the winding numbers back in.
+    in [0, 1), unwrapped output adds the winding numbers back in.
     """
     k2 = _check_params(family, k, k2)
     _check_count("steps", steps, minimum=0)
@@ -126,7 +141,10 @@ def iterate(family, k, k2, x0, p0, steps, wrapped=True):
             np.add(x, wx, out=xs[t, ...])
             np.add(p, wp, out=ps[t, ...])
     if wrapped:
+        # a tiny negative v gives v % 1.0 == 1.0; the second % maps it to 0.0
         xs %= 1.0
+        xs %= 1.0
+        ps %= 1.0
         ps %= 1.0
     return xs, ps
 
@@ -180,9 +198,10 @@ def _nm_batch(family, k, k2, delta_k, x0, p0, t_max):
 
     Both orbits run on the plane from the same start, as rows 0 and 1 of one
     (2, n) orbit block; the perturbation sits where the quantum pair puts it
-    (sm kick, hm momentum kick), as a (2, 1) column of that constant.  The
-    summed positive increments of exp(-distance) are returned per orbit; the
-    classical measure carries no factor 2, so measure_rows' sum is halved.
+    (sm kick, hm momentum kick), as a (2, 1) column of that constant, which
+    _orbit broadcasts once to the block.  The summed positive increments of
+    exp(-distance) (_closeness) are returned per orbit; the classical measure
+    carries no factor 2, so measure_rows' sum is halved.
     """
     x0, p0 = np.asarray(x0, dtype=float), np.asarray(p0, dtype=float)
     if family == "sm":
@@ -190,9 +209,24 @@ def _nm_batch(family, k, k2, delta_k, x0, p0, t_max):
     else:
         k2 = np.array([[k2], [k2 + delta_k]])
     starts = (np.broadcast_to(c, (2,) + c.shape) for c in (x0, p0))
-    rows = (np.exp(-np.hypot(np.subtract(*(x + wx)), np.subtract(*(p + wp))))
-            for x, p, wx, wp in _orbit(family, k, k2, *starts, t_max))
+    rows = (_closeness(x + wx, p + wp) for x, p, wx, wp in _orbit(family, k, k2, *starts, t_max))
     return 0.5 * measure_rows(rows)
+
+
+def _closeness(xs, ps):
+    """exp(-distance) between rows 0 and 1 of the plane coordinates xs, ps.
+
+    The distance is sqrt(dx*dx + dp*dp), formed in place in dx by numpy's
+    SIMD ufuncs; it agrees with the scalar libm hypot at rounding level.
+    """
+    dx = np.subtract(*xs)
+    dp = np.subtract(*ps)
+    dx *= dx
+    dp *= dp
+    dx += dp
+    np.sqrt(dx, out=dx)
+    np.negative(dx, out=dx)
+    return np.exp(dx, out=dx)
 
 
 def _centers(index, side: int):

@@ -52,6 +52,13 @@ def test_step_wraps_to_unit_square():
     assert 0.0 <= x < 1.0 and 0.0 <= p < 1.0
 
 
+def test_wrapped_histories_lie_in_the_half_open_square():
+    # -1e-17 % 1.0 rounds to 1.0; a wrapped history holds 0.0 there instead
+    xs, ps = iterate("sm", 0.9, None, [-1e-17], [0.3], 2)
+    assert xs[0, 0] == 0.0
+    assert np.all((0.0 <= xs) & (xs < 1.0)) and np.all((0.0 <= ps) & (ps < 1.0))
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         _step("xx", 1.0, None, 0.1, 0.1)
@@ -151,6 +158,19 @@ def test_classical_measure_positive_on_generic_orbit():
     assert value > 0.0
 
 
+def _two_plane_rises(family, k, k2, delta_k, x0, p0, steps, closeness):
+    """Summed rises of closeness(dx, dp) between the unwrapped histories of the
+    fiducial and the perturbed map (sm K + delta_k, hm K2 + delta_k)."""
+    kb, k2b = (k + delta_k, None) if family == "sm" else (k, k2 + delta_k)
+    xa, pa = iterate(family, k, k2, x0, p0, steps, wrapped=False)
+    xb, pb = iterate(family, kb, k2b, x0, p0, steps, wrapped=False)
+    f = closeness(xa - xb, pa - pb)
+    rises = np.zeros_like(x0)
+    for t in range(1, steps + 1):
+        rises = rises + np.maximum(f[t] - f[t - 1], 0.0)
+    return rises
+
+
 @pytest.mark.parametrize("family,k,k2", [("sm", 0.9, None), ("hm", 0.3, 0.45)])
 def test_nm_batch_matches_two_plane_histories(family, k, k2):
     # both routes wrap the starts the same way, so their plane coordinates
@@ -158,17 +178,111 @@ def test_nm_batch_matches_two_plane_histories(family, k, k2):
     rng = np.random.default_rng(7)
     x0, p0 = rng.random(40), rng.random(40)
     delta_k, steps = 1e-3, 300
-    kb, k2b = (k + delta_k, None) if family == "sm" else (k, k2 + delta_k)
-    xa, pa = iterate(family, k, k2, x0, p0, steps, wrapped=False)
-    xb, pb = iterate(family, kb, k2b, x0, p0, steps, wrapped=False)
-    f = np.exp(-np.hypot(xa - xb, pa - pb))
-    rises = np.zeros_like(x0)
-    for t in range(1, steps + 1):
-        rises = rises + np.maximum(f[t] - f[t - 1], 0.0)
+    rises = _two_plane_rises(family, k, k2, delta_k, x0, p0, steps,
+                             lambda dx, dp: np.exp(-np.sqrt(dx * dx + dp * dp)))
     value = _nm_batch(family, k, k if k2 is None else k2, delta_k, x0, p0, steps)
     assert np.array_equal(value, rises)
     assert sum(1 for _ in _orbit(family, k, k2, x0, p0, steps)) == steps + 1
     assert sum(1 for _ in _orbit(family, k, k2, x0, p0, 0)) == 1
+
+
+@pytest.mark.parametrize("family,k,k2", [("sm", 0.98, None), ("hm", 0.3, 0.45)])
+def test_measure_agrees_with_the_hypot_closeness(family, k, k2):
+    # the closeness is exp(-sqrt(dx*dx + dp*dp)); libm's hypot rounds
+    # differently, and the measure may move only at rounding level
+    rng = np.random.default_rng(11)
+    x0, p0 = rng.random(200), rng.random(200)
+    hypot = _two_plane_rises(family, k, k2, 0.0245, x0, p0, 2000,
+                             lambda dx, dp: np.exp(-np.hypot(dx, dp)))
+    value = _nm_batch(family, k, k if k2 is None else k2, 0.0245, x0, p0, 2000)
+    assert np.all(hypot > 0.0)
+    np.testing.assert_allclose(value, hypot, rtol=1e-13, atol=0.0)
+
+
+def _reference_orbit(family, k, k2, x0, p0, steps):
+    """(x, p, wx, wp) at t = 0 .. steps from a step that forms K/2pi every
+    step and multiplies by the constants as given, so a (2, 1) column goes
+    through numpy's broadcast."""
+    x, p = np.array(x0, dtype=float), np.array(p0, dtype=float)
+    wx, wp = np.rint(x), np.rint(p)
+    x, p = x - wx, p - wp
+    history = [(x, p, wx, wp)]
+    for _ in range(steps):
+        if family == "sm":
+            p = p + k / (2.0 * math.pi) * np.sin(2.0 * math.pi * x)
+            w = np.rint(p)
+            wp, p = wp + w, p - w
+            x = x + p
+            w = np.rint(x)
+            wx, x = wx + w + wp, x - w
+        else:
+            p = p - np.sin(2.0 * math.pi * x) * k
+            w = np.rint(p)
+            wp, p = wp + w, p - w
+            x = x + np.sin(2.0 * math.pi * p) * k2
+            w = np.rint(x)
+            wx, x = wx + w, x - w
+        history.append((x, p, wx, wp))
+    return history
+
+
+# at K = 1.2, K/2pi and K * (1/2pi) differ in the last bit
+@pytest.mark.parametrize("family,k,k2", [("sm", 1.2, None), ("hm", 1.3, 0.45)])
+def test_orbits_match_a_step_that_forms_its_constants_every_step(family, k, k2, monkeypatch):
+    rng = np.random.default_rng(13)
+    x0, p0 = rng.random(64), rng.random(64)
+    kk2 = k if k2 is None else k2
+    x, p, wx, wp = map(np.array, zip(*_reference_orbit(family, k, kk2, x0, p0, 200)))
+    xs, ps = iterate(family, k, k2, x0, p0, 200, wrapped=False)
+    assert np.array_equal(xs, x + wx) and np.array_equal(ps, p + wp)
+    xs, ps = iterate(family, k, k2, x0, p0, 200)
+    assert np.array_equal(xs, x % 1.0 % 1.0) and np.array_equal(ps, p % 1.0 % 1.0)
+    # diffusion draws x0 then p0 from its seed, as above
+    spread = (p[-1] + wp[-1]) - p0
+    assert diffusion_coefficient(family, k, k2, horizon=200, n_orbits=64, seed=13) == float(
+        np.mean(spread * spread) / 200)
+    # the fiducial/perturbed orbits of the measure, with their (2, 1) column
+    seen, orbit = [], classical._orbit
+
+    def spy(*args):
+        for x, p, wx, wp in orbit(*args):
+            seen.append((x.copy(), p.copy(), wx.copy(), wp.copy()))
+            yield x, p, wx, wp
+
+    monkeypatch.setattr(classical, "_orbit", spy)
+    _nm_batch(family, k, kk2, 1e-3, x0, p0, 200)
+    column = np.array([[0.0], [1e-3]])
+    ref = _reference_orbit(family, k + column if family == "sm" else k,
+                           kk2 + column if family == "hm" else kk2,
+                           np.broadcast_to(x0, (2, 64)), np.broadcast_to(p0, (2, 64)), 200)
+    assert len(seen) == len(ref)
+    assert all(np.array_equal(a, b) for pair in zip(seen, ref) for a, b in zip(*pair))
+
+
+def test_step_constants_are_formed_once_per_orbit(monkeypatch):
+    # _step gets sm K/2pi and hm K, K2 as _orbit formed them: one object per
+    # orbit, a scalar as a scalar, an array at the block's full shape
+    calls, step = [], classical._step
+
+    def spy(family, c1, c2, *buffers):
+        calls.append((c1, c2))
+        step(family, c1, c2, *buffers)
+
+    monkeypatch.setattr(classical, "_step", spy)
+    iterate("sm", 1.2, None, [0.1, 0.2], [0.3, 0.4], 3)
+    assert [c for c, _ in calls] == [1.2 / (2.0 * math.pi)] * 3
+    calls.clear()
+    _nm_batch("sm", 1.2, 1.2, 1e-3, [0.1, 0.2, 0.3], [0.3, 0.4, 0.5], 3)
+    column = np.array([[1.2], [1.2 + 1e-3]]) / (2.0 * math.pi)
+    assert len({id(c) for c, _ in calls}) == 1 and len(calls) == 3
+    assert calls[0][0].shape == (2, 3) and calls[0][0].flags.c_contiguous
+    assert np.array_equal(calls[0][0], np.broadcast_to(column, (2, 3)))
+    calls.clear()
+    _nm_batch("hm", 0.3, 0.45, 1e-3, [0.1, 0.2, 0.3], [0.3, 0.4, 0.5], 3)
+    assert all(type(c1) is float and c1 == 0.3 for c1, _ in calls)
+    assert len({id(c2) for _, c2 in calls}) == 1
+    assert calls[0][1].shape == (2, 3) and calls[0][1].flags.c_contiguous
+    assert np.array_equal(calls[0][1], np.broadcast_to([[0.45], [0.45 + 1e-3]], (2, 3)))
 
 
 def _orbit_spy(monkeypatch):
@@ -246,6 +360,9 @@ def test_values_that_are_not_finite_are_refused():
         diffusion_coefficient("sm", 1e308, horizon=10, n_orbits=10)
     with pytest.raises(ValueError, match=r"classical measure at K=1e\+308 is not finite"):
         classical_nm_grid("hm", 1e308, None, 0.01, 2, 5)
+    # sqrt(inf + nan) is nan where hypot(inf, nan) is inf: still refused
+    with pytest.raises(ValueError, match=r"classical measure at K=1e\+308 is not finite"):
+        classical_nm_grid("sm", 1e308, None, 0.01, 2, 5)
 
 
 @pytest.mark.parametrize("family,k,k2", [("sm", 0.98, None), ("hm", 0.3, 0.45)])

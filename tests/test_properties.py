@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from torus_echo import cli, scans
-from torus_echo.classical import _step
+from torus_echo.classical import _step, _step_constants
 from torus_echo.echo import (
     _overlaps,
     FidelitySeries,
@@ -446,8 +446,9 @@ def test_in_place_step_matches_textbook_step_bit_for_bit(family, k, k2, points, 
     wx, wp = np.zeros_like(x), np.zeros_like(x)
     ref = (x.copy(), p.copy(), wx.copy(), wp.copy())
     tmp = np.empty_like(x)
+    consts = _step_constants(family, k, k2, x.shape)
     for _ in range(steps):
-        _step(family, k, k2, x, p, wx, wp, tmp)
+        _step(family, *consts, x, p, wx, wp, tmp)
         ref = _reference_step(family, k, k2, *ref)
         for got, want in zip((x, p, wx, wp), ref):
             assert got.tobytes() == want.tobytes()
@@ -471,8 +472,9 @@ def test_classical_step_is_exactly_odd(family, k, k2, points, steps):
     plus = [x, p, np.zeros_like(x), np.zeros_like(x)]
     minus = [-v for v in plus]
     tmp = np.empty_like(x)
+    consts = _step_constants(family, k, k2, x.shape)
     for _ in range(steps):
-        _step(family, k, k2, *plus, tmp)
-        _step(family, k, k2, *minus, tmp)
+        _step(family, *consts, *plus, tmp)
+        _step(family, *consts, *minus, tmp)
         for a, b in zip(plus, minus):
             assert np.array_equal(b, -a)
