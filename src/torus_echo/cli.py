@@ -158,6 +158,11 @@ def _grid_values(args, prefix: str) -> tuple[float, ...]:
     return tuple(float(v) for v in _linspace(lo, hi, npts, f"--{prefix}-min/--{prefix}-max"))
 
 
+def _k2_tag(args: argparse.Namespace) -> str:
+    """The file-name tag of a given --k2, empty when it is left at its default."""
+    return "" if args.k2 is None else f"_k2{_fmt(args.k2)}"
+
+
 def _grid_tag(prefix: str, grid: tuple[float, ...]) -> str:
     if len(grid) == 1:
         return f"{prefix}{_fmt(grid[0])}"
@@ -268,7 +273,8 @@ def _cmd_fidelity(args) -> list[str]:
         args.q0, args.p0 = (0.5 if v is None else v for v in (args.q0, args.p0))
         series = fidelity_pure(pair, PhasePoint(args.q0, args.p0), args.t)
         tag = f"pure_q{_fmt(args.q0)}_p{_fmt(args.p0)}"
-    stem = f"fidelity_{args.map}_k{_fmt(args.k)}_dkh{_fmt(args.dkh)}_n{args.n}_t{args.t}_{tag}"
+    stem = (f"fidelity_{args.map}_k{_fmt(args.k)}{_k2_tag(args)}_dkh{_fmt(args.dkh)}"
+            f"_n{args.n}_t{args.t}_{tag}")
     path = _out_path(args, stem + ".csv")
     save_series(series, path, header=_config_echo(args))
     return [path] + _maybe_plot(args, "series", [path], stem)
@@ -349,7 +355,8 @@ def _cmd_classical_portrait(args) -> list[str]:
     cloud = phase_portrait(args.map, args.k, k2=args.k2, n_orbits=args.orbits,
                            steps=args.steps, seed=args.seed)
     rows = [f"{float(x)!r},{float(p)!r}" for x, p in cloud]
-    return _save(args, f"portrait_{args.map}_k{_fmt(args.k)}", "x,p", rows, "portrait")
+    stem = f"portrait_{args.map}_k{_fmt(args.k)}{_k2_tag(args)}"
+    return _save(args, stem, "x,p", rows, "portrait")
 
 
 def _per_k(args, second, value: Callable[[float], float]) -> tuple[str, list[str]]:
@@ -364,7 +371,7 @@ def _cmd_diffusion(args) -> list[str]:
 
     tag, rows = _per_k(args, args.horizon, partial(diffusion_coefficient, args.map, k2=args.k2,
                        horizon=args.horizon, n_orbits=args.orbits, seed=args.seed))
-    stem = f"diffusion_{args.map}_{tag}_h{args.horizon}"
+    stem = f"diffusion_{args.map}_{tag}{_k2_tag(args)}_h{args.horizon}"
     return _save(args, stem, "K,horizon,D", rows, "diffusion")
 
 
@@ -373,7 +380,8 @@ def _cmd_classical_nm(args) -> list[str]:
 
     tag, rows = _per_k(args, args.t, partial(classical_nm_grid, args.map, k2=args.k2,
                        delta_k=args.delta_k, grid_side=args.grid, t_max=args.t))
-    return _save(args, f"classical_nm_{args.map}_{tag}_t{args.t}", "K,T,value", rows, "classical")
+    stem = f"classical_nm_{args.map}_{tag}{_k2_tag(args)}_t{args.t}"
+    return _save(args, stem, "K,T,value", rows, "classical")
 
 
 def _cmd_gamma_curve(args) -> list[str]:

@@ -65,7 +65,8 @@ class FidelitySeries:
     kind: str
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=complex)
+        # a frozen copy, so the caller's array stays writeable
+        values = np.array(self.values, dtype=complex)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if self.kind not in ("pure", "trace"):
@@ -216,4 +217,4 @@ def load_series(path) -> FidelitySeries:
                 continue
             _, re_f, im_f, _ = line.split(",")
             values.append(complex(float(re_f), float(im_f)))
-    return FidelitySeries(values=np.array(values, dtype=complex), kind=kind)
+    return FidelitySeries(values=values, kind=kind)

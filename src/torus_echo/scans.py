@@ -10,19 +10,14 @@ are pure functions of their spec, so a pool of at most one worker per row
 may run them; placed by row index, the output is byte-identical either way.
 
 Each symmetry of the pair (maps.MapSpec.symmetries) sends the coherent state
-at (q, p) to the one at its image point, up to a global phase and the
-three-image truncation of torus.coherent_state, and leaves |f(t)| unchanged:
-a unitary one keeps f(t), an antiunitary one conjugates it.  A pure scan
-therefore evolves one center per orbit of the table (65 of a 16 x 16 grid's
-256 states for hm at even N, 130 with parity alone).  A center whose two
-coordinates round, mod 1, to the same multiple of 2**-44 as an earlier center
-or one of its images takes that representative's value, so a repeated point
-is evolved once in every scan; the outputs keep the shape and order of the
-centers given.  The truncation moves amplitudes by about exp(-pi N), which
-at N = 7 already moves M by 1e-9 within 1000 kicks (3e-11 at N = 8), so
-below N = _PAIRED_MIN_N = 8 no image is used, and every distinct center is
-evolved.  The half shift of hm at even N moves the truncation by the same
-order, since the dropped images stay at distance >= 1 from the grid.
+at (q, p) to the one at its image point, up to a global phase and rounding
+at every N, and leaves |f(t)| unchanged: a unitary one keeps f(t), an
+antiunitary one conjugates it.  A pure scan therefore evolves one center per
+orbit of the table (65 of a 16 x 16 grid's 256 states for hm at even N, 130
+with parity alone).  A center whose two coordinates round, mod 1, to the
+same multiple of 2**-44 as an earlier center or one of its images takes that
+representative's value, so a repeated point is evolved once in every scan;
+the outputs keep the shape and order of the centers given.
 """
 
 from __future__ import annotations
@@ -54,8 +49,6 @@ __all__ = [
 # are evolved.  Each coordinate's cell is exact in a float below 2**53, and
 # numpy sorts the complex key (q cell, p cell) lexicographically.
 _CELLS = 1 << 44
-# Smallest N whose scans are paired; see the module docstring.
-_PAIRED_MIN_N = 8
 
 
 @dataclass(frozen=True)
@@ -111,7 +104,8 @@ class PhaseGrid:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        # a frozen copy, so the caller's array stays writeable
+        values = np.array(self.values, dtype=float)
         if values.shape != (self.s, self.s):
             raise ValueError(f"grid shape {values.shape} does not match s={self.s}")
         values.setflags(write=False)
@@ -127,16 +121,15 @@ def _maps(family: str, n: int, k: float, dkh_values) -> tuple[MapSpec, list[MapS
 def _orbit_representatives(u0: MapSpec, centers):
     """The (q, p) of the centers to evolve, an (m, 2) array, and the index back to centers.
 
-    Every center and each of its images under the table (empty below
-    _PAIRED_MIN_N) rounds to a lattice point (q, p) * _CELLS mod _CELLS,
-    owned by the earliest center landing there.  Only owners are evolved, in
-    the order of centers: index[i] is the position of the owner of center
-    i's own point, so repeated points share one evolution in every scan.
+    Every center and each of its images under the table rounds to a lattice
+    point (q, p) * _CELLS mod _CELLS, owned by the earliest center landing
+    there.  Only owners are evolved, in the order of centers: index[i] is the
+    position of the owner of center i's own point, so repeated points share
+    one evolution in every scan.
     """
     qp = np.fromiter(((c.q, c.p) for c in centers), dtype=np.dtype((float, 2)))
-    table = u0.symmetries if u0.n >= _PAIRED_MIN_N else ()
     # center-major, so a point's first occurrence is its earliest center's
-    pts = np.stack([qp, *(qp * (s.sq, s.sp) + (s.aq, s.ap) for s in table)], axis=1)
+    pts = np.stack([qp, *(qp * (s.sq, s.sp) + (s.aq, s.ap) for s in u0.symmetries)], axis=1)
     cells = np.rint(pts * _CELLS) % _CELLS
     _, first, point = np.unique((cells[..., 0] + 1j * cells[..., 1]).ravel(),
                                 return_index=True, return_inverse=True)

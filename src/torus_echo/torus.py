@@ -3,7 +3,10 @@
 An N-dimensional space quantizes the torus [0,1)^2 with effective Planck
 constant hbar = 1/(2*pi*N).  Position eigenvalues sit on the grid q_n = n/N;
 the discrete Fourier transform with kernel exp(-2i*pi*n*k/N)/sqrt(N) maps
-position amplitudes to momentum amplitudes on the grid p_k = k/N.
+position amplitudes to momentum amplitudes on the grid p_k = k/N.  A
+coherent state sums as many periodic images as rounding can see, so it maps
+to its image under every symmetry of a map up to a global phase and
+rounding, at every N.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ class TorusState:
     amps: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amps, dtype=complex)
+        # a frozen copy, so the caller's array stays writeable
+        amps = np.array(self.amps, dtype=complex)
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
         norm = np.linalg.norm(amps)
@@ -58,12 +62,16 @@ def coherent_state(n: int, center: PhasePoint) -> TorusState:
     """Normalized minimum-uncertainty wave packet at the given center.
 
     Gaussian of circular width ~1/sqrt(N) centered at (q0, p0), periodized
-    over the three nearest images m = -1, 0, 1.  Image m carries the plane
-    wave exp(2i*pi*N*p0*(q_n - m)).  Periodic boundary phases are zero.
+    over the images m = -M, ..., M: M is 1 from N = 12 on, 2 for
+    3 <= N <= 11 and 3 at N = 2.  Image m carries the plane wave
+    exp(2i*pi*N*p0*(q_n - m)).  Periodic boundary phases are zero.
     """
     q = np.arange(n) / n
     amps = np.zeros(n, dtype=complex)
-    for m in (-1, 0, 1):
+    # q - q0 lies in (-1, 1): image M + 1 is over M from every grid point and
+    # weighs under exp(-pi N M^2) <= 2**-53, against a peak near 1
+    images = math.ceil(math.sqrt(53 * math.log(2) / (math.pi * n)))
+    for m in range(-images, images + 1):
         gauss = np.exp(-math.pi * n * (q - center.q - m) ** 2)
         phase = np.exp(2j * math.pi * n * center.p * (q - m))
         amps += gauss * phase

@@ -608,13 +608,34 @@ def test_classical_nm_csv(tmp_path):
     assert float(k) == 0.9 and t == "50" and float(value) >= 0.0
 
 
+# an hm run names a given --k2 after K, so runs that differ only in K2 keep
+# both files; without --k2 the name is the one of K alone
+@pytest.mark.parametrize("argv, names", [
+    ("fidelity --map hm --k 0.2 --dkh 1 --n 16 --t 3",
+     ["fidelity_hm_k0.2_k20.3_dkh1_n16_t3_trace.csv",
+      "fidelity_hm_k0.2_k20.5_dkh1_n16_t3_trace.csv"]),
+    ("classical-portrait --map hm --k 0.2 --orbits 2 --steps 3",
+     ["portrait_hm_k0.2_k20.3.csv", "portrait_hm_k0.2_k20.5.csv"]),
+    ("diffusion --map hm --k 0.2 --horizon 3 --orbits 2",
+     ["diffusion_hm_k0.2_k20.3_h3.csv", "diffusion_hm_k0.2_k20.5_h3.csv"]),
+    ("classical-nm --map hm --k 0.2 --t 3 --grid 2",
+     ["classical_nm_hm_k0.2_k20.3_t3.csv", "classical_nm_hm_k0.2_k20.5_t3.csv"]),
+], ids=["fidelity", "classical-portrait", "diffusion", "classical-nm"])
+def test_hm_runs_that_differ_in_k2_keep_both_files(tmp_path, argv, names):
+    for k2 in (0.3, 0.5):
+        assert run(*argv.split(), "--k2", k2, "--out-dir", tmp_path / "k2") == 0
+    assert sorted(p.name for p in (tmp_path / "k2").iterdir()) == names
+    assert run(*argv.split(), "--out-dir", tmp_path / "k") == 0
+    assert [p.name for p in (tmp_path / "k").iterdir()] == [names[0].replace("_k20.3", "")]
+
+
 def test_one_parser_serves_every_run_of_a_process(tmp_path):
     # the parser is built once; a run in between, with other options set,
     # must leave nothing behind for the next run to pick up
     argv = ("classical-nm", "--map", "hm", "--k", 0.3, "--k2", 0.4, "--t", 30, "--grid", 4,
             "--out-dir", tmp_path)
     assert run(*argv) == 0
-    path = tmp_path / "classical_nm_hm_k0.3_t30.csv"
+    path = tmp_path / "classical_nm_hm_k0.3_k20.4_t30.csv"
     first = path.read_bytes()
     assert run("diffusion", "--map", "sm", "--k", 1.2, "--horizon", 20, "--orbits", 16,
                "--seed", 3, "--plot", "--out-dir", tmp_path / "other") == 0
@@ -795,11 +816,11 @@ _PINNED = [
         "classical-nm --map hm --k 0.2 --k2 0.3 --delta-k 0.01 --t 10 --grid 2",
         "# torus-echo classical-nm delta_k=0.01 grid=2 k=0.2 k2=0.3 map=hm out_dir=out"
         " plot=True t=10",
-        'set output "classical_nm_hm_k0.2_t10.png"\n'
+        'set output "classical_nm_hm_k0.2_k20.3_t10.png"\n'
         "set key autotitle columnhead\n"
         'set xlabel "K"\n'
         'set ylabel "measure"\n'
-        'plot "classical_nm_hm_k0.2_t10.csv" using 1:3 with linespoints title "measure"\n',
+        'plot "classical_nm_hm_k0.2_k20.3_t10.csv" using 1:3 with linespoints title "measure"\n',
         id="classical-nm"),
     pytest.param(
         "gamma-curve --dkh-max 3 --points 5",

@@ -200,6 +200,14 @@ def test_series_starts_at_one_and_is_bounded():
     assert series.t_max == 50 and len(series.values) == 51
 
 
+def test_series_freezes_a_copy_of_the_callers_array():
+    values = np.array([1.0, 0.5j, 0.25])
+    series = FidelitySeries(values, kind="trace")
+    assert values.flags.writeable and not series.values.flags.writeable
+    values[1] = 0.0
+    assert series.values.tolist() == [1.0, 0.5j, 0.25]
+
+
 def test_series_kind_is_validated():
     with pytest.raises(ValueError):
         FidelitySeries(np.ones(3, dtype=complex), kind="other")

@@ -11,7 +11,6 @@ from torus_echo.echo import _overlaps, fidelity_pure, fidelity_trace
 from torus_echo.maps import MATRIX_GUARD, GuardError, MapSpec, PerturbedPair
 from torus_echo.measures import measure, measure_value
 from torus_echo.scans import (
-    _PAIRED_MIN_N,
     PhaseGrid,
     SweepSpec,
     line_scan,
@@ -57,6 +56,14 @@ def test_phase_grid_shape_checked():
     with pytest.raises(ValueError):
         PhaseGrid(family="sm", k=1.0, dkh=2.0, n=64, t_max=10, s=3,
                   values=np.zeros((2, 2)))
+
+
+def test_phase_grid_freezes_a_copy_of_the_callers_array():
+    values = np.arange(4.0).reshape(2, 2)
+    grid = PhaseGrid(family="sm", k=1.0, dkh=2.0, n=64, t_max=10, s=2, values=values)
+    assert values.flags.writeable and not grid.values.flags.writeable
+    values[0, 0] = 9.0
+    assert grid.values.tolist() == [[0.0, 1.0], [2.0, 3.0]]
 
 
 def test_zero_perturbation_scan_is_all_zero():
@@ -254,22 +261,22 @@ def test_a_center_just_below_zero_is_the_center_at_zero(monkeypatch):
     assert reps.tolist() == [[1.0, 0.3]] and index.tolist() == [0, 0]
 
 
-@pytest.mark.parametrize("family,n", [("hm", 63), ("sm", 64)])
+@pytest.mark.parametrize("family,n", [("hm", 63), ("sm", 64), ("hm", 7)])
 def test_parity_alone_pairs_odd_hm_and_sm(monkeypatch, family, n):
     # the half shift needs N/2 grid steps and an hm drift, so these maps
-    # keep the parity pairs of an s=16 grid: 4 fixed points and 126 pairs
+    # keep the parity pairs of an s=16 grid: 4 fixed points and 126 pairs,
+    # also at small N, since coherent states are periodized to rounding
     rows = _spy_rows(monkeypatch)
     scan_phase_space(family, 0.98, 2.0, n, 5, 16)
     assert rows == [130]
 
 
-@pytest.mark.parametrize("family,n", [("sm", 63), ("hm", 7)])
+@pytest.mark.parametrize("family,n", [("sm", 63)])
 def test_unpaired_scans_evolve_every_center(monkeypatch, family, n):
-    # sm at odd N has no symmetry; below _PAIRED_MIN_N the truncated
-    # images of coherent_state break the symmetry by more than rounding.
-    # Every distinct center is evolved: the diagonal's ends (0, 0) and
-    # (1, 1) are one point of the torus and share one evolution
-    assert n < _PAIRED_MIN_N or not MapSpec(family=family, n=n, k=0.98).symmetries
+    # sm at odd N has no symmetry, so every distinct center is evolved: the
+    # diagonal's ends (0, 0) and (1, 1) are one point of the torus and share
+    # one evolution
+    assert not MapSpec(family=family, n=n, k=0.98).symmetries
     rows = _spy_rows(monkeypatch)
     scan_phase_space(family, 0.98, 2.0, n, 5, 16)
     values = line_scan(family, 0.98, 2.0, n, 5, _DIAGONAL)

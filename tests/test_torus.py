@@ -86,3 +86,50 @@ def test_position_shift_by_one_site_permutes_profile():
     base = np.abs(coherent_state(n, PhasePoint(0.3, 0.4)).amps)
     shifted = np.abs(coherent_state(n, PhasePoint(0.3 + 1 / n, 0.4)).amps)
     np.testing.assert_allclose(shifted, np.roll(base, 1), atol=1e-8)
+
+
+def _match_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - c b| for the global phase c that best aligns b with a."""
+    overlap = np.vdot(b, a)
+    return np.abs(a - overlap / abs(overlap) * b).max()
+
+
+# every image the sum drops weighs below 2**-53, so parity (q, p) -> (-q, -p)
+# reflects the index n -> -n mod N and, at even N, the half shift
+# (q, p) -> (q + 1/2, p) rolls it by N/2, both up to a global phase and
+# rounding, down to N = 2
+@pytest.mark.parametrize("n", range(2, 17))
+def test_coherent_states_carry_parity_and_the_half_shift_to_rounding(n):
+    rng = np.random.default_rng(n)
+    for q, p in rng.random((50, 2)):
+        amps = coherent_state(n, PhasePoint(q, p)).amps
+        reflected = coherent_state(n, PhasePoint(-q, -p)).amps
+        assert _match_up_to_phase(reflected, np.roll(amps[::-1], 1)) <= 1e-14
+        if n % 2 == 0:
+            shifted = coherent_state(n, PhasePoint(q + 0.5, p)).amps
+            assert _match_up_to_phase(shifted, np.roll(amps, n // 2)) <= 1e-14
+
+
+# from N = 12 on the sum keeps the three images m = -1, 0, 1 in this order,
+# so the states of the benchmark and the README keep their bits; one
+# DOT_SLICE holds the whole norm at these N
+@pytest.mark.parametrize("n", [12, 64, 256, 2000])
+def test_coherent_state_is_the_three_image_sum_from_n_12(n):
+    q = np.arange(n) / n
+    rng = np.random.default_rng(n)
+    for q0, p0 in [(0.0, 0.0), (0.5, 0.5), *rng.random((50, 2))]:
+        center = PhasePoint(q0, p0)
+        amps = np.zeros(n, dtype=complex)
+        for m in (-1, 0, 1):
+            amps += (np.exp(-math.pi * n * (q - center.q - m) ** 2)
+                     * np.exp(2j * math.pi * n * center.p * (q - m)))
+        amps /= np.sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))
+        assert np.array_equal(coherent_state(n, center).amps, amps)
+
+
+def test_state_freezes_a_copy_of_the_callers_array():
+    amps = np.array([0.6, 0.8j])
+    state = TorusState(amps)
+    assert amps.flags.writeable and not state.amps.flags.writeable
+    amps[0] = 1.0
+    assert state.amps.tolist() == [0.6, 0.8j]
