@@ -7,8 +7,14 @@ whose first line echoes the resolved config, and can emit a gnuplot script
 next to each output.  Reruns with the same config are byte identical.
 
 One table, _COMMANDS, gives each subcommand's runner, help text and options;
-the argparse parser, the config-file merge and the required/count checks
-are all read from it.
+the argparse parser, the config-file merge, the required/count checks and
+the output names are all read from it.  A runner computes and returns its
+payload; one writer, _write, writes every file of a run.  A file's stem is
+the subcommand's name followed by the tag and value of each naming option,
+in table order (`phase_scan_sm_k0.9_dkh1_n32_t10_s3`); an option whose
+resolved value is None is left out, and a K or dkh grid is named by its
+ends and count.  So two runs that differ in one naming option keep both
+files, unless they differ only inside a grid.
 
 A run imports only the layers it executes.  `maps`, `torus`, `echo` and
 `scans` (and through them `measures`) load with this module: the parser and
@@ -33,9 +39,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .echo import fidelity_pure, fidelity_trace, save_series
+from .echo import FidelitySeries, fidelity_pure, fidelity_trace, save_series
 from .maps import FAMILIES, GuardError, MapSpec, PerturbedPair
 from .scans import (
+    PhaseGrid,
     SweepSpec,
     _run_rows,
     line_scan,
@@ -52,9 +59,10 @@ THREADS_ENV = "TORUS_ECHO_THREADS"
 
 
 def _fmt(v) -> str:
-    """Compact value for filenames and config echoes."""
+    """Compact value for filenames and config echoes; a float reads back exactly."""
     if isinstance(v, float):
-        return f"{v:g}"
+        short = f"{v:g}"
+        return short if float(short) == v else repr(v)
     return str(v)
 
 
@@ -158,11 +166,6 @@ def _grid_values(args, prefix: str) -> tuple[float, ...]:
     return tuple(float(v) for v in _linspace(lo, hi, npts, f"--{prefix}-min/--{prefix}-max"))
 
 
-def _k2_tag(args: argparse.Namespace) -> str:
-    """The file-name tag of a given --k2, empty when it is left at its default."""
-    return "" if args.k2 is None else f"_k2{_fmt(args.k2)}"
-
-
 def _grid_tag(prefix: str, grid: tuple[float, ...]) -> str:
     if len(grid) == 1:
         return f"{prefix}{_fmt(grid[0])}"
@@ -176,108 +179,126 @@ def _progress_printer(label: str):
     return progress
 
 
-def _out_path(args, name: str) -> str:
-    os.makedirs(args.out_dir, exist_ok=True)
-    return os.path.join(args.out_dir, name)
+class _Output(NamedTuple):
+    """A runner's result: the payload of its CSV and the plot kind that renders it.
 
+    A table payload is a list of lines, its column header first.
+    """
 
-_RESULT_HEADER = "K,deltaK_over_hbar,N,T,kind,value"
+    payload: list[str] | FidelitySeries | PhaseGrid
+    plot: str
+    gamma: list[str] | None = None  # the `_gamma` companion table of an "overlay" plot
 
 
 def _gamma_rows(dkh_values: np.ndarray) -> list[str]:
     from .semiclassics import gamma_curve
 
     curve = gamma_curve(dkh_values)
-    return [f"{float(d)!r},{float(g)!r}" for d, g in zip(dkh_values, curve)]
+    return ["dkh,gamma", *(f"{float(d)!r},{float(g)!r}" for d, g in zip(dkh_values, curve))]
 
 
 # ---------------------------------------------------------------------------
-# plot script emission
+# the writer
 
 
 _GP_PRELUDE = 'set datafile separator ","\nset terminal pngcairo size 900,700\n'
 
-# kind -> (set-up lines, x label, y label, plot clause after the file name)
+# kind -> (set-up lines, x label, y label, the rest of the script); in the
+# rest, {0} is the run's CSV and {1} its `_gamma` companion
 _PLOTS = {
     "series": ("set key autotitle columnhead\nset logscale y\n", "t (kicks)", "|f|",
-               'using 1:4 with lines title "|f|"'),
+               'plot "{0}" using 1:4 with lines title "|f|"'),
     "curve": ("set key autotitle columnhead\n", "K", "measure",
-              'using 1:6 with linespoints title "measure"'),
+              'plot "{0}" using 1:6 with linespoints title "measure"'),
+    "overlay": ("unset key\n", "dkh", "K",
+                'set y2label "Gamma"\nset y2tics\nset y2range [0:10]\n'
+                'plot "{0}" using 2:1:6 with image, '
+                '"{1}" using 1:($2 > 10 ? 10 : $2) axes x1y2 with lines lc "gray"'),
     "heatmap": ("unset key\nset size square\nset palette gray\n", "q", "p",
-                "matrix with image"),
+                'plot "{0}" matrix with image'),
     "line": ("set key autotitle columnhead\n", "q0", "measure",
-             'using 1:3 with linespoints title "measure"'),
+             'plot "{0}" using 1:3 with linespoints title "measure"'),
     "portrait": ("unset key\nset size square\nset xrange [0:1]\nset yrange [0:1]\n",
-                 "x", "p", "using 1:2 with dots"),
+                 "x", "p", 'plot "{0}" using 1:2 with dots'),
     "diffusion": ("set key autotitle columnhead\nset logscale y\n", "K", "D",
-                  'using 1:3 with linespoints title "D"'),
+                  'plot "{0}" using 1:3 with linespoints title "D"'),
     "classical": ("set key autotitle columnhead\n", "K", "measure",
-                  'using 1:3 with linespoints title "measure"'),
-    "gamma": ("set key autotitle columnhead\nceil = 10.0\nset yrange [0:ceil]\n",
-              "dkh", "Gamma", 'using 1:($2 > ceil ? ceil : $2) with lines title "Gamma"'),
+                  'plot "{0}" using 1:3 with linespoints title "measure"'),
+    "gamma": ("set key autotitle columnhead\nceil = 10.0\nset yrange [0:ceil]\n", "dkh", "Gamma",
+              'plot "{0}" using 1:($2 > ceil ? ceil : $2) with lines title "Gamma"'),
 }
 
 
-def _maybe_plot(args, kind: str, inputs: list[str], stem: str) -> list[str]:
-    """With --plot, write <stem>.gp, a gnuplot script rendering the inputs.
-
-    Inputs are referenced by bare filename, so the script runs from the
-    directory it lives in.
-    """
-    if not args.plot:
-        return []
-    names = [os.path.basename(p) for p in inputs]
-    if kind == "overlay":
-        text = (
-            "unset key\n"
-            'set xlabel "dkh"\nset ylabel "K"\nset y2label "Gamma"\n'
-            "set y2tics\nset y2range [0:10]\n"
-            f'plot "{names[0]}" using 2:1:6 with image, '
-            f'"{names[1]}" using 1:($2 > 10 ? 10 : $2) axes x1y2 with lines lc "gray"\n'
-        )
-    else:
-        setup, xlabel, ylabel, clause = _PLOTS[kind]
-        text = (f'{setup}set xlabel "{xlabel}"\nset ylabel "{ylabel}"\n'
-                f'plot "{names[0]}" {clause}\n')
-    script = _out_path(args, stem + ".gp")
-    with open(script, "w") as fh:
-        fh.write(_GP_PRELUDE + f'set output "{stem}.png"\n' + text)
-    return [script]
-
-
-def _save(args, stem: str, header: str, rows: list[str], plot: str | None = None) -> list[str]:
-    """Write <stem>.csv under the config echo, then its plot script if asked."""
-    path = _out_path(args, stem + ".csv")
+def _save_table(lines: list[str], path: str, header: str) -> None:
     with open(path, "w") as fh:
-        fh.write(f"# {_config_echo(args)}\n{header}\n")
-        fh.write("\n".join(rows) + ("\n" if rows else ""))
-    return [path] + (_maybe_plot(args, plot, [path], stem) if plot else [])
+        fh.write(f"# {header}\n" + "".join(line + "\n" for line in lines))
+
+
+_SAVERS = {list: _save_table, FidelitySeries: save_series, PhaseGrid: save_grid}
+
+
+def _stem(args: argparse.Namespace) -> str:
+    """The subcommand's name, then <tag><value> per naming option in table order.
+
+    An option whose resolved value is None is left out; a grid group is
+    named by its resolved grid.
+    """
+    options = _COMMANDS[args.cmd].options
+    names = {opt.name for opt in options}
+    parts = [args.cmd.replace("-", "_")]
+    for opt in options:
+        if opt.tag is None:
+            continue
+        if f"{opt.name}_values" in names:
+            parts.append(_grid_tag(opt.tag, _grid_values(args, opt.name)))
+        elif getattr(args, opt.name) is not None:
+            parts.append(opt.tag + _fmt(getattr(args, opt.name)))
+    return "_".join(parts)
+
+
+def _write(args: argparse.Namespace, output: _Output) -> list[str]:
+    """Write a run's files under --out-dir; their paths, in writing order.
+
+    <stem>.csv holds the payload under the config echo.  A grid adds its
+    <stem>.pgm, an overlay its <stem>_gamma.csv, and --plot a gnuplot script,
+    <stem>.gp.  The script names the CSVs by bare filename, so it runs from
+    the directory it lives in.
+    """
+    os.makedirs(args.out_dir, exist_ok=True)
+    stem = _stem(args)
+    base = os.path.join(args.out_dir, stem)
+    echo = _config_echo(args)
+    written = [base + ".csv"]
+    _SAVERS[type(output.payload)](output.payload, written[0], header=echo)
+    if isinstance(output.payload, PhaseGrid):
+        written.append(base + ".pgm")
+        save_grid_pgm(output.payload, written[-1])
+    if output.gamma is not None:
+        written.append(base + "_gamma.csv")
+        _save_table(output.gamma, written[-1], header=echo)
+    if args.plot:
+        setup, xlabel, ylabel, rest = _PLOTS[output.plot]
+        csvs = [os.path.basename(path) for path in written if path.endswith(".csv")]
+        written.append(base + ".gp")
+        with open(written[-1], "w") as fh:
+            fh.write(f'{_GP_PRELUDE}set output "{stem}.png"\n{setup}set xlabel "{xlabel}"\n'
+                     f'set ylabel "{ylabel}"\n{rest.format(*csvs)}\n')
+    return written
 
 
 # ---------------------------------------------------------------------------
 # subcommand runners
 
 
-def _cmd_fidelity(args) -> list[str]:
+def _cmd_fidelity(args) -> _Output:
     if args.kind == "trace" and (args.q0 is not None or args.p0 is not None):
         raise ValueError("fidelity: --q0 and --p0 apply to --kind pure only")
-    pair = PerturbedPair.from_dkh(
-        MapSpec(args.map, args.n, args.k, k2=args.k2),
-        args.dkh,
-    )
+    pair = PerturbedPair.from_dkh(MapSpec(args.map, args.n, args.k, k2=args.k2), args.dkh)
     if args.kind == "trace":
-        series = fidelity_trace(pair, args.t)
-        tag = "trace"
-    else:
-        # the center defaults to (0.5, 0.5); set here, so the echo names it
-        args.q0, args.p0 = (0.5 if v is None else v for v in (args.q0, args.p0))
-        series = fidelity_pure(pair, PhasePoint(args.q0, args.p0), args.t)
-        tag = f"pure_q{_fmt(args.q0)}_p{_fmt(args.p0)}"
-    stem = (f"fidelity_{args.map}_k{_fmt(args.k)}{_k2_tag(args)}_dkh{_fmt(args.dkh)}"
-            f"_n{args.n}_t{args.t}_{tag}")
-    path = _out_path(args, stem + ".csv")
-    save_series(series, path, header=_config_echo(args))
-    return [path] + _maybe_plot(args, "series", [path], stem)
+        return _Output(fidelity_trace(pair, args.t), "series")
+    # the center defaults to (0.5, 0.5); set here, so the echo and the name give it
+    args.q0, args.p0 = (0.5 if v is None else v for v in (args.q0, args.p0))
+    return _Output(fidelity_pure(pair, PhasePoint(args.q0, args.p0), args.t), "series")
 
 
 def _sweep_spec(args, kind: str) -> SweepSpec:
@@ -293,106 +314,80 @@ def _sweep_spec(args, kind: str) -> SweepSpec:
     )
 
 
-def _run_sweep(args, spec: SweepSpec) -> tuple[str, list[str]]:
-    """Run the sweep; its file-name tag and CSV rows."""
+def _run_sweep(args, spec: SweepSpec) -> list[str]:
+    """Run the sweep; its CSV table."""
     results = sweep(spec, workers=_resolve_threads(args), progress=_progress_printer(args.cmd))
-    tag = (f"{_grid_tag('k', spec.k_values)}_{_grid_tag('dkh', spec.dkh_values)}"
-           f"_n{args.n}_t{args.t}")
-    rows = [f"{r.k!r},{r.dkh!r},{r.n},{r.t_max},{r.kind},{r.value!r}" for r in results]
-    return tag, rows
+    return ["K,deltaK_over_hbar,N,T,kind,value",
+            *(f"{r.k!r},{r.dkh!r},{r.n},{r.t_max},{r.kind},{r.value!r}" for r in results)]
 
 
-def _cmd_nm_sweep(args) -> list[str]:
+def _cmd_nm_sweep(args) -> _Output:
     spec = _sweep_spec(args, "trace")
     dkh = spec.dkh_values
-    # the rate curve refuses a bad dkh grid before the sweep runs its cells
-    gamma_rows = None
-    if args.plot and len(dkh) > 1:
-        gamma_rows = _gamma_rows(np.linspace(min(dkh), max(dkh), 600))
-    tag, rows = _run_sweep(args, spec)
-    stem = f"nm_sweep_{args.map}_{tag}"
     if len(dkh) == 1:
-        return _save(args, stem, _RESULT_HEADER, rows, "curve")
-    written = _save(args, stem, _RESULT_HEADER, rows)
-    if gamma_rows is not None:
-        written += _save(args, stem + "_gamma", "dkh,gamma", gamma_rows)
-        written += _maybe_plot(args, "overlay", written, stem)
-    return written
+        return _Output(_run_sweep(args, spec), "curve")
+    # the rate curve refuses a bad dkh grid before the sweep runs its cells
+    gamma = _gamma_rows(np.linspace(min(dkh), max(dkh), 600)) if args.plot else None
+    return _Output(_run_sweep(args, spec), "overlay", gamma)
 
 
-def _cmd_avg_mp_sweep(args) -> list[str]:
-    tag, rows = _run_sweep(args, _sweep_spec(args, "pure-average"))
-    return _save(args, f"avg_mp_sweep_{args.map}_{tag}_s{args.s}", _RESULT_HEADER, rows, "curve")
+def _cmd_avg_mp_sweep(args) -> _Output:
+    return _Output(_run_sweep(args, _sweep_spec(args, "pure-average")), "curve")
 
 
-def _cmd_phase_scan(args) -> list[str]:
-    grid = scan_phase_space(args.map, args.k, args.dkh, args.n, args.t, args.s)
-    stem = (
-        f"phase_scan_{args.map}_k{_fmt(args.k)}_dkh{_fmt(args.dkh)}"
-        f"_n{args.n}_t{args.t}_s{args.s}"
-    )
-    path = _out_path(args, stem + ".csv")
-    save_grid(grid, path, header=_config_echo(args))
-    pgm = _out_path(args, stem + ".pgm")
-    save_grid_pgm(grid, pgm)
-    return [path, pgm] + _maybe_plot(args, "heatmap", [path], stem)
+def _cmd_phase_scan(args) -> _Output:
+    return _Output(scan_phase_space(args.map, args.k, args.dkh, args.n, args.t, args.s),
+                   "heatmap")
 
 
-def _cmd_line_scan(args) -> list[str]:
+def _cmd_line_scan(args) -> _Output:
     qs = _linspace(args.q0, args.q1, args.points, "--q0/--q1")
     ps = _linspace(args.p0, args.p1, args.points, "--p0/--p1")
     points = [PhasePoint(q, p) for q, p in zip(qs, ps)]
     values = line_scan(args.map, args.k, args.dkh, args.n, args.t, points)
-    stem = f"line_scan_{args.map}_k{_fmt(args.k)}_dkh{_fmt(args.dkh)}_n{args.n}_t{args.t}"
     # rows carry the centers as given, not wrapped into [0, 1) like the PhasePoints
-    rows = [f"{float(q)!r},{float(p)!r},{float(v)!r}" for q, p, v in zip(qs, ps, values)]
-    return _save(args, stem, "q,p,value", rows, "line")
+    rows = (f"{float(q)!r},{float(p)!r},{float(v)!r}" for q, p, v in zip(qs, ps, values))
+    return _Output(["q,p,value", *rows], "line")
 
 
-def _cmd_classical_portrait(args) -> list[str]:
+def _cmd_classical_portrait(args) -> _Output:
     from .classical import phase_portrait
 
     cloud = phase_portrait(args.map, args.k, k2=args.k2, n_orbits=args.orbits,
                            steps=args.steps, seed=args.seed)
-    rows = [f"{float(x)!r},{float(p)!r}" for x, p in cloud]
-    stem = f"portrait_{args.map}_k{_fmt(args.k)}{_k2_tag(args)}"
-    return _save(args, stem, "x,p", rows, "portrait")
+    return _Output(["x,p", *(f"{float(x)!r},{float(p)!r}" for x, p in cloud)], "portrait")
 
 
-def _per_k(args, second, value: Callable[[float], float]) -> tuple[str, list[str]]:
-    """Rows `K,<second>,value(K)` over the K grid, run like sweep rows; the grid tag."""
+def _per_k(args, header: str, second, value: Callable[[float], float]) -> list[str]:
+    """The header, then rows `K,<second>,value(K)` over the K grid, run like sweep rows."""
     k_grid = _grid_values(args, "k")
     values = _run_rows(value, k_grid, _resolve_threads(args), _progress_printer(args.cmd), 1)
-    return _grid_tag("k", k_grid), [f"{k!r},{second},{v!r}" for k, v in zip(k_grid, values)]
+    return [header, *(f"{k!r},{second},{v!r}" for k, v in zip(k_grid, values))]
 
 
-def _cmd_diffusion(args) -> list[str]:
+def _cmd_diffusion(args) -> _Output:
     from .classical import diffusion_coefficient
 
-    tag, rows = _per_k(args, args.horizon, partial(diffusion_coefficient, args.map, k2=args.k2,
-                       horizon=args.horizon, n_orbits=args.orbits, seed=args.seed))
-    stem = f"diffusion_{args.map}_{tag}{_k2_tag(args)}_h{args.horizon}"
-    return _save(args, stem, "K,horizon,D", rows, "diffusion")
+    return _Output(_per_k(args, "K,horizon,D", args.horizon, partial(
+        diffusion_coefficient, args.map, k2=args.k2, horizon=args.horizon,
+        n_orbits=args.orbits, seed=args.seed)), "diffusion")
 
 
-def _cmd_classical_nm(args) -> list[str]:
+def _cmd_classical_nm(args) -> _Output:
     from .classical import classical_nm_grid
 
-    tag, rows = _per_k(args, args.t, partial(classical_nm_grid, args.map, k2=args.k2,
-                       delta_k=args.delta_k, grid_side=args.grid, t_max=args.t))
-    stem = f"classical_nm_{args.map}_{tag}{_k2_tag(args)}_t{args.t}"
-    return _save(args, stem, "K,T,value", rows, "classical")
+    return _Output(_per_k(args, "K,T,value", args.t, partial(
+        classical_nm_grid, args.map, k2=args.k2, delta_k=args.delta_k,
+        grid_side=args.grid, t_max=args.t)), "classical")
 
 
-def _cmd_gamma_curve(args) -> list[str]:
+def _cmd_gamma_curve(args) -> _Output:
     if args.dkh_max <= 0:
         raise ValueError(f"--dkh-max must be positive, got {args.dkh_max}")
-    dkh_values = np.linspace(0.0, args.dkh_max, args.points)
-    stem = f"gamma_curve_max{_fmt(args.dkh_max)}_{args.points}"
-    return _save(args, stem, "dkh,gamma", _gamma_rows(dkh_values), "gamma")
+    return _Output(_gamma_rows(np.linspace(0.0, args.dkh_max, args.points)), "gamma")
 
 
-def _cmd_short_time_check(args) -> list[str]:
+def _cmd_short_time_check(args) -> None:
     from .semiclassics import short_time_check
 
     result = short_time_check(args.map, args.k, args.dkh, args.n)
@@ -401,7 +396,6 @@ def _cmd_short_time_check(args) -> list[str]:
         f"measured={result.measured:.6f} predicted={result.predicted:.6f} "
         f"residual={result.residual:.2e} diverged={result.diverged}"
     )
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +410,15 @@ class _Opt(NamedTuple):
     """One option of the table.
 
     type is finite_float, int, str, _COUNT, bool (a switch) or a tuple of
-    choices; default is a value, None or _REQUIRED.
+    choices; default is a value, None or _REQUIRED.  tag names the output:
+    the stem carries <tag><value>, and None leaves the option out of it.
     """
 
     name: str
     type: object
     default: object = None
     help: str | None = None
+    tag: str | None = None
 
     @property
     def flag(self) -> str:
@@ -448,15 +444,15 @@ class _Opt(NamedTuple):
 
 
 class _Command(NamedTuple):
-    run: Callable[[argparse.Namespace], list[str]]
+    run: Callable[[argparse.Namespace], _Output | None]
     help: str
     options: tuple[_Opt, ...]
 
 
 def _grid(prefix: str, single_help: str, values_help: str) -> tuple[_Opt, ...]:
-    """A single value and the grid forms that _grid_values resolves."""
+    """A single value and the grid forms that _grid_values resolves; the tag names the grid."""
     return (
-        _Opt(prefix, finite_float, help=single_help),
+        _Opt(prefix, finite_float, help=single_help, tag=prefix),
         _Opt(f"{prefix}_values", str, help=values_help),
         _Opt(f"{prefix}_min", finite_float),
         _Opt(f"{prefix}_max", finite_float),
@@ -464,14 +460,14 @@ def _grid(prefix: str, single_help: str, values_help: str) -> tuple[_Opt, ...]:
     )
 
 
-_MAP = _Opt("map", FAMILIES, _REQUIRED)
-_K = _Opt("k", finite_float, _REQUIRED)
+_MAP = _Opt("map", FAMILIES, _REQUIRED, tag="")
+_K = _Opt("k", finite_float, _REQUIRED, tag="k")
 _K_GRID = _grid("k", "single kick strength", "comma list of kick strengths")
-_K2 = _Opt("k2", finite_float, help="hm momentum kick strength (default: --k)")
-_N = _Opt("n", _COUNT, _REQUIRED, "Hilbert space dimension")
-_T = _Opt("t", _COUNT, _REQUIRED, "number of kicks")
-_DKH = _Opt("dkh", finite_float, _REQUIRED, "scaled perturbation strength")
-_SWEEP = (_MAP, *_K_GRID, _N, _T, *_grid("dkh", "single scaled perturbation", "comma list"))
+_K2 = _Opt("k2", finite_float, help="hm momentum kick strength (default: --k)", tag="k2")
+_N = _Opt("n", _COUNT, _REQUIRED, "Hilbert space dimension", "n")
+_T = _Opt("t", _COUNT, _REQUIRED, "number of kicks", "t")
+_DKH = _Opt("dkh", finite_float, _REQUIRED, "scaled perturbation strength", "dkh")
+_SWEEP = (_MAP, *_K_GRID, *_grid("dkh", "single scaled perturbation", "comma list"), _N, _T)
 # `config` names the file and is not itself a config key
 _CONFIG = _Opt("config", str, help="flat key = value file; flags override it")
 _OUT_DIR = _Opt("out_dir", str, ".", "directory for output files")
@@ -486,39 +482,42 @@ _COMMON = (
     _Opt("threads", int, help=f"worker pool size (default: ${THREADS_ENV} or 1)"),
     _PLOT,
 )
-_SEED = _Opt("seed", int, 0)
+_SEED = _Opt("seed", int, 0, tag="seed")
 
 _COMMANDS = {
     "fidelity": _Command(_cmd_fidelity, "one fidelity series", (
-        _MAP, _K, _K2, _N, _T, _DKH,
-        _Opt("kind", ("pure", "trace"), "trace"),
-        _Opt("q0", finite_float, help="coherent center, --kind pure only (default 0.5)"),
-        _Opt("p0", finite_float),
+        _MAP, _K, _K2, _DKH, _N, _T,
+        _Opt("kind", ("pure", "trace"), "trace", tag=""),
+        _Opt("q0", finite_float, help="coherent center, --kind pure only (default 0.5)", tag="q"),
+        _Opt("p0", finite_float, tag="p"),
         *_COMMON)),
     "nm-sweep": _Command(_cmd_nm_sweep, "trace-measure sweep over K (and dkh)",
                         (*_SWEEP, *_COMMON)),
     "avg-mp-sweep": _Command(_cmd_avg_mp_sweep, "grid-averaged pure-measure sweep",
-                            (*_SWEEP, _Opt("s", _COUNT, 16, "coherent grid side"), *_COMMON)),
+                            (*_SWEEP, _Opt("s", _COUNT, 16, "coherent grid side", "s"),
+                             *_COMMON)),
     "phase-scan": _Command(_cmd_phase_scan, "pure measure on an s x s coherent grid", (
-        _MAP, _K, _N, _T, _DKH, _Opt("s", _COUNT, _REQUIRED, "grid side"), *_COMMON)),
+        _MAP, _K, _DKH, _N, _T, _Opt("s", _COUNT, _REQUIRED, "grid side", "s"), *_COMMON)),
     "line-scan": _Command(_cmd_line_scan, "pure measure along a phase-space segment", (
-        _MAP, _K, _N, _T, _DKH,
-        *(_Opt(name, finite_float, _REQUIRED) for name in ("q0", "p0", "q1", "p1")),
-        _Opt("points", _COUNT, _REQUIRED),
+        _MAP, _K, _DKH, _N, _T,
+        *(_Opt(name, finite_float, _REQUIRED, tag=name[0]) for name in ("q0", "p0", "q1", "p1")),
+        _Opt("points", _COUNT, _REQUIRED, tag=""),
         *_OUTPUT)),
     "classical-portrait": _Command(_cmd_classical_portrait, "classical phase portrait cloud", (
-        _MAP, _K, _K2, _Opt("orbits", _COUNT, 100), _Opt("steps", _COUNT, 300), *_OUTPUT, _SEED)),
+        _MAP, _K, _K2, _Opt("orbits", _COUNT, 100, tag="orbits"),
+        _Opt("steps", _COUNT, 300, tag="steps"), *_OUTPUT, _SEED)),
     "diffusion": _Command(_cmd_diffusion, "classical momentum diffusion vs K", (
-        _MAP, *_K_GRID, _K2, _Opt("horizon", _COUNT, 16000), _Opt("orbits", _COUNT, 4000),
-        *_COMMON, _SEED)),
+        _MAP, *_K_GRID, _K2, _Opt("horizon", _COUNT, 16000, tag="h"),
+        _Opt("orbits", _COUNT, 4000, tag="orbits"), *_COMMON, _SEED)),
     "classical-nm": _Command(_cmd_classical_nm, "grid-averaged classical measure vs K", (
         _MAP, *_K_GRID, _K2,
-        _Opt("delta_k", finite_float, 1e-3),
-        _Opt("t", _COUNT, 20000),
-        _Opt("grid", _COUNT, 32, "initial-condition grid side"),
+        _Opt("delta_k", finite_float, 1e-3, tag="dk"),
+        _Opt("t", _COUNT, 20000, tag="t"),
+        _Opt("grid", _COUNT, 32, "initial-condition grid side", "grid"),
         *_COMMON)),
     "gamma-curve": _Command(_cmd_gamma_curve, "short-time rate curve Gamma(dkh)", (
-        _Opt("dkh_max", finite_float, 12.0), _Opt("points", _COUNT, 1200), *_OUTPUT)),
+        _Opt("dkh_max", finite_float, 12.0, tag="max"), _Opt("points", _COUNT, 1200, tag=""),
+        *_OUTPUT)),
     "short-time-check": _Command(_cmd_short_time_check, "measured vs predicted t=1 rate",
                                 (_MAP, _K, _DKH, _N, _CONFIG)),
 }
@@ -586,10 +585,10 @@ def main(argv=None) -> int:
     try:
         args = _resolve(build_parser().parse_args(argv))
         start = time.monotonic()
-        written = _COMMANDS[args.cmd].run(args)
-        elapsed = time.monotonic() - start
-        if written:
-            print(f"wrote {', '.join(written)} ({elapsed:.1f}s)")
+        output = _COMMANDS[args.cmd].run(args)
+        if output is not None:
+            written = _write(args, output)
+            print(f"wrote {', '.join(written)} ({time.monotonic() - start:.1f}s)")
         return 0
     except GuardError as exc:
         print(f"torus-echo: {exc}", file=sys.stderr)

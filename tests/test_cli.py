@@ -5,6 +5,7 @@ return codes and captured streams without spawning interpreters.
 """
 
 import argparse
+import json
 import os
 import shlex
 from pathlib import Path
@@ -14,6 +15,8 @@ import pytest
 
 from torus_echo import cli
 from torus_echo.scans import load_grid, scan_phase_space
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(*argv) -> int:
@@ -537,7 +540,7 @@ def test_line_scan_csv(tmp_path):
              "--t", 10, "--q0", 0.1, "--p0", 0.2, "--q1", 0.9, "--p1", 0.2,
              "--points", 4, "--out-dir", tmp_path)
     assert rc == 0
-    lines = read_lines(tmp_path / "line_scan_sm_k0.9_dkh1_n32_t10.csv")
+    lines = read_lines(tmp_path / "line_scan_sm_k0.9_dkh1_n32_t10_q0.1_p0.2_q0.9_p0.2_4.csv")
     assert lines[1] == "q,p,value"
     rows = [line.split(",") for line in lines[2:]]
     assert len(rows) == 4
@@ -551,7 +554,7 @@ def test_line_scan_csv(tmp_path):
              "--t", 3, "--q0", 0, "--p0", 0, "--q1", 1, "--p1", 1,
              "--points", 3, "--out-dir", tmp_path)
     assert rc == 0
-    rows = read_lines(tmp_path / "line_scan_hm_k0.1_dkh2_n16_t3.csv")[2:]
+    rows = read_lines(tmp_path / "line_scan_hm_k0.1_dkh2_n16_t3_q0_p0_q1_p1_3.csv")[2:]
     assert [row.rsplit(",", 1)[0] for row in rows] == ["0.0,0.0", "0.5,0.5", "1.0,1.0"]
 
 
@@ -563,7 +566,7 @@ def test_classical_portrait_csv(tmp_path):
     rc = run("classical-portrait", "--map", "sm", "--k", 1.2, "--orbits", 9,
              "--steps", 5, "--out-dir", tmp_path)
     assert rc == 0
-    lines = read_lines(tmp_path / "portrait_sm_k1.2.csv")
+    lines = read_lines(tmp_path / "classical_portrait_sm_k1.2_orbits9_steps5_seed0.csv")
     assert lines[1] == "x,p"
     rows = lines[2:]
     assert len(rows) == 9 * 6
@@ -576,7 +579,7 @@ def test_diffusion_csv_and_progress(tmp_path, capsys):
     rc = run("diffusion", "--map", "sm", "--k-values", "0.5,2.5",
              "--horizon", 200, "--orbits", 100, "--out-dir", tmp_path)
     assert rc == 0
-    lines = read_lines(tmp_path / "diffusion_sm_k0.5-2.5x2_h200.csv")
+    lines = read_lines(tmp_path / "diffusion_sm_k0.5-2.5x2_h200_orbits100_seed0.csv")
     assert lines[1] == "K,horizon,D"
     assert lines[2].startswith("0.5,200,")
     assert len(lines) == 4
@@ -602,31 +605,10 @@ def test_classical_nm_csv(tmp_path):
     rc = run("classical-nm", "--map", "sm", "--k", 0.9, "--delta-k", 0.001,
              "--t", 50, "--grid", 4, "--out-dir", tmp_path)
     assert rc == 0
-    lines = read_lines(tmp_path / "classical_nm_sm_k0.9_t50.csv")
+    lines = read_lines(tmp_path / "classical_nm_sm_k0.9_dk0.001_t50_grid4.csv")
     assert lines[1] == "K,T,value"
     k, t, value = lines[2].split(",")
     assert float(k) == 0.9 and t == "50" and float(value) >= 0.0
-
-
-# an hm run names a given --k2 after K, so runs that differ only in K2 keep
-# both files; without --k2 the name is the one of K alone
-@pytest.mark.parametrize("argv, names", [
-    ("fidelity --map hm --k 0.2 --dkh 1 --n 16 --t 3",
-     ["fidelity_hm_k0.2_k20.3_dkh1_n16_t3_trace.csv",
-      "fidelity_hm_k0.2_k20.5_dkh1_n16_t3_trace.csv"]),
-    ("classical-portrait --map hm --k 0.2 --orbits 2 --steps 3",
-     ["portrait_hm_k0.2_k20.3.csv", "portrait_hm_k0.2_k20.5.csv"]),
-    ("diffusion --map hm --k 0.2 --horizon 3 --orbits 2",
-     ["diffusion_hm_k0.2_k20.3_h3.csv", "diffusion_hm_k0.2_k20.5_h3.csv"]),
-    ("classical-nm --map hm --k 0.2 --t 3 --grid 2",
-     ["classical_nm_hm_k0.2_k20.3_t3.csv", "classical_nm_hm_k0.2_k20.5_t3.csv"]),
-], ids=["fidelity", "classical-portrait", "diffusion", "classical-nm"])
-def test_hm_runs_that_differ_in_k2_keep_both_files(tmp_path, argv, names):
-    for k2 in (0.3, 0.5):
-        assert run(*argv.split(), "--k2", k2, "--out-dir", tmp_path / "k2") == 0
-    assert sorted(p.name for p in (tmp_path / "k2").iterdir()) == names
-    assert run(*argv.split(), "--out-dir", tmp_path / "k") == 0
-    assert [p.name for p in (tmp_path / "k").iterdir()] == [names[0].replace("_k20.3", "")]
 
 
 def test_one_parser_serves_every_run_of_a_process(tmp_path):
@@ -635,7 +617,7 @@ def test_one_parser_serves_every_run_of_a_process(tmp_path):
     argv = ("classical-nm", "--map", "hm", "--k", 0.3, "--k2", 0.4, "--t", 30, "--grid", 4,
             "--out-dir", tmp_path)
     assert run(*argv) == 0
-    path = tmp_path / "classical_nm_hm_k0.3_k20.4_t30.csv"
+    path = tmp_path / "classical_nm_hm_k0.3_k20.4_dk0.001_t30_grid4.csv"
     first = path.read_bytes()
     assert run("diffusion", "--map", "sm", "--k", 1.2, "--horizon", 20, "--orbits", 16,
                "--seed", 3, "--plot", "--out-dir", tmp_path / "other") == 0
@@ -782,45 +764,48 @@ _PINNED = [
         " --points 2",
         "# torus-echo line-scan dkh=2 k=0.1 map=hm n=16 out_dir=out p0=0 p1=1 plot=True"
         " points=2 q0=0 q1=1 t=3",
-        'set output "line_scan_hm_k0.1_dkh2_n16_t3.png"\n'
+        'set output "line_scan_hm_k0.1_dkh2_n16_t3_q0_p0_q1_p1_2.png"\n'
         "set key autotitle columnhead\n"
         'set xlabel "q0"\n'
         'set ylabel "measure"\n'
-        'plot "line_scan_hm_k0.1_dkh2_n16_t3.csv" using 1:3 with linespoints title "measure"\n',
+        'plot "line_scan_hm_k0.1_dkh2_n16_t3_q0_p0_q1_p1_2.csv" using 1:3 with linespoints'
+        ' title "measure"\n',
         id="line-scan"),
     pytest.param(
         "classical-portrait --map sm --k 0.98 --orbits 2 --steps 2",
         "# torus-echo classical-portrait k=0.98 map=sm orbits=2 out_dir=out plot=True"
         " seed=0 steps=2",
-        'set output "portrait_sm_k0.98.png"\n'
+        'set output "classical_portrait_sm_k0.98_orbits2_steps2_seed0.png"\n'
         "unset key\n"
         "set size square\n"
         "set xrange [0:1]\n"
         "set yrange [0:1]\n"
         'set xlabel "x"\n'
         'set ylabel "p"\n'
-        'plot "portrait_sm_k0.98.csv" using 1:2 with dots\n',
+        'plot "classical_portrait_sm_k0.98_orbits2_steps2_seed0.csv" using 1:2 with dots\n',
         id="classical-portrait"),
     pytest.param(
         "diffusion --map sm --k-min 0.5 --k-max 1 --k-points 2 --horizon 10 --orbits 10",
         "# torus-echo diffusion horizon=10 k_max=1 k_min=0.5 k_points=2 map=sm orbits=10"
         " out_dir=out plot=True seed=0",
-        'set output "diffusion_sm_k0.5-1x2_h10.png"\n'
+        'set output "diffusion_sm_k0.5-1x2_h10_orbits10_seed0.png"\n'
         "set key autotitle columnhead\n"
         "set logscale y\n"
         'set xlabel "K"\n'
         'set ylabel "D"\n'
-        'plot "diffusion_sm_k0.5-1x2_h10.csv" using 1:3 with linespoints title "D"\n',
+        'plot "diffusion_sm_k0.5-1x2_h10_orbits10_seed0.csv" using 1:3 with linespoints'
+        ' title "D"\n',
         id="diffusion"),
     pytest.param(
         "classical-nm --map hm --k 0.2 --k2 0.3 --delta-k 0.01 --t 10 --grid 2",
         "# torus-echo classical-nm delta_k=0.01 grid=2 k=0.2 k2=0.3 map=hm out_dir=out"
         " plot=True t=10",
-        'set output "classical_nm_hm_k0.2_k20.3_t10.png"\n'
+        'set output "classical_nm_hm_k0.2_k20.3_dk0.01_t10_grid2.png"\n'
         "set key autotitle columnhead\n"
         'set xlabel "K"\n'
         'set ylabel "measure"\n'
-        'plot "classical_nm_hm_k0.2_k20.3_t10.csv" using 1:3 with linespoints title "measure"\n',
+        'plot "classical_nm_hm_k0.2_k20.3_dk0.01_t10_grid2.csv" using 1:3 with linespoints'
+        ' title "measure"\n',
         id="classical-nm"),
     pytest.param(
         "gamma-curve --dkh-max 3 --points 5",
@@ -852,7 +837,23 @@ def test_config_echo_and_plot_script_bytes(tmp_path, monkeypatch, argv, echo, sc
 _THREADS_UNREAD = ("fidelity", "phase-scan")
 
 
+def _recording(args: argparse.Namespace, seen: set) -> argparse.Namespace:
+    """A copy of args that adds the name of each attribute read from it to seen."""
+
+    # the config echo takes vars() of the namespace, which records no
+    # option name, so an option that is only echoed counts as unread
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            seen.add(name)
+            return super().__getattribute__(name)
+
+    return Recording(**vars(args))
+
+
 def test_every_option_is_read_by_its_subcommand(tmp_path, monkeypatch):
+    # an option counts as read when the runner reads it, or when the writer
+    # reads it for more than the file name: the writer reads every naming
+    # option to name the output, so an option read only there counts as unread
     monkeypatch.chdir(tmp_path)
     argvs = [param.values[0].split() + ["--plot", "--out-dir", "out"] for param in _PINNED]
     argvs += [
@@ -863,16 +864,15 @@ def test_every_option_is_read_by_its_subcommand(tmp_path, monkeypatch):
     echoed_unread = {}
     for argv in argvs:
         args = cli._resolve(cli.build_parser().parse_args(argv))
-        seen = set()
-
-        # the config echo takes vars() of the namespace, which records no
-        # option name, so an option that is only echoed counts as unread
-        class Recording(argparse.Namespace):
-            def __getattribute__(self, name):
-                seen.add(name)
-                return super().__getattribute__(name)
-
-        cli._COMMANDS[args.cmd].run(Recording(**vars(args)))
+        computed, named, written = set(), set(), set()
+        recorded = _recording(args, computed)
+        output = cli._COMMANDS[args.cmd].run(recorded)
+        # the writer sees what the runner resolved, such as the pure center
+        args = argparse.Namespace(**vars(recorded))
+        if output is not None:
+            cli._stem(_recording(args, named))
+            cli._write(_recording(args, written), output)
+        seen = computed | (written - named)
         read[args.cmd] |= seen
         # every option this run echoes is read by this run, not only by
         # another run of the same subcommand
@@ -890,6 +890,153 @@ def test_every_option_is_read_by_its_subcommand(tmp_path, monkeypatch):
         if names - read[cmd]:
             unread[cmd] = sorted(names - read[cmd])
     assert unread == {}
+
+
+# ---------------------------------------------------------------------------
+# output names
+
+
+def _two_runs(case: str) -> tuple[list[str], list[str]]:
+    """The argv of two runs: an `a|b` token gives a to the first and b to the second."""
+    runs = ([], [])
+    for token in case.split():
+        for argv, choice in zip(runs, token.split("|") if "|" in token else (token, token)):
+            argv.extend([choice] if choice else [])
+    return runs
+
+
+# (subcommand, naming option, two runs that differ in that option alone);
+# --k2 has two pairs each, unset against given and two given values
+_NAMING = [
+    ("fidelity", "map", "--map sm|hm --k 0.2 --dkh 1 --n 16 --t 3"),
+    ("fidelity", "k", "--map sm --k 0.2|0.3 --dkh 1 --n 16 --t 3"),
+    ("fidelity", "k2", "--map hm --k 0.2 |--k2=0.3 --dkh 1 --n 16 --t 3"),
+    ("fidelity", "k2", "--map hm --k 0.2 --k2 0.3|0.5 --dkh 1 --n 16 --t 3"),
+    ("fidelity", "dkh", "--map sm --k 0.2 --dkh 1|2 --n 16 --t 3"),
+    ("fidelity", "n", "--map sm --k 0.2 --dkh 1 --n 16|17 --t 3"),
+    ("fidelity", "t", "--map sm --k 0.2 --dkh 1 --n 16 --t 3|4"),
+    ("fidelity", "kind", "--map sm --k 0.2 --dkh 1 --n 16 --t 3 --kind trace|pure"),
+    ("fidelity", "q0", "--map sm --k 0.2 --dkh 1 --n 16 --t 3 --kind pure --q0 0.25|0.5"),
+    ("fidelity", "p0", "--map sm --k 0.2 --dkh 1 --n 16 --t 3 --kind pure |--p0=0.25"),
+    ("nm-sweep", "map", "--map sm|hm --k 0.2 --dkh 1 --n 16 --t 3"),
+    ("nm-sweep", "k", "--map sm --k=0.2|--k-values=0.2,0.3 --dkh 1 --n 16 --t 3"),
+    ("nm-sweep", "dkh", "--map sm --k 0.2 --dkh-values 1,2|1,3 --n 16 --t 3"),
+    ("nm-sweep", "n", "--map sm --k 0.2 --dkh 1 --n 16|17 --t 3"),
+    ("nm-sweep", "t", "--map sm --k 0.2 --dkh 1 --n 16 --t 3|4"),
+    ("avg-mp-sweep", "map", "--map sm|hm --k 0.2 --dkh 1 --n 16 --t 3 --s 2"),
+    ("avg-mp-sweep", "k", "--map sm --k-min 0.1 --k-max 0.3 --k-points 2|3 --dkh 1 --n 16 --t 3"
+     " --s 2"),
+    ("avg-mp-sweep", "dkh", "--map sm --k 0.2 --dkh=1|--dkh-values=1,2 --n 16 --t 3 --s 2"),
+    ("avg-mp-sweep", "n", "--map sm --k 0.2 --dkh 1 --n 16|17 --t 3 --s 2"),
+    ("avg-mp-sweep", "t", "--map sm --k 0.2 --dkh 1 --n 16 --t 3|4 --s 2"),
+    ("avg-mp-sweep", "s", "--map sm --k 0.2 --dkh 1 --n 16 --t 3 |--s=2"),
+    ("phase-scan", "map", "--map sm|hm --k 0.2 --dkh 1 --n 16 --t 3 --s 2"),
+    ("phase-scan", "k", "--map sm --k 0.2|0.3 --dkh 1 --n 16 --t 3 --s 2"),
+    ("phase-scan", "dkh", "--map sm --k 0.2 --dkh 1|2 --n 16 --t 3 --s 2"),
+    ("phase-scan", "n", "--map sm --k 0.2 --dkh 1 --n 16|17 --t 3 --s 2"),
+    ("phase-scan", "t", "--map sm --k 0.2 --dkh 1 --n 16 --t 3|4 --s 2"),
+    ("phase-scan", "s", "--map sm --k 0.2 --dkh 1 --n 16 --t 3 --s 2|3"),
+    # each line-scan pair changes one value of the same run
+    *(("line-scan", option, "--map sm --k 0.2 --dkh 1 --n 16 --t 3 --q0 0 --p0 0 --q1 1 --p1 1"
+       " --points 3".replace(f"--{option} {old}", f"--{option} {old}|{new}"))
+      for option, old, new in (("map", "sm", "hm"), ("k", 0.2, 0.3), ("dkh", 1, 2), ("n", 16, 17),
+                               ("t", 3, 4), ("q0", 0, 0.5), ("p0", 0, 0.5), ("q1", 1, 0.5),
+                               ("p1", 1, 0.5), ("points", 3, 4))),
+    ("classical-portrait", "map", "--map sm|hm --k 0.2 --orbits 2 --steps 2"),
+    ("classical-portrait", "k", "--map sm --k 0.1234561|0.1234562 --orbits 2 --steps 2"),
+    ("classical-portrait", "k2", "--map hm --k 0.2 |--k2=0.3 --orbits 2 --steps 3"),
+    ("classical-portrait", "k2", "--map hm --k 0.2 --k2 0.3|0.5 --orbits 2 --steps 3"),
+    ("classical-portrait", "orbits", "--map sm --k 0.2 --orbits 2|3 --steps 2"),
+    ("classical-portrait", "steps", "--map sm --k 0.2 --orbits 2 --steps 2|3"),
+    ("classical-portrait", "seed", "--map sm --k 0.2 --orbits 2 --steps 2 |--seed=1"),
+    ("diffusion", "map", "--map sm|hm --k 0.2 --horizon 3 --orbits 2"),
+    ("diffusion", "k", "--map sm --k-values 0.2,0.3|0.2,0.4 --horizon 3 --orbits 2"),
+    ("diffusion", "k2", "--map hm --k 0.2 |--k2=0.3 --horizon 3 --orbits 2"),
+    ("diffusion", "k2", "--map hm --k 0.2 --k2 0.3|0.5 --horizon 3 --orbits 2"),
+    ("diffusion", "horizon", "--map sm --k 0.2 --horizon 3|4 --orbits 2"),
+    ("diffusion", "orbits", "--map sm --k 0.2 --horizon 3 --orbits 2|3"),
+    ("diffusion", "seed", "--map sm --k 0.2 --horizon 3 --orbits 2 --seed 0|1"),
+    ("classical-nm", "map", "--map sm|hm --k 0.2 --t 3 --grid 2"),
+    ("classical-nm", "k", "--map sm --k 0.2|0.3 --t 3 --grid 2"),
+    ("classical-nm", "k2", "--map hm --k 0.2 |--k2=0.3 --t 3 --grid 2"),
+    ("classical-nm", "k2", "--map hm --k 0.2 --k2 0.3|0.5 --t 3 --grid 2"),
+    ("classical-nm", "delta_k", "--map sm --k 0.2 --delta-k 0.01|0.02 --t 3 --grid 2"),
+    ("classical-nm", "t", "--map sm --k 0.2 --t 3|4 --grid 2"),
+    ("classical-nm", "grid", "--map sm --k 0.2 --t 3 --grid 2|3"),
+    ("gamma-curve", "dkh_max", "--dkh-max 3|4 --points 5"),
+    ("gamma-curve", "points", "--dkh-max 3 --points 5|6"),
+]
+
+
+@pytest.mark.parametrize("cmd, option, case", _NAMING, ids=[
+    f"{cmd}-{option}-{next(token for token in case.split() if '|' in token)}"
+    for cmd, option, case in _NAMING])
+def test_runs_that_differ_in_one_naming_option_keep_both_files(tmp_path, cmd, option, case):
+    names = []
+    for argv in _two_runs(case):
+        assert run(cmd, *argv, "--out-dir", tmp_path) == 0
+        names.append(sorted(os.listdir(tmp_path)))
+    assert len(names[1]) == 2 * len(names[0])
+    if "|--k2=" in case:
+        assert names[1] == _K2_NAMES[cmd]
+
+
+# the files of the unset-against-given --k2 pairs: a given K2 is named after K
+_K2_NAMES = {
+    "fidelity": ["fidelity_hm_k0.2_dkh1_n16_t3_trace.csv",
+                 "fidelity_hm_k0.2_k20.3_dkh1_n16_t3_trace.csv"],
+    "classical-portrait": ["classical_portrait_hm_k0.2_k20.3_orbits2_steps3_seed0.csv",
+                           "classical_portrait_hm_k0.2_orbits2_steps3_seed0.csv"],
+    "diffusion": ["diffusion_hm_k0.2_h3_orbits2_seed0.csv",
+                  "diffusion_hm_k0.2_k20.3_h3_orbits2_seed0.csv"],
+    "classical-nm": ["classical_nm_hm_k0.2_dk0.001_t3_grid2.csv",
+                     "classical_nm_hm_k0.2_k20.3_dk0.001_t3_grid2.csv"],
+}
+
+
+def test_the_naming_runs_cover_every_naming_option():
+    # short-time-check prints its result and writes no file
+    named = {(cmd, opt.name) for cmd, command in cli._COMMANDS.items()
+             if cmd != "short-time-check" for opt in command.options if opt.tag is not None}
+    assert {(cmd, option) for cmd, option, _ in _NAMING} == named
+    # every other option places or renders the output, or is a grid form,
+    # which the tag of the single value names as one group
+    grid_forms = {f"{grid}_{form}" for grid in ("k", "dkh")
+                  for form in ("values", "min", "max", "points")}
+    unnamed = {opt.name for command in cli._COMMANDS.values() for opt in command.options
+               if opt.tag is None}
+    assert unnamed == {"config", "out_dir", "plot", "threads"} | grid_forms
+
+
+@pytest.mark.parametrize("argv", [param.values[0] for param in _PINNED],
+                         ids=[param.id for param in _PINNED])
+def test_threads_out_dir_plot_and_config_never_change_a_name(tmp_path, monkeypatch, capsys,
+                                                             argv):
+    monkeypatch.chdir(tmp_path)
+    cmd, flag, value, *rest = argv.split()
+    # the first option moves into a config file that also sets the other three
+    Path("run.cfg").write_text(f"{flag[2:]} = {value}\nout_dir = cfg\nplot = yes\n")
+    variants = [(), ("--out-dir", "deep/er"), ("--plot",), ("--config", "run.cfg")]
+    if any(opt.name == "threads" for opt in cli._COMMANDS[cmd].options):
+        variants.append(("--threads", "2"))
+    names = set()
+    for extra in variants:
+        args = [cmd, *rest, *extra] if extra[:1] == ("--config",) else argv.split() + list(extra)
+        assert run(*args) == 0
+        written = capsys.readouterr().out.removeprefix("wrote ").rsplit(" (", 1)[0].split(", ")
+        names.add(os.path.basename(written[0]))
+    assert len(names) == 1
+
+
+# a float is named and echoed in `g` form when that reads back exactly, else by repr
+@pytest.mark.parametrize("value", [0.98, 0.1234561, 0.1234562, 1 / 3, 0.1 + 0.2, 123456.7])
+def test_names_and_echoes_give_each_float_exactly(tmp_path, value):
+    assert run("classical-portrait", "--map", "sm", f"--k={value!r}", "--orbits", 2, "--steps", 2,
+               "--out-dir", tmp_path) == 0
+    (path,) = tmp_path.iterdir()
+    echo = dict(token.split("=") for token in read_lines(path)[0].split()[3:])
+    assert float(echo["k"]) == value and len(echo["k"]) <= len(repr(value))
+    assert f"k{echo['k']}" in path.stem.split("_")
 
 
 def test_help_lists_every_subcommand(capsys, monkeypatch):
@@ -911,7 +1058,7 @@ def test_subcommand_help_lists_every_flag_of_its_table(capsys, cmd):
 
 
 def test_readme_command_lines_parse_and_resolve():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (_ROOT / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```")[1]
     lines = [line for line in block.splitlines() if line.startswith("torus-echo ")]
     assert len(lines) >= 10
@@ -921,18 +1068,25 @@ def test_readme_command_lines_parse_and_resolve():
         assert cli._resolve(parser.parse_args(argv)).cmd == argv[0], line
 
 
+def _bench_harness():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_harness", _ROOT / "bench" / "harness.py")
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    return harness
+
+
+def _workloads() -> list[str]:
+    return [w["name"] for w in json.loads((_ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
 def test_benchmark_command_lines_parse_and_resolve():
     # every command line of every benchmark workload, at both shapes, goes
     # through the parser and the config merge of a real run; importing the
     # harness also resolves every library name it calls
-    import importlib.util
-    import json
-
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("bench_harness", root / "bench" / "harness.py")
-    harness = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(harness)
-    workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    harness = _bench_harness()
+    workloads = _workloads()
     assert len(workloads) == 3
     parser = cli.build_parser()
     for shapes in harness.SHAPES.values():
@@ -940,3 +1094,15 @@ def test_benchmark_command_lines_parse_and_resolve():
             for argv in harness.cli_argvs(workload, shapes[workload], 0, "out"):
                 args = cli._resolve(parser.parse_args(argv))
                 assert args.cmd == argv[0] and args.out_dir == "out", argv
+
+
+@pytest.mark.parametrize("workload", _workloads())
+def test_benchmark_plain_jobs_pass_their_checks(tmp_path, workload):
+    # the harness finds each output by a one-file glob (`diffusion_*.csv`), so
+    # a renamed output must still be the one match in its directory
+    harness = _bench_harness()
+    reference = json.loads((_ROOT / "bench" / "reference.json").read_text())["smoke"]
+    outputs = harness.plain_job(workload, harness.SHAPES["smoke"][workload],
+                                harness.DEFAULT_SEED, tmp_path)
+    checks = harness.checks(workload, outputs, reference[workload], harness.DEFAULT_SEED)
+    assert checks and [check for check in checks if not check[1]] == []
