@@ -13,8 +13,9 @@ payload; one writer, _write, writes every file of a run.  A file's stem is
 the subcommand's name followed by the tag and value of each naming option,
 in table order (`phase_scan_sm_k0.9_dkh1_n32_t10_s3`); an option whose
 resolved value is None is left out, and a K or dkh grid is named by its
-ends and count.  So two runs that differ in one naming option keep both
-files, unless they differ only inside a grid.
+first and last value and its count, plus a CRC-32 of its values unless it
+is np.linspace of those three.  So two runs that differ in one naming
+option keep both files.
 
 A run imports only the layers it executes.  `maps`, `torus`, `echo` and
 `scans` (and through them `measures`) load with this module: the parser and
@@ -34,6 +35,7 @@ import os
 import re
 import sys
 import time
+import zlib
 from functools import cache, partial
 from typing import Callable, NamedTuple
 
@@ -110,15 +112,16 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _resolve_threads(args: argparse.Namespace) -> int:
-    hint = args.threads
-    if hint is None:
-        raw = os.environ.get(THREADS_ENV) or "1"  # set but empty reads as unset
-        try:
-            hint = int(raw)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
+    """--threads (checked with the other counts), else $TORUS_ECHO_THREADS, else 1."""
+    if args.threads is not None:
+        return args.threads
+    raw = os.environ.get(THREADS_ENV) or "1"  # set but empty reads as unset
+    try:
+        hint = int(raw)
+    except ValueError:
+        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
     if hint < 1:
-        raise ValueError(f"thread hint must be >= 1, got {hint}")
+        raise ValueError(f"{THREADS_ENV} must be >= 1, got {hint}")
     return hint
 
 
@@ -159,17 +162,20 @@ def _grid_values(args, prefix: str) -> tuple[float, ...]:
                          f"--{prefix}-min/--{prefix}-max/--{prefix}-points")
     if lo is None or hi is None or npts is None:
         raise ValueError(f"--{prefix}-min, --{prefix}-max and --{prefix}-points go together")
-    if npts < 1:
-        raise ValueError(f"--{prefix}-points must be >= 1, got {npts}")
     if npts == 1:
         return (float(lo),)
     return tuple(float(v) for v in _linspace(lo, hi, npts, f"--{prefix}-min/--{prefix}-max"))
 
 
 def _grid_tag(prefix: str, grid: tuple[float, ...]) -> str:
+    """<prefix><first>-<last>x<count>, and a CRC-32 of the values unless they are that range."""
     if len(grid) == 1:
         return f"{prefix}{_fmt(grid[0])}"
-    return f"{prefix}{_fmt(min(grid))}-{_fmt(max(grid))}x{len(grid)}"
+    tag = f"{prefix}{_fmt(grid[0])}-{_fmt(grid[-1])}x{len(grid)}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        if grid == tuple(np.linspace(grid[0], grid[-1], len(grid)).tolist()):
+            return tag
+    return f"{tag}-{zlib.crc32(','.join(map(repr, grid)).encode()):08x}"
 
 
 def _progress_printer(label: str):
@@ -403,7 +409,7 @@ def _cmd_short_time_check(args) -> None:
 
 
 _REQUIRED = object()  # default mark: the merged value must come from a flag or the config
-_COUNT = "count"      # type mark: an int that must be >= 1 after the merge
+_COUNT = "count"      # type mark: an int that must be >= 1 after the merge, when set
 
 
 class _Opt(NamedTuple):
@@ -456,7 +462,7 @@ def _grid(prefix: str, single_help: str, values_help: str) -> tuple[_Opt, ...]:
         _Opt(f"{prefix}_values", str, help=values_help),
         _Opt(f"{prefix}_min", finite_float),
         _Opt(f"{prefix}_max", finite_float),
-        _Opt(f"{prefix}_points", int),
+        _Opt(f"{prefix}_points", _COUNT),
     )
 
 
@@ -479,7 +485,7 @@ _OUTPUT = (_CONFIG, _OUT_DIR, _PLOT)
 _COMMON = (
     _CONFIG,
     _OUT_DIR,
-    _Opt("threads", int, help=f"worker pool size (default: ${THREADS_ENV} or 1)"),
+    _Opt("threads", _COUNT, help=f"worker pool size (default: ${THREADS_ENV} or 1)"),
     _PLOT,
 )
 _SEED = _Opt("seed", int, 0, tag="seed")
@@ -554,7 +560,7 @@ def _resolve(parsed: argparse.Namespace) -> argparse.Namespace:
     """Merge flags over config entries over table defaults, then check them.
 
     Every config entry is converted and checked, also when a flag overrides
-    it.  Required options and counts are checked on the merged values.
+    it.  Required options and set counts are checked on the merged values.
     """
     given = vars(parsed)
     cmd = given.pop("cmd")
@@ -576,7 +582,7 @@ def _resolve(parsed: argparse.Namespace) -> argparse.Namespace:
     if missing:
         raise ValueError(f"{cmd}: missing {', '.join(missing)}")
     for opt in options.values():
-        if opt.type is _COUNT and merged[opt.name] < 1:
+        if opt.type is _COUNT and merged[opt.name] is not None and merged[opt.name] < 1:
             raise ValueError(f"{opt.flag} must be >= 1, got {merged[opt.name]}")
     return argparse.Namespace(cmd=cmd, **merged)
 

@@ -18,17 +18,21 @@ with parity alone).  A center whose two coordinates round, mod 1, to the
 same multiple of 2**-44 as an earlier center or one of its images takes that
 representative's value, so a repeated point is evolved once in every scan;
 the outputs keep the shape and order of the centers given.
+
+A PhaseGrid is its s x s values alone.  Its file (save_grid) is the config
+echo of the run, then one CSV row per momentum index; load_grid skips every
+comment line and restores the values bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .echo import _overlaps, _passes, _trace_passes
-from .maps import FAMILIES, MapSpec, PerturbedPair, blocks, check_dense
+from .maps import MapSpec, PerturbedPair, blocks, check_dense
 from .measures import NmResult, measure_rows
 from .torus import PhasePoint, coherent_state
 
@@ -90,26 +94,29 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Measure values over an s x s grid of coherent-state centers.
+    """Finite values over an s x s grid of phase-space points; s is their side.
 
-    values[i, j] belongs to the center (q, p) = (i/s, j/s).
+    values[i, j] belongs to the point (q, p) = (i/s, j/s).  A grid holds any
+    such image, the pure measure of scan_phase_space among them; the config
+    echo above its rows in a file says what it is.
     """
 
-    family: str
-    k: float
-    dkh: float
-    n: int
-    t_max: int
-    s: int
-    values: np.ndarray = field(repr=False)
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         # a frozen copy, so the caller's array stays writeable
         values = np.array(self.values, dtype=float)
-        if values.shape != (self.s, self.s):
-            raise ValueError(f"grid shape {values.shape} does not match s={self.s}")
+        if values.ndim != 2 or values.shape[0] != values.shape[1] or not values.size:
+            raise ValueError(f"grid values must be a non-empty s x s square, got shape "
+                             f"{values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError("grid values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    @property
+    def s(self) -> int:
+        return self.values.shape[0]
 
 
 def _maps(family: str, n: int, k: float, dkh_values) -> tuple[MapSpec, list[MapSpec]]:
@@ -182,10 +189,7 @@ def scan_phase_space(
     if s < 1:
         raise ValueError(f"grid side must be >= 1, got {s}")
     (flat,) = _measure_columns(*_maps(family, n, k, [dkh]), _centers(s), t_max)
-    return PhaseGrid(
-        family=family, k=k, dkh=dkh, n=n, t_max=t_max, s=s,
-        values=flat.reshape(s, s),
-    )
+    return PhaseGrid(flat.reshape(s, s))
 
 
 def line_scan(
@@ -272,41 +276,21 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None) -> list[NmResult]:
 
 
 def save_grid(grid: PhaseGrid, path, header: str | None = None) -> None:
-    """CSV matrix, one row per momentum index, plus the metadata line."""
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    lines.append(
-        f"# {grid.family},{grid.k!r},{grid.dkh!r},{grid.n},{grid.t_max},{grid.s}"
-    )
-    for j in range(grid.s):
-        lines.append(",".join(repr(float(v)) for v in grid.values[:, j]))
+    """CSV matrix under the optional `# header` line, one row per momentum index."""
+    lines = [f"# {header}"] if header else []
+    lines += (",".join(map(repr, row)) for row in grid.values.T.tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_grid(path) -> PhaseGrid:
-    meta = None
-    rows = []
+    """The grid of a save_grid file; comment and blank lines are skipped."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.lstrip("# ").split(",")
-                if len(parts) == 6 and parts[0] in FAMILIES:
-                    meta = parts
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    if meta is None:
-        raise ValueError(f"no metadata line found in {path}")
-    family, k, dkh, n, t_max, s = meta
-    values = np.array(rows).T
-    return PhaseGrid(
-        family=family, k=float(k), dkh=float(dkh), n=int(n),
-        t_max=int(t_max), s=int(s), values=values,
-    )
+        rows = [[float(v) for v in line.split(",")]
+                for line in map(str.strip, fh) if line and not line.startswith("#")]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"{path}: grid rows do not form an s x s square")
+    return PhaseGrid(np.array(rows).T)
 
 
 def save_grid_pgm(grid: PhaseGrid, path) -> None:

@@ -7,7 +7,9 @@ return codes and captured streams without spawning interpreters.
 import argparse
 import json
 import os
+import re
 import shlex
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -515,7 +517,7 @@ def test_explicit_zero_threads_rejected(tmp_path, capsys):
     rc = run("nm-sweep", "--map", "sm", "--k", 0.5, "--dkh", 1, "--n", 32,
              "--t", 5, "--threads", 0, "--out-dir", tmp_path)
     assert rc == 2
-    assert "thread hint" in capsys.readouterr().err
+    assert "--threads must be >= 1, got 0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +834,28 @@ def test_config_echo_and_plot_script_bytes(tmp_path, monkeypatch, argv, echo, sc
     assert (tmp_path / "out" / gp).read_text() == _GP_HEAD + script
 
 
+_TAKE_THREADS = [param for param in _PINNED if any(
+    opt.name == "threads" for opt in cli._COMMANDS[param.values[0].split()[0]].options)]
+
+
+@pytest.mark.parametrize("argv", [param.values[0] for param in _TAKE_THREADS],
+                         ids=[param.id for param in _TAKE_THREADS])
+def test_zero_threads_is_refused_from_the_flag_and_the_config(tmp_path, capsys, argv):
+    # also by fidelity and phase-scan, which accept the flag without reading it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = 0\n")
+    for extra in (("--threads", 0), ("--config", cfg)):
+        assert run(*argv.split(), *extra, "--out-dir", tmp_path / "out") == 2
+        assert "--threads must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_threads_runs_cover_every_subcommand_that_takes_threads():
+    takes = {cmd for cmd, command in cli._COMMANDS.items()
+             if any(opt.name == "threads" for opt in command.options)}
+    assert {param.id for param in _TAKE_THREADS} == takes
+
+
 # the benchmark ends each of its command lines with `--threads 1 --out-dir DIR`,
 # so these subcommands, which it runs, take threads without reading it
 _THREADS_UNREAD = ("fidelity", "phase-scan")
@@ -921,6 +945,9 @@ _NAMING = [
     ("nm-sweep", "map", "--map sm|hm --k 0.2 --dkh 1 --n 16 --t 3"),
     ("nm-sweep", "k", "--map sm --k=0.2|--k-values=0.2,0.3 --dkh 1 --n 16 --t 3"),
     ("nm-sweep", "dkh", "--map sm --k 0.2 --dkh-values 1,2|1,3 --n 16 --t 3"),
+    # grids with the same ends and count: inner values, and order
+    ("nm-sweep", "k", "--map sm --k-values 0.5,0.7,2.5|0.5,0.9,2.5 --dkh 1 --n 16 --t 3"),
+    ("nm-sweep", "dkh", "--map sm --k 0.2 --dkh-values 1,1.5,2|1,1.2,2 --n 16 --t 3"),
     ("nm-sweep", "n", "--map sm --k 0.2 --dkh 1 --n 16|17 --t 3"),
     ("nm-sweep", "t", "--map sm --k 0.2 --dkh 1 --n 16 --t 3|4"),
     ("avg-mp-sweep", "map", "--map sm|hm --k 0.2 --dkh 1 --n 16 --t 3 --s 2"),
@@ -951,6 +978,8 @@ _NAMING = [
     ("classical-portrait", "seed", "--map sm --k 0.2 --orbits 2 --steps 2 |--seed=1"),
     ("diffusion", "map", "--map sm|hm --k 0.2 --horizon 3 --orbits 2"),
     ("diffusion", "k", "--map sm --k-values 0.2,0.3|0.2,0.4 --horizon 3 --orbits 2"),
+    ("diffusion", "k", "--map sm --k-min 0.5|2.5 --k-max 2.5|0.5 --k-points 3 --horizon 3"
+     " --orbits 2"),
     ("diffusion", "k2", "--map hm --k 0.2 |--k2=0.3 --horizon 3 --orbits 2"),
     ("diffusion", "k2", "--map hm --k 0.2 --k2 0.3|0.5 --horizon 3 --orbits 2"),
     ("diffusion", "horizon", "--map sm --k 0.2 --horizon 3|4 --orbits 2"),
@@ -958,6 +987,7 @@ _NAMING = [
     ("diffusion", "seed", "--map sm --k 0.2 --horizon 3 --orbits 2 --seed 0|1"),
     ("classical-nm", "map", "--map sm|hm --k 0.2 --t 3 --grid 2"),
     ("classical-nm", "k", "--map sm --k 0.2|0.3 --t 3 --grid 2"),
+    ("classical-nm", "k", "--map sm --k-values 0.2,0.3,0.5|0.3,0.2,0.5 --t 3 --grid 2"),
     ("classical-nm", "k2", "--map hm --k 0.2 |--k2=0.3 --t 3 --grid 2"),
     ("classical-nm", "k2", "--map hm --k 0.2 --k2 0.3|0.5 --t 3 --grid 2"),
     ("classical-nm", "delta_k", "--map sm --k 0.2 --delta-k 0.01|0.02 --t 3 --grid 2"),
@@ -992,6 +1022,29 @@ _K2_NAMES = {
     "classical-nm": ["classical_nm_hm_k0.2_dk0.001_t3_grid2.csv",
                      "classical_nm_hm_k0.2_k20.3_dk0.001_t3_grid2.csv"],
 }
+
+
+def test_grid_names_keep_their_ranges_and_stay_bounded():
+    # a grid equal to np.linspace of its first value, last value and count
+    # is named by those three; any other grid adds a CRC-32 of its values
+    ranged = [((0.5, 2.5), "k0.5-2.5x2"), ((1.0, 2.0), "k1-2x2"), ((2.5, 1.5, 0.5), "k2.5-0.5x3"),
+              (tuple(np.linspace(0.05, 0.5, 10).tolist()), "k0.05-0.5x10"),
+              (tuple(np.linspace(0.5, 2.0, 16).tolist()), "k0.5-2x16")]
+    assert [cli._grid_tag("k", grid) for grid, _ in ranged] == [name for _, name in ranged]
+    # (0.5, 1.5, 2.5) is a range; a grid one ulp off it is not
+    grids = [(0.5, 0.98, 2.5), (0.5, 0.7, 2.5), (0.5, 0.9, 2.5), (0.5, 1.5000000000000002, 2.5),
+             (0.3, 0.2, 0.5), (0.2, 0.3, 0.5)]
+    tags = [cli._grid_tag("k", grid) for grid in grids]
+    assert tags[0] == "k0.5-2.5x3-%08x" % zlib.crc32(b"0.5,0.98,2.5")
+    assert all(re.fullmatch(r"k[0-9.]+-[0-9.]+x3-[0-9a-f]{8}", tag) for tag in tags)
+    assert len(set(tags)) == len(tags)
+    # a span that overflows (classical-nm runs K = -1e308 .. 1e308) is no
+    # range, and raises no warning
+    assert cli._grid_tag("k", (-1e308, 0.0, 1e308)) == "k-1e+308-1e+308x3-%08x" % zlib.crc32(
+        b"-1e+308,0.0,1e+308")
+    many = tuple(np.random.default_rng(0).random(100_000).tolist())
+    assert cli._grid_tag("k", many) == f"k{many[0]!r}-{many[-1]!r}x100000-" + "%08x" % zlib.crc32(
+        ",".join(map(repr, many)).encode())
 
 
 def test_the_naming_runs_cover_every_naming_option():
@@ -1065,7 +1118,11 @@ def test_readme_command_lines_parse_and_resolve():
     parser = cli.build_parser()
     for line in lines:
         argv = shlex.split(line)[1:]
-        assert cli._resolve(parser.parse_args(argv)).cmd == argv[0], line
+        args = cli._resolve(parser.parse_args(argv))
+        assert args.cmd == argv[0], line
+        # the README names every file an example writes
+        if args.cmd != "short-time-check":
+            assert f"`{cli._stem(args)}.csv`" in readme, line
 
 
 def _bench_harness():

@@ -380,24 +380,14 @@ def test_series_file_round_trip_is_bit_exact(tmp_path_factory, values, kind):
 
 
 @derandomized
-@given(
-    family=st.sampled_from(["sm", "hm"]),
-    k=finite,
-    dkh=finite,
-    n=st.integers(2, 4096),
-    t_max=st.integers(1, 10**6),
-    values=st.integers(1, 6).flatmap(lambda s: arrays(float, (s, s), elements=finite)),
-)
-@example(family="sm", k=-0.0, dkh=5e-324, n=2, t_max=1, values=np.array([[-1e308]]))
-def test_grid_file_round_trip_is_bit_exact(tmp_path_factory, family, k, dkh, n, t_max, values):
-    s = values.shape[0]
-    grid = PhaseGrid(family=family, k=k, dkh=dkh, n=n, t_max=t_max, s=s, values=values)
+@given(values=st.integers(1, 6).flatmap(lambda s: arrays(float, (s, s), elements=finite)))
+@example(values=np.array([[-1e308]]))
+@example(values=np.array([[-0.0, 5e-324], [1e308, -2.2250738585072014e-308]]))
+def test_grid_file_round_trip_is_bit_exact(tmp_path_factory, values):
+    grid = PhaseGrid(values)
     path = tmp_path_factory.mktemp("grid") / "grid.csv"
     save_grid(grid, path, header="demo")
-    back = load_grid(path)
-    assert (back.family, back.n, back.t_max, back.s) == (family, n, t_max, s)
-    assert (repr(back.k), repr(back.dkh)) == (repr(k), repr(dkh))
-    assert back.values.tobytes() == grid.values.tobytes()
+    assert load_grid(path).values.tobytes() == grid.values.tobytes()
 
 
 def _reference_step(family, k, k2, x, p, wx, wp):

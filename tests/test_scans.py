@@ -1,5 +1,6 @@
 """Sweep engines and phase-space imaging of the pure-state measure."""
 
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -53,14 +54,31 @@ def test_sweep_spec_validation():
 
 
 def test_phase_grid_shape_checked():
-    with pytest.raises(ValueError):
-        PhaseGrid(family="sm", k=1.0, dkh=2.0, n=64, t_max=10, s=3,
-                  values=np.zeros((2, 2)))
+    for shape in ((2, 3), (4,), (0, 0), (2, 2, 2)):
+        with pytest.raises(ValueError, match="non-empty s x s square"):
+            PhaseGrid(np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_phase_grid_refuses_non_finite_values(tmp_path, bad):
+    # a nan would render as an all-black PGM; a file of the older layout,
+    # with its metadata line, is refused as well
+    with pytest.raises(ValueError, match="grid values must be finite"):
+        PhaseGrid(np.array([[0.0, 1.0], [2.0, float(bad)]]))
+    path = tmp_path / "grid.csv"
+    path.write_text(f"# demo\n# sm,0.9,2.0,16,3,2\n0.0,2.0\n1.0,{bad}\n")
+    with pytest.raises(ValueError, match="grid values must be finite"):
+        load_grid(path)
+
+
+def test_phase_grid_side_is_read_from_its_values():
+    grid = PhaseGrid(np.arange(9.0).reshape(3, 3))
+    assert grid.s == 3 and [f.name for f in dataclasses.fields(grid)] == ["values"]
 
 
 def test_phase_grid_freezes_a_copy_of_the_callers_array():
     values = np.arange(4.0).reshape(2, 2)
-    grid = PhaseGrid(family="sm", k=1.0, dkh=2.0, n=64, t_max=10, s=2, values=values)
+    grid = PhaseGrid(values)
     assert values.flags.writeable and not grid.values.flags.writeable
     values[0, 0] = 9.0
     assert grid.values.tolist() == [[0.0, 1.0], [2.0, 3.0]]
@@ -468,14 +486,24 @@ def test_grid_save_load_roundtrip(tmp_path):
     path = tmp_path / "grid.csv"
     save_grid(grid, path, header="demo")
     lines = path.read_text().splitlines()
+    # the header, then one row per momentum index
     assert lines[0] == "# demo"
-    assert lines[1].startswith("# sm,")
-    assert len(lines) == 2 + 4
+    assert lines[1:] == [",".join(repr(float(v)) for v in grid.values[:, j]) for j in range(4)]
+    assert load_grid(path).values.tobytes() == grid.values.tobytes()
+    save_grid(grid, path)
+    assert path.read_text().splitlines() == lines[1:]
+    assert load_grid(path).values.tobytes() == grid.values.tobytes()
 
-    back = load_grid(path)
-    assert (back.family, back.k, back.dkh) == ("sm", 0.9, 2.0)
-    assert (back.n, back.t_max, back.s) == (64, 30, 4)
-    assert np.array_equal(back.values, grid.values)
+
+def test_grid_file_with_a_metadata_line_still_loads(tmp_path):
+    # grid files once held a `# family,k,dkh,n,t_max,s` line under the echo;
+    # it reads as a comment
+    grid = scan_phase_space("hm", 0.2, 2.0, 16, 5, 3)
+    path = tmp_path / "grid.csv"
+    save_grid(grid, path, header="torus-echo phase-scan dkh=2 k=0.2 map=hm n=16 s=3 t=5")
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], "# hm,0.2,2.0,16,5,3", *lines[1:]]) + "\n")
+    assert load_grid(path).values.tobytes() == grid.values.tobytes()
 
 
 def test_grid_load_skips_blank_lines(tmp_path):
@@ -484,25 +512,28 @@ def test_grid_load_skips_blank_lines(tmp_path):
     path = tmp_path / "grid.csv"
     save_grid(grid, path, header="demo")
     lines = path.read_text().splitlines()
-    path.write_text("\n".join([*lines[:3], "", *lines[3:], "   "]) + "\n\n")
-    back = load_grid(path)
-    assert (back.family, back.n, back.t_max, back.s) == ("hm", 16, 10, 3)
-    assert np.array_equal(back.values, grid.values)
+    path.write_text("\n".join([*lines[:2], "", *lines[2:], "   "]) + "\n\n")
+    assert load_grid(path).values.tobytes() == grid.values.tobytes()
 
 
 def test_refusals_of_grids_and_their_files(tmp_path):
     with pytest.raises(ValueError, match="grid side must be >= 1, got 0"):
         scan_phase_space("sm", 0.9, 2.0, 16, 3, 0)
     path = tmp_path / "grid.csv"
-    path.write_text("# demo\n0.5,0.25\n0.125,1.0\n")
-    with pytest.raises(ValueError, match="no metadata line found"):
-        load_grid(path)
+    for body, match in (("", "non-empty s x s square"),
+                        ("0.5,0.25\n0.125\n", "do not form an s x s square"),
+                        ("0.5,0.25\n", "do not form an s x s square"),
+                        ("0.5\n0.25\n", "do not form an s x s square"),
+                        ("0.5,nan\n0.125,1.0\n", "grid values must be finite"),
+                        ("0.5,0.25\n-inf,1.0\n", "grid values must be finite")):
+        path.write_text("# demo\n" + body)
+        with pytest.raises(ValueError, match=match):
+            load_grid(path)
 
 
 def test_pgm_rendering_scales_min_to_max(tmp_path):
     values = np.array([[0.0, 1.0], [2.0, 3.0]])
-    grid = PhaseGrid(family="sm", k=1.0, dkh=2.0, n=64, t_max=10, s=2,
-                     values=values)
+    grid = PhaseGrid(values)
     path = tmp_path / "grid.pgm"
     save_grid_pgm(grid, path)
     data = path.read_bytes()
@@ -512,8 +543,7 @@ def test_pgm_rendering_scales_min_to_max(tmp_path):
 
 
 def test_pgm_constant_grid_is_black(tmp_path):
-    grid = PhaseGrid(family="sm", k=1.0, dkh=2.0, n=64, t_max=10, s=2,
-                     values=np.full((2, 2), 0.7))
+    grid = PhaseGrid(np.full((2, 2), 0.7))
     path = tmp_path / "flat.pgm"
     save_grid_pgm(grid, path)
     assert path.read_bytes()[-4:] == bytes(4)
