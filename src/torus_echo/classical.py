@@ -37,21 +37,16 @@ import numbers
 
 import numpy as np
 
-from .maps import blocks, check_family
+from .maps import blocks, check_map
 from .measures import measure_rows
 
 __all__ = ["classical_nm_grid", "diffusion_coefficient", "iterate", "phase_portrait"]
 
 
 def _check_params(family: str, k, k2, delta_k=0.0):
-    """Validate the family and the map constants; returns k2 (hm only, default k)."""
-    check_family(family, k2)
-    if k2 is None:
-        k2 = k
-    for label, val in (("K", k), ("K2", k2), ("delta_k", delta_k)):
-        if not math.isfinite(val):
-            raise ValueError(f"{label} must be finite, got {val}")
-    return k2
+    """Refuse constants that break maps.check_map; returns k2 (hm only, default k)."""
+    check_map(family, k, k2, delta_k)
+    return k if k2 is None else k2
 
 
 def _check_count(label: str, value, minimum: int = 1) -> None:

@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .echo import FidelitySeries, fidelity_pure, fidelity_trace, save_series
-from .maps import FAMILIES, GuardError, MapSpec, PerturbedPair
+from .maps import FAMILIES, GuardError, MapSpec, PerturbedPair, check_map
 from .scans import (
     PhaseGrid,
     SweepSpec,
@@ -324,7 +324,7 @@ def _run_sweep(args, spec: SweepSpec) -> list[str]:
     """Run the sweep; its CSV table."""
     results = sweep(spec, workers=_resolve_threads(args), progress=_progress_printer(args.cmd))
     return ["K,deltaK_over_hbar,N,T,kind,value",
-            *(f"{r.k!r},{r.dkh!r},{r.n},{r.t_max},{r.kind},{r.value!r}" for r in results)]
+            *(f"{r.k!r},{r.dkh!r},{spec.n},{spec.t_max},{spec.kind},{r.value!r}" for r in results)]
 
 
 def _cmd_nm_sweep(args) -> _Output:
@@ -364,9 +364,11 @@ def _cmd_classical_portrait(args) -> _Output:
     return _Output(["x,p", *(f"{float(x)!r},{float(p)!r}" for x, p in cloud)], "portrait")
 
 
-def _per_k(args, header: str, second, value: Callable[[float], float]) -> list[str]:
+def _per_k(args, header: str, second, value: Callable[[float], float], delta_k=0.0) -> list[str]:
     """The header, then rows `K,<second>,value(K)` over the K grid, run like sweep rows."""
     k_grid = _grid_values(args, "k")
+    for k in k_grid:  # every K, before the first row runs
+        check_map(args.map, k, args.k2, delta_k)
     values = _run_rows(value, k_grid, _resolve_threads(args), _progress_printer(args.cmd), 1)
     return [header, *(f"{k!r},{second},{v!r}" for k, v in zip(k_grid, values))]
 
@@ -384,7 +386,7 @@ def _cmd_classical_nm(args) -> _Output:
 
     return _Output(_per_k(args, "K,T,value", args.t, partial(
         classical_nm_grid, args.map, k2=args.k2, delta_k=args.delta_k,
-        grid_side=args.grid, t_max=args.t)), "classical")
+        grid_side=args.grid, t_max=args.t), args.delta_k), "classical")
 
 
 def _cmd_gamma_curve(args) -> _Output:

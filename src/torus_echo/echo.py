@@ -31,6 +31,11 @@ FFT per kick, and every other map in the position frame.  The frame is a
 diagonal unitary that depends on t, family and N alone, and all maps of a
 pass share family and N, so every block carries the same one and <b|a> is
 the same in either frame: overlaps, weights and series need no conversion.
+
+A FidelitySeries is its values alone.  Its file (save_series) is the config
+echo of the run, the column header t,re_f,im_f,abs_f and one row per kick;
+load_series skips every comment line, so it also reads a file that carries
+the `# kind=` line of the older layout, and restores the values bit for bit.
 """
 
 from __future__ import annotations
@@ -56,21 +61,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FidelitySeries:
-    """Complex overlaps f(0..T); f(0) = 1 exactly.
+    """Complex overlaps f(0..T), frozen and finite; f(0) = 1 exactly.
 
-    kind is "pure" (coherent or explicit initial state) or "trace".
+    A series is its values alone; t_max is read from their length.
     """
 
     values: np.ndarray
-    kind: str
 
     def __post_init__(self) -> None:
         # a frozen copy, so the caller's array stays writeable
         values = np.array(self.values, dtype=complex)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if self.kind not in ("pure", "trace"):
-            raise ValueError(f"unknown series kind {self.kind!r}")
         if not (values.size and np.isfinite(values).all()):
             raise ValueError("fidelity values must be finite and non-empty")
 
@@ -140,7 +142,7 @@ def fidelity_from_state(pair: PerturbedPair, state: TorusState, t_max: int) -> F
     if state.n != pair.n:
         raise ValueError(f"state dimension {state.n} does not match pair {pair.n}")
     kicks = _overlaps(pair.u0, [pair.u1], state.amps[None, :], t_max)
-    return FidelitySeries(values=_collect((r[0] for (r,) in kicks), t_max), kind="pure")
+    return FidelitySeries(_collect((r[0] for (r,) in kicks), t_max))
 
 
 def fidelity_pure(pair: PerturbedPair, center: PhasePoint, t_max: int) -> FidelitySeries:
@@ -182,15 +184,12 @@ def _trace_passes(u0: MapSpec, u1s, t_max: int):
 def fidelity_trace(pair: PerturbedPair, t_max: int) -> FidelitySeries:
     """Basis-averaged series Tr[U1^dag(t) U0(t)] / N by evolving the basis."""
     (kicks,) = _trace_passes(pair.u0, [pair.u1], t_max)
-    return FidelitySeries(values=_collect((f for (f,) in kicks), t_max), kind="trace")
+    return FidelitySeries(_collect((f for (f,) in kicks), t_max))
 
 
 def save_series(series: FidelitySeries, path, header: str | None = None) -> None:
-    """Write t,re_f,im_f,abs_f rows; floats keep full double precision."""
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    lines.append(f"# kind={series.kind}")
+    """The optional `# header` line, then t,re_f,im_f,abs_f rows at full double precision."""
+    lines = [f"# {header}"] if header else []
     lines.append("t,re_f,im_f,abs_f")
     for t, v in enumerate(series.values):
         v = complex(v)
@@ -204,17 +203,18 @@ def save_series(series: FidelitySeries, path, header: str | None = None) -> None
 
 
 def load_series(path) -> FidelitySeries:
-    """Read a series file written by save_series."""
+    """The series of a save_series file, whose rows count t = 0, 1, 2, ... in order.
+
+    Comment, blank and column-header lines are skipped.
+    """
     values = []
-    kind = "trace"
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# kind="):
-                kind = line.removeprefix("# kind=")
+        for line in map(str.strip, fh):
+            if not line or line.startswith(("#", "t,")):
                 continue
-            if not line or line.startswith("#") or line.startswith("t,"):
-                continue
-            _, re_f, im_f, _ = line.split(",")
-            values.append(complex(float(re_f), float(im_f)))
-    return FidelitySeries(values=values, kind=kind)
+            fields = line.split(",")
+            if len(fields) != 4 or fields[0] != str(len(values)):
+                raise ValueError(f"{path}: expected the row {len(values)},re_f,im_f,abs_f,"
+                                 f" got {line!r}")
+            values.append(complex(float(fields[1]), float(fields[2])))
+    return FidelitySeries(values)

@@ -96,12 +96,24 @@ def blocks(count: int, per_item: int, reserved: int = 0):
     return (slice(i, min(i + size, count)) for i in range(0, count, size))
 
 
-def check_family(family: str, k2) -> None:
-    """Refuse an unknown family, and a K2 for sm, whose drift is fixed."""
+def check_map(family: str, k: float, k2: float | None = None, delta_k: float = 0.0,
+              n: int | None = None) -> None:
+    """The one rule for a map's constants: a known family, K2 for hm only (the
+    sm drift is fixed), and K, K2 and the perturbed strength (sm K + delta_k,
+    hm K2 + delta_k) finite and >= 0.  A quantum map (n = N) scales each by N,
+    and an inf phase amplitude would give nan, so N times each is finite too.
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown map family {family!r}")
     if family == "sm" and k2 is not None:
         raise ValueError("K2 applies to the hm family only")
+    k2 = k if k2 is None else k2
+    perturbed = (k if family == "sm" else k2) + delta_k
+    for label, val in (("K", k), ("K2", k2), ("perturbed strength", perturbed)):
+        if not (math.isfinite(val if n is None else n * val) and val >= 0.0):
+            scaled = "," if n is None else f", with N*{label} finite;"
+            raise ValueError(f"{label} must be finite and >= 0{scaled} got {val}"
+                             + ("" if n is None else f" at N={n}"))
 
 
 class Symmetry(NamedTuple):
@@ -133,14 +145,9 @@ class MapSpec:
     k2: float | None = None
 
     def __post_init__(self) -> None:
-        check_family(self.family, self.k2)
+        check_map(self.family, self.k, self.k2, n=self.n)
         if self.n < 2:
             raise ValueError(f"dimension must be >= 2, got {self.n}")
-        for label, val in (("K", self.k), ("K2", self.k2)):
-            # the phases scale the strength by N, and an inf there would give nan
-            if val is not None and not (math.isfinite(self.n * val) and val >= 0.0):
-                raise ValueError(f"{label} must be finite and >= 0, with N*{label} finite;"
-                                 f" got {val} at N={self.n}")
         if self.family == "hm" and self.k2 is None:
             object.__setattr__(self, "k2", self.k)
 

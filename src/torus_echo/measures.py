@@ -24,18 +24,14 @@ __all__ = ["NmResult", "measure", "measure_rows", "measure_value"]
 
 @dataclass(frozen=True)
 class NmResult:
-    """Measure value with its sweep coordinates.
+    """Measure value with the (K, dkh) cell it belongs to.
 
-    k, dkh, n, t_max and kind are the cell coordinates that scans.sweep was
-    given; measure on a bare series knows only t_max and kind, and leaves k,
-    dkh and n at NaN, NaN and 0.
+    scans.sweep labels each value with the K and dkh of its cell as given;
+    measure on a bare series, which has no cell, leaves both at NaN.
     """
 
     k: float
     dkh: float
-    n: int
-    t_max: int
-    kind: str
     value: float
 
 
@@ -54,9 +50,5 @@ def measure_rows(rows) -> np.ndarray:
 
 
 def measure(series: FidelitySeries) -> NmResult:
-    """Evaluate the measure on one series.
-
-    The series carries no map coordinates, so k, dkh and n are NaN, NaN and 0.
-    """
-    return NmResult(k=math.nan, dkh=math.nan, n=0, t_max=series.t_max, kind=series.kind,
-                    value=measure_value(np.abs(series.values)))
+    """Evaluate the measure on one series; k and dkh stay NaN, as a bare series has no cell."""
+    return NmResult(k=math.nan, dkh=math.nan, value=measure_value(np.abs(series.values)))

@@ -264,15 +264,12 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None) -> list[NmResult]:
     values and sums each cell's rises kick by kick as the pass runs, so a
     row holds no series; a trace cell equals measure_value of its
     fidelity_trace series to the last bit.  sweep labels each value with the
-    K and dkh of its cell as given and spec's n, t_max and kind.
+    K and dkh of its cell as given; n, t_max and kind stay with the spec.
     """
     rows = [(spec, k) for k in spec.k_values]
     measured = chain.from_iterable(
         _run_rows(_ROWS[spec.kind], rows, workers, progress, len(spec.dkh_values)))
-    return [
-        NmResult(k=k, dkh=d, n=spec.n, t_max=spec.t_max, kind=spec.kind, value=value)
-        for (k, d), value in zip(spec.cells(), measured)
-    ]
+    return [NmResult(k, d, value) for (k, d), value in zip(spec.cells(), measured)]
 
 
 def save_grid(grid: PhaseGrid, path, header: str | None = None) -> None:

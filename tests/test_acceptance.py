@@ -61,8 +61,8 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _argmax_rate(results):
-    rates = {r.k: r.value / r.t_max for r in results}
+def _argmax_rate(results, t_max):
+    rates = {r.k: r.value / t_max for r in results}
     best = max(rates, key=rates.get)
     return best, rates
 
@@ -169,7 +169,7 @@ def test_border_peak_rule_rejects_off_border_peaks():
 def test_04_hm_trace_peak_near_border():
     spec = SweepSpec(family="hm", k_values=HM_GRID, dkh_values=(2.0,),
                      n=256, t_max=1000, kind="trace", s=16)
-    best, rates = _argmax_rate(sweep(spec, workers=WORKERS))
+    best, rates = _argmax_rate(sweep(spec, workers=WORKERS), spec.t_max)
     ok = 0.15 <= best <= 0.3
     listing = ", ".join(f"K={k:g}: {rates[k]:.4f}" for k in HM_GRID)
     report(4, "hm trace-measure peak", ok, f"argmax K={best:g} ({listing})")
@@ -180,8 +180,8 @@ def test_05_grid_averaged_pure_measure_agrees():
                    n=256, t_max=500, kind="pure-average", s=16)
     hm = SweepSpec(family="hm", k_values=HM_GRID, dkh_values=(2.0,),
                    n=256, t_max=500, kind="pure-average", s=16)
-    best_sm, _ = _argmax_rate(sweep(sm, workers=WORKERS))
-    best_hm, _ = _argmax_rate(sweep(hm, workers=WORKERS))
+    best_sm, _ = _argmax_rate(sweep(sm, workers=WORKERS), sm.t_max)
+    best_hm, _ = _argmax_rate(sweep(hm, workers=WORKERS), hm.t_max)
     ok = (0.9 <= best_sm <= 1.1) and (0.15 <= best_hm <= 0.3)
     report(5, "grid-averaged pure measure", ok,
            f"sm argmax K={best_sm:g}, hm argmax K={best_hm:g}")

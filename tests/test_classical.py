@@ -450,6 +450,25 @@ def test_in_place_buffers_leave_caller_arrays_alone(family, k):
     assert diffusion_coefficient(family, k, horizon=200, n_orbits=64, seed=3) == expected
 
 
+@pytest.mark.parametrize("call", [
+    lambda: iterate("sm", -1.0, None, [0.1], [0.2], 5),
+    lambda: iterate("hm", 0.3, -0.1, [0.1], [0.2], 5),
+    lambda: phase_portrait("hm", -0.5, n_orbits=2, steps=2),
+    lambda: diffusion_coefficient("sm", -1.0, horizon=3, n_orbits=2),
+    lambda: classical_nm_grid("sm", 0.5, None, -1.0, 2, 3),
+    lambda: classical_nm_grid("hm", 0.5, 0.2, -0.3, 2, 3),
+], ids=["iterate-K", "iterate-K2", "portrait-K", "diffusion-K", "nm-grid-sm-perturbed",
+        "nm-grid-hm-perturbed"])
+def test_negative_kick_strengths_are_rejected(call):
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        call()
+
+
+def test_a_negative_perturbation_that_keeps_the_strength_non_negative_runs():
+    assert classical_nm_grid("sm", 0.5, None, -0.5, 2, 3) >= 0.0
+    assert classical_nm_grid("hm", 0.5, 0.2, -0.1, 2, 3) >= 0.0
+
+
 # the sm drift is fixed and the classical sm step has no K2, so a K2 given
 # for sm would be echoed and ignored
 @pytest.mark.parametrize("call", [

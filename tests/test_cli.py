@@ -52,10 +52,9 @@ def test_fidelity_writes_expected_csv(tmp_path, capsys):
     lines = read_lines(path)
     assert lines[0].startswith("# torus-echo fidelity ")
     assert "k=1.2" in lines[0] and "n=64" in lines[0]
-    assert lines[1] == "# kind=trace"
-    assert lines[2] == "t,re_f,im_f,abs_f"
-    assert len(lines) == 3 + 21
-    first = lines[3].split(",")
+    assert lines[1] == "t,re_f,im_f,abs_f"
+    assert len(lines) == 2 + 21
+    first = lines[2].split(",")
     assert first[0] == "0"
     assert float(first[3]) == 1.0
     out = capsys.readouterr().out
@@ -79,7 +78,8 @@ def test_fidelity_pure_kind_names_the_center(tmp_path):
     assert rc == 0
     path = tmp_path / "fidelity_sm_k0.9_dkh1.5_n32_t10_pure_q0.25_p0.5.csv"
     assert path.exists()
-    assert read_lines(path)[1] == "# kind=pure"
+    assert "kind=pure" in read_lines(path)[0]
+    assert read_lines(path)[1] == "t,re_f,im_f,abs_f"
 
 
 def test_fidelity_pure_center_just_below_zero_is_the_center_at_zero(tmp_path):
@@ -373,6 +373,29 @@ def test_a_classical_value_that_is_not_finite_exits_2(tmp_path, capsys, argv):
     assert run(*argv, "--out-dir", tmp_path) == 2
     err = capsys.readouterr().err
     assert "at K=1e+308 is not finite" in err and "RuntimeWarning" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("diffusion --map sm --k-values=-1,1 --horizon 3 --orbits 2", "K must be finite and >= 0"),
+    ("classical-nm --map sm --k-values 0.5 --delta-k=-1 --t 3 --grid 2",
+     "perturbed strength must be finite and >= 0, got -0.5"),
+    ("classical-portrait --map hm --k=-0.5 --orbits 2 --steps 2", "K must be finite and >= 0"),
+    ("classical-nm --map hm --k-values 0.5 --k2 0.2 --delta-k=-0.3 --t 3 --grid 2",
+     "perturbed strength must be finite and >= 0"),
+    ("classical-portrait --map hm --k 0.5 --k2=-1 --orbits 2 --steps 2",
+     "K2 must be finite and >= 0"),
+    # the last K is refused before the first row runs
+    ("diffusion --map sm --k-values=1,2,-1 --horizon 3 --orbits 2", "K must be finite and >= 0, got -1.0"),
+    ("classical-nm --map sm --k-values=0.5,1,-0.5 --t 3 --grid 2",
+     "K must be finite and >= 0, got -0.5"),
+], ids=["diffusion", "classical-nm-sm", "classical-portrait", "classical-nm-hm",
+        "classical-portrait-k2", "diffusion-last-k", "classical-nm-last-k"])
+def test_classical_runs_refuse_a_negative_kick_strength(tmp_path, capsys, argv, message):
+    # the rule of MapSpec, unscaled: K, K2 and the perturbed strength are >= 0
+    assert run(*argv.split(), "--out-dir", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert message in err and "cell" not in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,6 +1,7 @@
 """Fidelity-amplitude series from perturbed evolution pairs."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -202,22 +203,17 @@ def test_series_starts_at_one_and_is_bounded():
 
 def test_series_freezes_a_copy_of_the_callers_array():
     values = np.array([1.0, 0.5j, 0.25])
-    series = FidelitySeries(values, kind="trace")
+    series = FidelitySeries(values)
     assert values.flags.writeable and not series.values.flags.writeable
     values[1] = 0.0
     assert series.values.tolist() == [1.0, 0.5j, 0.25]
-
-
-def test_series_kind_is_validated():
-    with pytest.raises(ValueError):
-        FidelitySeries(np.ones(3, dtype=complex), kind="other")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
 def test_series_values_must_be_finite(tmp_path, bad):
     values = np.array([1.0, 0.5, bad, 0.3], dtype=complex)
     with pytest.raises(ValueError, match="finite"):
-        FidelitySeries(values, kind="trace")
+        FidelitySeries(values)
     path = tmp_path / "series.csv"
     rows = [f"{t},{v.real!r},{v.imag!r},{abs(v)!r}" for t, v in enumerate(values.tolist())]
     path.write_text("\n".join(["# kind=trace", "t,re_f,im_f,abs_f", *rows]) + "\n")
@@ -227,7 +223,7 @@ def test_series_values_must_be_finite(tmp_path, bad):
 
 def test_empty_series_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="non-empty"):
-        FidelitySeries(np.array([], dtype=complex), kind="trace")
+        FidelitySeries(np.array([], dtype=complex))
     path = tmp_path / "series.csv"
     path.write_text("# kind=trace\nt,re_f,im_f,abs_f\n")
     with pytest.raises(ValueError, match="non-empty"):
@@ -435,19 +431,45 @@ def test_save_load_roundtrip(tmp_path):
     save_series(series, path, header="demo run")
     lines = path.read_text().splitlines()
     assert lines[0] == "# demo run"
-    assert lines[1] == "# kind=trace"
-    assert lines[2] == "t,re_f,im_f,abs_f"
-    assert len(lines) == 3 + 13
+    assert lines[1] == "t,re_f,im_f,abs_f"
+    assert len(lines) == 2 + 13
+    assert lines[2].startswith("0,1.0,0.0,1.0")
 
     back = load_series(path)
-    assert back.kind == "trace"
     # repr round-trips doubles exactly
     assert np.array_equal(back.values, series.values)
+    save_series(series, path)
+    assert path.read_text().splitlines()[0] == "t,re_f,im_f,abs_f"
+    assert np.array_equal(load_series(path).values, series.values)
+
+
+def test_series_file_with_a_kind_line_still_loads(tmp_path):
+    # the older layout: the config echo, a `# kind=` line, the column header, the rows
+    series = fidelity_pure(_pair("hm", 0.3, 32, 1.5), PhasePoint(0.25, 0.5), 10)
+    rows = [f"{t},{v.real!r},{v.imag!r},{abs(v)!r}" for t, v in enumerate(series.values.tolist())]
+    path = tmp_path / "series.csv"
+    path.write_text("\n".join(["# torus-echo fidelity kind=pure", "# kind=pure",
+                               "t,re_f,im_f,abs_f", *rows]) + "\n")
+    assert load_series(path).values.tobytes() == series.values.tobytes()
+
+
+@pytest.mark.parametrize("rows", [
+    ["0,1.0,0.0,1.0", "5,0.5,0.0,0.5", "2,0.25,0.0,0.25"],
+    ["1,1.0,0.0,1.0", "2,0.5,0.0,0.5"],
+    ["0,1.0,0.0,1.0", "1,0.5,0.0,0.5", "1,0.25,0.0,0.25"],
+    ["0,1.0,0.0,1.0", "1,0.5,0.0"],
+    ["0,1.0,0.0,1.0", "1,0.5,0.0,0.5,0.0"],
+], ids=["t-jumps", "t-from-1", "t-repeats", "three-fields", "five-fields"])
+def test_series_rows_must_count_t_in_order(tmp_path, rows):
+    path = tmp_path / "series.csv"
+    path.write_text("\n".join(["# demo", "t,re_f,im_f,abs_f", *rows]) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected the row"):
+        load_series(path)
 
 
 def test_a_modulus_beyond_the_double_range_is_written_as_inf(tmp_path):
     # both parts are finite, but |f| overflows a double
-    series = FidelitySeries(np.array([1.0, 1.5e308 * (1 + 1j)]), kind="trace")
+    series = FidelitySeries(np.array([1.0, 1.5e308 * (1 + 1j)]))
     path = tmp_path / "series.csv"
     save_series(series, path)
     assert path.read_text().splitlines()[-1] == "1,1.5e+308,1.5e+308,inf"

@@ -38,6 +38,25 @@ def test_map_spec_validation():
     assert MapSpec(family="hm", n=8, k=1.0, k2=1e307).k2 == 1e307
 
 
+@pytest.mark.parametrize("family,k,k2", [
+    ("xx", 1.0, None), ("sm", 1.0, 5.0), ("sm", -1.0, None), ("sm", float("nan"), None),
+    ("hm", -0.5, None), ("hm", 0.5, -1.0), ("hm", 0.5, float("inf")),
+])
+def test_quantum_and_classical_maps_share_one_kick_rule(family, k, k2):
+    with pytest.raises(ValueError) as quantum:
+        MapSpec(family=family, n=8, k=k, k2=k2)
+    with pytest.raises(ValueError) as plane:
+        classical.iterate(family, k, k2, [0.1], [0.2], 1)
+    # the quantum message adds the scaled form, ", with N*K finite; got ... at N=8"
+    assert str(quantum.value).startswith(str(plane.value).split(", got")[0])
+
+
+def test_only_the_quantum_rule_scales_the_kick_by_n():
+    with pytest.raises(ValueError, match=r"N\*K finite"):
+        MapSpec(family="sm", n=8, k=1e308)
+    assert classical.iterate("sm", 1e308, None, [0.1], [0.2], 1)[0].shape == (2, 1)
+
+
 def test_harper_momentum_kick_defaults_to_k():
     spec = MapSpec(family="hm", n=8, k=0.3)
     assert spec.k2 == 0.3

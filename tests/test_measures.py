@@ -1,5 +1,7 @@
 """Measure extraction from fidelity series."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from torus_echo.qubit import blp_sampled
 
 
 def _series(absvals):
-    return FidelitySeries(np.asarray(absvals, dtype=complex), kind="pure")
+    return FidelitySeries(np.asarray(absvals, dtype=complex))
 
 
 def _extrema_value(y):
@@ -53,7 +55,7 @@ def test_result_carries_labels_and_segment_sum():
     series = fidelity_trace(pair, 40)
     result = measure(series)
     # a bare series carries no map coordinates; scans.sweep attaches them
-    assert (result.t_max, result.kind) == (40, "trace")
+    assert math.isnan(result.k) and math.isnan(result.dkh)
     assert result.value == measure_value(np.abs(series.values))
 
 

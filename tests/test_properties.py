@@ -367,15 +367,13 @@ edge_values = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]
 @derandomized
 @given(
     values=st.lists(st.builds(complex, finite, finite), min_size=1, max_size=20),
-    kind=st.sampled_from(["pure", "trace"]),
 )
-@example(values=[complex(a, b) for a in edge_values for b in edge_values], kind="pure")
-def test_series_file_round_trip_is_bit_exact(tmp_path_factory, values, kind):
-    series = FidelitySeries(np.array(values, dtype=complex), kind=kind)
+@example(values=[complex(a, b) for a in edge_values for b in edge_values])
+def test_series_file_round_trip_is_bit_exact(tmp_path_factory, values):
+    series = FidelitySeries(np.array(values, dtype=complex))
     path = tmp_path_factory.mktemp("series") / "series.csv"
     save_series(series, path, header="demo")
     back = load_series(path)
-    assert back.kind == kind
     assert back.values.tobytes() == series.values.tobytes()
 
 

@@ -18,7 +18,7 @@ from torus_echo.qubit import (
 
 
 def _series(absvals):
-    return FidelitySeries(np.asarray(absvals, dtype=complex), kind="pure")
+    return FidelitySeries(np.asarray(absvals, dtype=complex))
 
 
 def _blp_loop(series, n_pairs, seed):
@@ -170,7 +170,7 @@ def test_sampled_measure_matches_pair_loop(case, n_pairs, seed):
         series = _trace_series(2.5, 120)
     elif case == "complex-phase":
         phases = np.exp(2j * np.pi * rng.uniform(size=80))
-        series = FidelitySeries(rng.uniform(0, 1, size=80) * phases, kind="pure")
+        series = FidelitySeries(rng.uniform(0, 1, size=80) * phases)
     else:
         # row 0 is the undephased pair, whatever the stored f(0) says
         series = _series(np.r_[0.2, 0.9, rng.uniform(0, 1, size=60)])

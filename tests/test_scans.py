@@ -102,8 +102,6 @@ def test_sweep_results_follow_cell_order():
     for spec in specs:
         results = sweep(spec)
         assert [(r.k, r.dkh) for r in results] == spec.cells()
-        assert all((r.kind, r.n, r.t_max) == (spec.kind, spec.n, spec.t_max)
-                   for r in results)
         assert all(r.value >= 0.0 for r in results)
 
 
@@ -113,7 +111,6 @@ def test_average_sweep_matches_grid_mean():
                      t_max=50, kind="pure-average", s=4)
     (result,) = sweep(spec)
     assert abs(result.value - grid.values.mean()) < 1e-12
-    assert result.kind == "pure-average"
 
 
 def test_grid_cells_match_direct_evaluation():
@@ -468,7 +465,6 @@ def test_parallel_sweep_matches_serial():
                          n=64, t_max=30, kind=kind, s=s)
         serial = sweep(spec, workers=1)
         parallel = sweep(spec, workers=workers)
-        assert [r.kind for r in serial] == [kind] * 3
         assert [(r.k, r.value) for r in serial] == [(r.k, r.value) for r in parallel]
 
 
