@@ -33,25 +33,13 @@ hands each value to its partner; odd sides evolve every cell.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .maps import blocks, check_map
+from .maps import blocks, check_count, check_map
 from .measures import measure_rows
 
 __all__ = ["classical_nm_grid", "diffusion_coefficient", "iterate", "phase_portrait"]
-
-
-def _check_params(family: str, k, k2, delta_k=0.0):
-    """Refuse constants that break maps.check_map; returns k2 (hm only, default k)."""
-    check_map(family, k, k2, delta_k)
-    return k if k2 is None else k2
-
-
-def _check_count(label: str, value, minimum: int = 1) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{label} must be an integer >= {minimum}, got {value!r}")
 
 
 def _wrap(v, w, tmp):
@@ -122,8 +110,8 @@ def iterate(family, k, k2, x0, p0, steps, wrapped=True):
     Returns (xs, ps) with shape (steps + 1,) + shape(x0); wrapped output lies
     in [0, 1), unwrapped output adds the winding numbers back in.
     """
-    k2 = _check_params(family, k, k2)
-    _check_count("steps", steps, minimum=0)
+    k2 = check_map(family, k, k2)
+    check_count("steps", steps, minimum=0)
     x0, p0 = np.asarray(x0, dtype=float), np.asarray(p0, dtype=float)
     if not (np.isfinite(x0).all() and np.isfinite(p0).all()):
         raise ValueError("initial conditions must be finite")
@@ -152,9 +140,9 @@ def phase_portrait(family, k, k2=None, n_orbits=100, steps=300, seed=0):
     Returns an array of (x, p) rows, time-major: the n_orbits points of step
     0, then those of step 1, and so on, (steps + 1) * n_orbits rows in all.
     """
-    _check_params(family, k, k2)
-    _check_count("n_orbits", n_orbits)
-    _check_count("steps", steps)
+    check_map(family, k, k2)
+    check_count("n_orbits", n_orbits)
+    check_count("steps", steps)
     rng = np.random.default_rng(seed)
     side = math.ceil(math.sqrt(n_orbits))
     cells = np.arange(side * side)[:n_orbits]
@@ -167,9 +155,9 @@ def phase_portrait(family, k, k2=None, n_orbits=100, steps=300, seed=0):
 
 def diffusion_coefficient(family, k, k2=None, horizon=16000, n_orbits=4000, seed=0):
     """Momentum diffusion rate <(p_t - p_0)^2> / t at t = horizon, on the plane."""
-    k2 = _check_params(family, k, k2)
-    _check_count("horizon", horizon)
-    _check_count("n_orbits", n_orbits)
+    k2 = check_map(family, k, k2)
+    check_count("horizon", horizon)
+    check_count("n_orbits", n_orbits)
     rng = np.random.default_rng(seed)
     # every start is drawn before any block runs, so the stream order is fixed
     x0 = rng.random(n_orbits)
@@ -238,9 +226,9 @@ def classical_nm_grid(family, k, k2, delta_k, grid_side, t_max):
     cell grid_side**2 - 1 - c starts at the exact negation of cell c and so
     takes its value.
     """
-    k2 = _check_params(family, k, k2, delta_k)
-    _check_count("grid_side", grid_side)
-    _check_count("t_max", t_max)
+    k2 = check_map(family, k, k2, delta_k)
+    check_count("grid_side", grid_side)
+    check_count("t_max", t_max)
     cells = grid_side * grid_side
     evolved = np.arange(cells // 2 if grid_side % 2 == 0 else cells)
     # an orbit that overflows gives a mean that is not finite, refused below

@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .echo import FidelitySeries, fidelity_pure, fidelity_trace, save_series
-from .maps import FAMILIES, GuardError, MapSpec, PerturbedPair, check_map
+from .maps import FAMILIES, GuardError, MapSpec, PerturbedPair, check_count, check_map
 from .scans import (
     PhaseGrid,
     SweepSpec,
@@ -120,8 +120,7 @@ def _resolve_threads(args: argparse.Namespace) -> int:
         hint = int(raw)
     except ValueError:
         raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if hint < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1, got {hint}")
+    check_count(THREADS_ENV, hint)
     return hint
 
 
@@ -411,7 +410,7 @@ def _cmd_short_time_check(args) -> None:
 
 
 _REQUIRED = object()  # default mark: the merged value must come from a flag or the config
-_COUNT = "count"      # type mark: an int that must be >= 1 after the merge, when set
+_COUNT = "count"      # type mark: an int that maps.check_count checks after the merge, when set
 
 
 class _Opt(NamedTuple):
@@ -584,8 +583,8 @@ def _resolve(parsed: argparse.Namespace) -> argparse.Namespace:
     if missing:
         raise ValueError(f"{cmd}: missing {', '.join(missing)}")
     for opt in options.values():
-        if opt.type is _COUNT and merged[opt.name] is not None and merged[opt.name] < 1:
-            raise ValueError(f"{opt.flag} must be >= 1, got {merged[opt.name]}")
+        if opt.type is _COUNT and merged[opt.name] is not None:
+            check_count(opt.flag, merged[opt.name])
     return argparse.Namespace(cmd=cmd, **merged)
 
 

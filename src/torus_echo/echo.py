@@ -46,7 +46,7 @@ from itertools import chain
 
 import numpy as np
 
-from .maps import MapSpec, PerturbedPair, blocks, check_dense, split_step, step_phases
+from .maps import MapSpec, PerturbedPair, blocks, check_count, check_dense, split_step, step_phases
 from .torus import DOT_SLICE, PhasePoint, TorusState, coherent_state
 
 __all__ = [
@@ -132,13 +132,12 @@ def _passes(u1s, rows: int, n: int):
 
 def _collect(values, t_max: int) -> np.ndarray:
     """f(0) = 1, then f(t) for t = 1 .. t_max from the values of a pass, one per kick."""
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
     return np.fromiter(chain([1.0], values), dtype=complex, count=t_max + 1)
 
 
 def fidelity_from_state(pair: PerturbedPair, state: TorusState, t_max: int) -> FidelitySeries:
     """Pure-state fidelity series for an arbitrary initial state."""
+    check_count("t_max", t_max)
     if state.n != pair.n:
         raise ValueError(f"state dimension {state.n} does not match pair {pair.n}")
     kicks = _overlaps(pair.u0, [pair.u1], state.amps[None, :], t_max)
@@ -183,6 +182,7 @@ def _trace_passes(u0: MapSpec, u1s, t_max: int):
 
 def fidelity_trace(pair: PerturbedPair, t_max: int) -> FidelitySeries:
     """Basis-averaged series Tr[U1^dag(t) U0(t)] / N by evolving the basis."""
+    check_count("t_max", t_max)
     (kicks,) = _trace_passes(pair.u0, [pair.u1], t_max)
     return FidelitySeries(_collect((f for (f,) in kicks), t_max))
 
@@ -205,16 +205,19 @@ def save_series(series: FidelitySeries, path, header: str | None = None) -> None
 def load_series(path) -> FidelitySeries:
     """The series of a save_series file, whose rows count t = 0, 1, 2, ... in order.
 
-    Comment, blank and column-header lines are skipped.
+    Comment, blank and column-header lines are skipped; every refusal names the file.
     """
     values = []
-    with open(path) as fh:
-        for line in map(str.strip, fh):
-            if not line or line.startswith(("#", "t,")):
-                continue
-            fields = line.split(",")
-            if len(fields) != 4 or fields[0] != str(len(values)):
-                raise ValueError(f"{path}: expected the row {len(values)},re_f,im_f,abs_f,"
-                                 f" got {line!r}")
-            values.append(complex(float(fields[1]), float(fields[2])))
-    return FidelitySeries(values)
+    try:
+        with open(path) as fh:
+            for line in map(str.strip, fh):
+                if not line or line.startswith(("#", "t,")):
+                    continue
+                fields = line.split(",")
+                if len(fields) != 4 or fields[0] != str(len(values)):
+                    raise ValueError(f"expected the row {len(values)},re_f,im_f,abs_f,"
+                                     f" got {line!r}")
+                values.append(complex(float(fields[1]), float(fields[2])))
+        return FidelitySeries(values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -60,6 +60,7 @@ dkh = N dK.  Either way the one-step average fidelity is J0(dkh).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -96,12 +97,22 @@ def blocks(count: int, per_item: int, reserved: int = 0):
     return (slice(i, min(i + size, count)) for i in range(0, count, size))
 
 
+def check_count(label: str, value, minimum: int = 1) -> None:
+    """The one rule for a count: an integer (numpy's too), not a bool, and >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{label} must be >= {minimum}, got {value}")
+
+
 def check_map(family: str, k: float, k2: float | None = None, delta_k: float = 0.0,
-              n: int | None = None) -> None:
+              n: int | None = None) -> float | None:
     """The one rule for a map's constants: a known family, K2 for hm only (the
     sm drift is fixed), and K, K2 and the perturbed strength (sm K + delta_k,
     hm K2 + delta_k) finite and >= 0.  A quantum map (n = N) scales each by N,
     and an inf phase amplitude would give nan, so N times each is finite too.
+
+    Returns the K2 the map uses: None for sm; for hm the given K2, or K when none is given.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown map family {family!r}")
@@ -114,6 +125,7 @@ def check_map(family: str, k: float, k2: float | None = None, delta_k: float = 0
             scaled = "," if n is None else f", with N*{label} finite;"
             raise ValueError(f"{label} must be finite and >= 0{scaled} got {val}"
                              + ("" if n is None else f" at N={n}"))
+    return None if family == "sm" else k2
 
 
 class Symmetry(NamedTuple):
@@ -135,8 +147,8 @@ class MapSpec:
     """One quantized map: family, dimension and kick strengths.
 
     For the hm family ``k`` multiplies the position kick and ``k2`` the
-    momentum kick; ``k2`` defaults to ``k``.  The sm drift is fixed, so an
-    sm spec refuses a ``k2``.
+    momentum kick; ``k2`` is the K2 that check_map returns, so it defaults to
+    ``k`` for hm, and an sm spec, whose drift is fixed, refuses one.
     """
 
     family: str
@@ -145,11 +157,8 @@ class MapSpec:
     k2: float | None = None
 
     def __post_init__(self) -> None:
-        check_map(self.family, self.k, self.k2, n=self.n)
-        if self.n < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.n}")
-        if self.family == "hm" and self.k2 is None:
-            object.__setattr__(self, "k2", self.k)
+        check_count("dimension", self.n, minimum=2)
+        object.__setattr__(self, "k2", check_map(self.family, self.k, self.k2, n=self.n))
 
     @property
     def symmetries(self) -> tuple[Symmetry, ...]:

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .maps import check_count
 from .measures import measure_rows, measure_value
 
 if TYPE_CHECKING:
@@ -77,8 +78,7 @@ def blp_sampled(series: FidelitySeries, n_pairs: int = 500, seed: int = 7) -> fl
     closed form is applied, so the estimate converges to measure_value(|f|)
     from below as n_pairs grows.
     """
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    check_count("n_pairs", n_pairs)
     nx, ny, nz = _random_pure_pairs(n_pairs, seed)[:, 0].T
     nxy2, nz2 = nx * nx + ny * ny, nz * nz
     rows = (np.sqrt(nz2 + g * nxy2) for g in np.abs(series.values[1:]) ** 2)

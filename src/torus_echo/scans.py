@@ -32,7 +32,7 @@ from itertools import chain
 import numpy as np
 
 from .echo import _overlaps, _passes, _trace_passes
-from .maps import MapSpec, PerturbedPair, blocks, check_dense
+from .maps import MapSpec, PerturbedPair, blocks, check_count, check_dense
 from .measures import NmResult, measure_rows
 from .torus import PhasePoint, coherent_state
 
@@ -72,16 +72,15 @@ class SweepSpec:
     s: int = 16
 
     def __post_init__(self) -> None:
-        if self.t_max < 1:
-            raise ValueError(f"t_max must be >= 1, got {self.t_max}")
+        check_count("t_max", self.t_max)
         object.__setattr__(self, "k_values", tuple(float(k) for k in self.k_values))
         object.__setattr__(self, "dkh_values", tuple(float(d) for d in self.dkh_values))
         if not self.k_values or not self.dkh_values:
             raise ValueError("sweep grids must be non-empty")
         if self.kind not in _ROWS:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
-        if self.kind == "pure-average" and self.s < 1:
-            raise ValueError(f"grid side must be >= 1, got {self.s}")
+        if self.kind == "pure-average":
+            check_count("grid side", self.s)
         # every row's maps, so a bad cell is refused before any row runs
         for k in self.k_values:
             _maps(self.family, self.n, k, self.dkh_values)
@@ -160,8 +159,7 @@ def _measure_columns(u0: MapSpec, u1s: list, centers, t_max: int) -> np.ndarray:
     one row of each overflows the budget.  Each pass builds its own start
     states; no name here holds them, so they are freed after the first kick.
     """
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    check_count("t_max", t_max)
     n = u0.n
     reps, index = _orbit_representatives(u0, centers)
     values = []
@@ -186,8 +184,7 @@ def scan_phase_space(
     s: int,
 ) -> PhaseGrid:
     """Pure-state measure for coherent states on the s x s center grid."""
-    if s < 1:
-        raise ValueError(f"grid side must be >= 1, got {s}")
+    check_count("grid side", s)
     (flat,) = _measure_columns(*_maps(family, n, k, [dkh]), _centers(s), t_max)
     return PhaseGrid(flat.reshape(s, s))
 
@@ -281,13 +278,16 @@ def save_grid(grid: PhaseGrid, path, header: str | None = None) -> None:
 
 
 def load_grid(path) -> PhaseGrid:
-    """The grid of a save_grid file; comment and blank lines are skipped."""
-    with open(path) as fh:
-        rows = [[float(v) for v in line.split(",")]
-                for line in map(str.strip, fh) if line and not line.startswith("#")]
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError(f"{path}: grid rows do not form an s x s square")
-    return PhaseGrid(np.array(rows).T)
+    """The grid of a save_grid file, skipping comment and blank lines; a refusal names the file."""
+    try:
+        with open(path) as fh:
+            rows = [[float(v) for v in line.split(",")]
+                    for line in map(str.strip, fh) if line and not line.startswith("#")]
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("grid rows do not form an s x s square")
+        return PhaseGrid(np.array(rows).T)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_grid_pgm(grid: PhaseGrid, path) -> None:

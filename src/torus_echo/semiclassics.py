@@ -56,16 +56,16 @@ def bessel_j0(x):
 
 
 def gamma_rate(dkh: float) -> float:
-    """Predicted decay rate -ln|J0(dkh)|; inf when dkh sits on a J0 zero."""
+    """Predicted decay rate -ln|J0(dkh)|, even in dkh; inf when dkh sits on a J0 zero."""
     return float(gamma_curve([dkh])[0])
 
 
 def gamma_curve(dkh_values) -> np.ndarray:
-    """Predicted decay rates -ln|J0(dkh)| on a grid; entries on a J0 zero are inf."""
+    """Predicted decay rates -ln|J0(dkh)| on a grid; entries on a J0 zero are inf.
+
+    J0 is even, so -dkh has the rate of dkh; bessel_j0 refuses the dkh beyond its range.
+    """
     dkh = np.asarray(dkh_values, dtype=float)
-    bad = dkh[~(np.isfinite(dkh) & (dkh >= 0.0))]
-    if bad.size:
-        raise ValueError(f"dkh must be finite and >= 0, got {float(bad[0])}")
     j = np.abs(bessel_j0(dkh))
     rate = np.full(dkh.shape, math.inf)
     finite = j >= DIVERGENCE_FLOOR

@@ -683,13 +683,35 @@ def test_gamma_curve_with_a_zero_dkh_max_exits_2(tmp_path, capsys):
 
 
 def test_nm_sweep_plot_refuses_its_dkh_grid_before_the_sweep(tmp_path, capsys):
-    rc = run("nm-sweep", "--map", "sm", "--k", 0.5, "--dkh-values=-0.5,1", "--n", 16,
+    # the rate curve has no J0 prediction beyond the dense guard
+    rc = run("nm-sweep", "--map", "sm", "--k", 0.5, "--dkh-values=1,9000", "--n", 16,
              "--t", 3, "--plot", "--out-dir", tmp_path)
     assert rc == 2
     err = capsys.readouterr().err
-    assert "dkh must be finite and >= 0" in err
+    assert "J0 argument must be finite with |x| <= 8192" in err
     assert "cell" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_plot_does_not_decide_whether_a_negative_dkh_runs(tmp_path, monkeypatch, capsys):
+    # one sign rule, check_map's perturbed strength >= 0: --plot adds files only
+    argv = ("nm-sweep", "--map", "sm", "--k-values", 5, "--dkh-values=-1,1", "--n", 16, "--t", 3)
+    csvs = []
+    for plot, out in (((), tmp_path / "plain"), (("--plot",), tmp_path / "plot")):
+        out.mkdir()
+        monkeypatch.chdir(out)
+        assert run(*argv, *plot) == 0
+        (csv,) = [p for p in out.iterdir() if p.suffix == ".csv" and "_gamma" not in p.name]
+        csvs.append(csv.read_bytes())
+    # the config echo says plot=True; every other byte is the same
+    assert csvs[0] == csvs[1].replace(b"plot=True", b"plot=False", 1)
+    gamma = read_lines(next((tmp_path / "plot").glob("*_gamma.csv")))
+    assert gamma[2].startswith("-1.0,") and gamma[-1].startswith("1.0,")
+    assert run("fidelity", "--map", "sm", "--k", 5, "--dkh=-1", "--n", 16, "--t", 3,
+               "--out-dir", tmp_path / "fidelity") == 0
+    capsys.readouterr()
+    assert run("short-time-check", "--map", "sm", "--k", 5, "--dkh=-1", "--n", 16) == 0
+    assert "predicted=0.267621" in capsys.readouterr().out
 
 
 def test_short_time_check_prints_a_summary(tmp_path, monkeypatch, capsys):

@@ -217,7 +217,7 @@ def test_series_values_must_be_finite(tmp_path, bad):
     path = tmp_path / "series.csv"
     rows = [f"{t},{v.real!r},{v.imag!r},{abs(v)!r}" for t, v in enumerate(values.tolist())]
     path.write_text("\n".join(["# kind=trace", "t,re_f,im_f,abs_f", *rows]) + "\n")
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*finite"):
         load_series(path)
 
 
@@ -226,7 +226,7 @@ def test_empty_series_is_rejected(tmp_path):
         FidelitySeries(np.array([], dtype=complex))
     path = tmp_path / "series.csv"
     path.write_text("# kind=trace\nt,re_f,im_f,abs_f\n")
-    with pytest.raises(ValueError, match="non-empty"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*non-empty"):
         load_series(path)
 
 
@@ -464,6 +464,14 @@ def test_series_rows_must_count_t_in_order(tmp_path, rows):
     path = tmp_path / "series.csv"
     path.write_text("\n".join(["# demo", "t,re_f,im_f,abs_f", *rows]) + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected the row"):
+        load_series(path)
+
+
+def test_a_field_that_is_not_a_number_is_refused_naming_the_file(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("# demo\nt,re_f,im_f,abs_f\n0,1.0,0.0,1.0\n1,half,0.0,0.5\n")
+    message = f"{path}: could not convert string to float: 'half'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_series(path)
 
 

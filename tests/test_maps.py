@@ -1,10 +1,13 @@
 """Quantum kicked maps: propagators, perturbation pairs, echo operator."""
 
+import re
+
 import numpy as np
 import pytest
 
 from torus_echo import classical, echo, maps, scans
 from torus_echo.classical import classical_nm_grid
+from torus_echo.echo import FidelitySeries, fidelity_pure, fidelity_trace
 from torus_echo.maps import (
     MATRIX_GUARD,
     GuardError,
@@ -12,10 +15,12 @@ from torus_echo.maps import (
     PerturbedPair,
     apply_map,
     build_matrix,
+    check_map,
     drift_phase,
 )
-from torus_echo.scans import SweepSpec, scan_phase_space, sweep
-from torus_echo.torus import TorusState
+from torus_echo.qubit import blp_sampled
+from torus_echo.scans import SweepSpec, line_scan, scan_phase_space, sweep
+from torus_echo.torus import PhasePoint, TorusState
 
 
 def _momentum_state(n, k):
@@ -61,6 +66,75 @@ def test_harper_momentum_kick_defaults_to_k():
     spec = MapSpec(family="hm", n=8, k=0.3)
     assert spec.k2 == 0.3
     assert MapSpec(family="hm", n=8, k=0.3, k2=0.7).k2 == 0.7
+
+
+def test_check_map_returns_the_k2_a_map_uses():
+    assert check_map("sm", 1.0) is None and MapSpec("sm", 8, 1.0).k2 is None
+    assert check_map("hm", 0.3) == 0.3
+    assert check_map("hm", 0.3, 0.7, delta_k=0.1, n=8) == 0.7
+
+
+_PAIR = PerturbedPair.from_dkh(MapSpec("sm", 16, 0.9), 2.0)
+_SERIES = FidelitySeries([1.0, 0.5, 0.7])
+_CENTER = PhasePoint(0.25, 0.5)
+
+
+def _sweep_spec(**changes):
+    return SweepSpec(**{**dict(family="sm", k_values=(0.9,), dkh_values=(2.0,), n=16,
+                               t_max=3), **changes})
+
+
+# every count of the library goes through maps.check_count: an integer that
+# is not a bool, at or above its minimum, refused before anything propagates
+@pytest.mark.parametrize("call,message", [
+    (lambda: MapSpec("sm", 16.0, 0.5), "dimension must be an integer, got 16.0"),
+    (lambda: MapSpec("sm", 16.5, 0.5), "dimension must be an integer, got 16.5"),
+    (lambda: MapSpec("hm", True, 0.5), "dimension must be an integer, got True"),
+    (lambda: MapSpec("sm", 1, 0.5), "dimension must be >= 2, got 1"),
+    (lambda: fidelity_trace(_PAIR, True), "t_max must be an integer, got True"),
+    (lambda: fidelity_trace(_PAIR, 2.0), "t_max must be an integer, got 2.0"),
+    (lambda: fidelity_trace(_PAIR, 0), "t_max must be >= 1, got 0"),
+    (lambda: fidelity_pure(_PAIR, _CENTER, 2.5), "t_max must be an integer, got 2.5"),
+    (lambda: scan_phase_space("sm", 0.9, 2.0, 16, 3, 2.0),
+     "grid side must be an integer, got 2.0"),
+    (lambda: scan_phase_space("sm", 0.9, 2.0, 16, True, 2), "t_max must be an integer, got True"),
+    (lambda: scan_phase_space("sm", 0.9, 2.0, 16, 3, 0), "grid side must be >= 1, got 0"),
+    (lambda: line_scan("hm", 0.2, 2.0, 16, 2.0, [_CENTER]), "t_max must be an integer, got 2.0"),
+    (lambda: _sweep_spec(t_max=2.5), "t_max must be an integer, got 2.5"),
+    (lambda: _sweep_spec(kind="pure-average", s=2.0), "grid side must be an integer, got 2.0"),
+    (lambda: _sweep_spec(kind="pure-average", s=0), "grid side must be >= 1, got 0"),
+    (lambda: blp_sampled(_SERIES, n_pairs=2.5), "n_pairs must be an integer, got 2.5"),
+    (lambda: blp_sampled(_SERIES, n_pairs=True), "n_pairs must be an integer, got True"),
+    (lambda: blp_sampled(_SERIES, n_pairs=0), "n_pairs must be >= 1, got 0"),
+], ids=["mapspec-n-float", "mapspec-n-fraction", "mapspec-n-bool", "mapspec-n-1",
+        "trace-t-bool", "trace-t-float", "trace-t-0", "pure-t-fraction", "scan-s-float",
+        "scan-t-bool", "scan-s-0", "line-t-float", "sweep-t-fraction", "average-s-float",
+        "average-s-0", "blp-pairs-fraction", "blp-pairs-bool", "blp-pairs-0"])
+def test_every_count_has_one_rule(monkeypatch, call, message):
+    def propagate(*args):
+        raise AssertionError("propagated before the count check")
+
+    monkeypatch.setattr(echo, "_overlaps", propagate)
+    monkeypatch.setattr(scans, "_overlaps", propagate)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_integer_counts_are_counts():
+    with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
+        MapSpec("sm", np.int64(1), 0.5)
+    n, t, s = np.int64(16), np.int64(3), np.int64(2)
+    pair = PerturbedPair.from_dkh(MapSpec("sm", n, 0.9), 2.0)
+    assert pair.n == 16
+    assert fidelity_trace(pair, t).values.tobytes() == fidelity_trace(_PAIR, 3).values.tobytes()
+    assert fidelity_pure(pair, _CENTER, t).values.tobytes() == \
+        fidelity_pure(_PAIR, _CENTER, 3).values.tobytes()
+    assert np.array_equal(scan_phase_space("sm", 0.9, 2.0, n, t, s).values,
+                          scan_phase_space("sm", 0.9, 2.0, 16, 3, 2).values)
+    assert sweep(_sweep_spec(n=n, t_max=t, kind="pure-average", s=s)) == \
+        sweep(_sweep_spec(kind="pure-average", s=2))
+    assert blp_sampled(_SERIES, n_pairs=np.int32(5)) == blp_sampled(_SERIES, n_pairs=5)
+    assert classical.iterate("sm", 1.0, None, [0.1], [0.2], np.int64(2))[0].shape == (3, 1)
 
 
 def test_dkh_unit_per_family():

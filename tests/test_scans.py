@@ -1,6 +1,7 @@
 """Sweep engines and phase-space imaging of the pure-state measure."""
 
 import dataclasses
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -516,14 +517,16 @@ def test_refusals_of_grids_and_their_files(tmp_path):
     with pytest.raises(ValueError, match="grid side must be >= 1, got 0"):
         scan_phase_space("sm", 0.9, 2.0, 16, 3, 0)
     path = tmp_path / "grid.csv"
+    # every refusal names the file
     for body, match in (("", "non-empty s x s square"),
                         ("0.5,0.25\n0.125\n", "do not form an s x s square"),
                         ("0.5,0.25\n", "do not form an s x s square"),
                         ("0.5\n0.25\n", "do not form an s x s square"),
                         ("0.5,nan\n0.125,1.0\n", "grid values must be finite"),
-                        ("0.5,0.25\n-inf,1.0\n", "grid values must be finite")):
+                        ("0.5,0.25\n-inf,1.0\n", "grid values must be finite"),
+                        ("0.5,x\n0.125,1.0\n", "could not convert string to float: 'x'")):
         path.write_text("# demo\n" + body)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(match)}"):
             load_grid(path)
 
 

@@ -76,8 +76,14 @@ def test_gamma_rate_values():
 
 def test_gamma_rate_diverges_on_zeros():
     assert math.isinf(gamma_rate(J0_ZEROS[0]))
-    with pytest.raises(ValueError):
-        gamma_rate(-1.0)
+    assert math.isinf(gamma_rate(-J0_ZEROS[0]))
+
+
+def test_gamma_rate_is_even_in_dkh():
+    # |f(1)| = |J0(dkh)| at either sign, and J0 is even
+    grid = np.linspace(0.0, 11.5, 47)
+    assert np.array_equal(gamma_curve(-grid), gamma_curve(grid))
+    assert gamma_rate(-1.0) == gamma_rate(1.0) > 0.0
 
 
 def test_gamma_curve_peaks_sit_on_bessel_zeros():
@@ -127,9 +133,9 @@ def test_short_time_check_reports_rounding_noise_as_unresolved():
 
 @pytest.mark.parametrize("dkh", [math.nan, math.inf, -math.inf])
 def test_gamma_rejects_non_finite_dkh(dkh):
-    with pytest.raises(ValueError, match="finite and >= 0"):
+    with pytest.raises(ValueError, match=f"finite with \\|x\\| <= {MATRIX_GUARD}"):
         gamma_rate(dkh)
-    with pytest.raises(ValueError, match="finite and >= 0"):
+    with pytest.raises(ValueError, match=f"finite with \\|x\\| <= {MATRIX_GUARD}"):
         gamma_curve([1.0, dkh])
 
 
@@ -158,5 +164,6 @@ def test_short_time_check_refuses_dkh_before_propagating(monkeypatch):
         raise AssertionError("propagated before the dkh check")
 
     monkeypatch.setattr(semiclassics, "fidelity_trace", propagate)
-    with pytest.raises(ValueError, match="finite and >= 0"):
-        short_time_check("sm", 2.5, -1.0, 2000)
+    for dkh in (math.nan, -(MATRIX_GUARD + 1.0)):
+        with pytest.raises(ValueError, match="finite with"):
+            short_time_check("sm", 2.5, dkh, 2000)
