@@ -9,17 +9,20 @@ winding numbers alongside, so the two variants agree mod 1 to rounding even
 over long runs and chaotic orbits cannot be split by argument-reduction noise.
 
 One kernel, _orbit, steps every orbit of this module.  It owns the windings
-and one scratch array and updates them in place, so an orbit loop allocates
+and two scratch arrays and updates them in place, so an orbit loop allocates
 nothing per step, and it forms the step constants once per orbit: sm K/2pi,
 hm K and K2, a scalar as a scalar and an array broadcast to the block.  It
 wraps a coordinate v as w += rint(v), v -= rint(v).  v - rint(v) is exact,
-so the windings stay exact integers.  The frame is odd: a step is built
-from multiplies by constants, sin, adds and rint (round half to even), and
-each of them maps -a to exactly -(its image of a).  Stepping
--(x, p, wx, wp) therefore gives the exact negation of the step of
-(x, p, wx, wp), bit for bit up to the sign of a zero, and both maps commute
-with this parity.  iterate hands out wrapped histories as v % 1.0 % 1.0, in
-[0, 1): the second % maps the 1.0 that a tiny negative v rounds to onto 0.0.
+so the windings stay exact integers.  The kick sine sin(2 pi v) is taken as
+2t / (1 + t*t) with t = tan(pi v) (_sin2pi): numpy has a SIMD float64 tan
+on AVX-512 machines, where its sin calls scalar libm.  The frame is odd: a
+step is built from multiplies by constants, tan, adds, rint (round half to
+even) and the division by 1 + t*t, which is even in t, and each of them maps
+-a to exactly -(its image of a).  Stepping -(x, p, wx, wp) therefore gives
+the exact negation of the step of (x, p, wx, wp), bit for bit up to the sign
+of a zero, and both maps commute with this parity.  iterate hands out
+wrapped histories as v % 1.0 % 1.0, in [0, 1): the second % maps the 1.0
+that a tiny negative v rounds to onto 0.0.
 
 The grid measure and the diffusion rate run their orbits in the blocks of
 maps.blocks and join the per-orbit values before their one mean, so their
@@ -49,14 +52,30 @@ def _wrap(v, w, tmp):
     v -= tmp
 
 
-def _step(family, c1, c2, x, p, wx, wp, tmp):
+def _sin2pi(v, out, scratch):
+    """sin(2 pi v) into out as 2t / (1 + t*t), t = tan(pi v); scratch is the same shape.
+
+    The identity holds at every v.  On the wrapped frame |v| <= 1/2, t stays
+    finite (|t| < 2**54, its largest at v = +-1/2) and the result is within
+    2 ulp of 1 of sin(2 pi v).  tan is odd and t*t even, so the result is
+    exactly odd.
+    """
+    np.multiply(v, math.pi, out=out)
+    np.tan(out, out=out)
+    np.multiply(out, out, out=scratch)
+    scratch += 1.0
+    out *= 2.0
+    out /= scratch
+
+
+def _step(family, c1, c2, x, p, wx, wp, tmp, scratch):
     """One step of wrapped x, p with windings wx, wp, all updated in place.
 
     c1, c2 are the constants of _step_constants: K/2pi for sm; K and K2 for
-    hm.  tmp is scratch of the same shape; the caller owns every buffer.
+    hm.  tmp and scratch are buffers of the same shape for the kick sine
+    (_sin2pi); the caller owns every buffer.
     """
-    np.multiply(x, 2.0 * math.pi, out=tmp)
-    np.sin(tmp, out=tmp)
+    _sin2pi(x, tmp, scratch)
     tmp *= c1
     if family == "sm":
         p += tmp
@@ -67,8 +86,7 @@ def _step(family, c1, c2, x, p, wx, wp, tmp):
     else:
         p -= tmp
         _wrap(p, wp, tmp)
-        np.multiply(p, 2.0 * math.pi, out=tmp)
-        np.sin(tmp, out=tmp)
+        _sin2pi(p, tmp, scratch)
         tmp *= c2
         x += tmp
         _wrap(x, wx, tmp)
@@ -91,16 +109,19 @@ def _orbit(family, k, k2, x0, p0, steps):
     The starts are copied and wrapped, so the windings begin at rint(x0), rint(p0).
     A (2, n) start with a (2, 1) constant runs two families of n orbits side by
     side; the step constants are formed once per orbit (_step_constants).
+    The orbit owns six arrays of the start's shape: x, p, their windings and
+    the two scratch buffers of _step.
     """
     x = np.array(x0, dtype=float)
     p = np.array(p0, dtype=float)
-    wx, wp, tmp = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+    wx, wp = np.zeros_like(x), np.zeros_like(x)
+    tmp, scratch = np.empty_like(x), np.empty_like(x)
     c1, c2 = _step_constants(family, k, k2, x.shape)
     _wrap(x, wx, tmp)
     _wrap(p, wp, tmp)
     yield x, p, wx, wp
     for _ in range(steps):
-        _step(family, c1, c2, x, p, wx, wp, tmp)
+        _step(family, c1, c2, x, p, wx, wp, tmp, scratch)
         yield x, p, wx, wp
 
 

@@ -146,6 +146,8 @@ def fidelity_from_state(pair: PerturbedPair, state: TorusState, t_max: int) -> F
 
 def fidelity_pure(pair: PerturbedPair, center: PhasePoint, t_max: int) -> FidelitySeries:
     """Fidelity series of the coherent state centered at (q0, p0)."""
+    # T is refused before the state is built
+    check_count("t_max", t_max)
     return fidelity_from_state(pair, coherent_state(pair.n, center), t_max)
 
 

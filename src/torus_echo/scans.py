@@ -60,7 +60,8 @@ class SweepSpec:
     """A rectangle of (K, delta_k/hbar) cells for one map family.
 
     kind selects the trace measure ("trace") or the coherent-grid average
-    ("pure-average"); s is the grid side used by the average.
+    ("pure-average"); s is the grid side used by the average, and a count
+    for either kind.
     """
 
     family: str
@@ -73,14 +74,14 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         check_count("t_max", self.t_max)
+        # every kind, though only the pure average reads s
+        check_count("grid side", self.s)
         object.__setattr__(self, "k_values", tuple(float(k) for k in self.k_values))
         object.__setattr__(self, "dkh_values", tuple(float(d) for d in self.dkh_values))
         if not self.k_values or not self.dkh_values:
             raise ValueError("sweep grids must be non-empty")
         if self.kind not in _ROWS:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
-        if self.kind == "pure-average":
-            check_count("grid side", self.s)
         # every row's maps, so a bad cell is refused before any row runs
         for k in self.k_values:
             _maps(self.family, self.n, k, self.dkh_values)

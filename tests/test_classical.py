@@ -87,6 +87,25 @@ def test_standard_map_is_reversible():
     assert abs(p - 0.456) < 1e-10
 
 
+def test_kick_sine_is_the_sine_to_two_ulp_on_the_wrapped_frame():
+    v = np.linspace(-0.5, 0.5, 400_001)
+    out, scratch = np.empty_like(v), np.empty_like(v)
+    classical._sin2pi(v, out, scratch)
+    want = np.array([math.sin(2.0 * math.pi * x) for x in v])
+    assert np.abs(out - want).max() <= 2.0 * np.spacing(1.0)
+
+
+# the ends of the frame, where t = tan(pi v) is largest, the extremes, signed
+# zeros, the last double below 1/2 and the smallest subnormals
+@pytest.mark.parametrize("v", [0.5, -0.5, 0.25, -0.25, 0.0, -0.0, 0.5 - 2.0**-54,
+                               5e-324, -5e-324])
+def test_kick_sine_at_the_edges_of_the_frame_is_exactly_odd(v):
+    out, scratch = np.empty(2), np.empty(2)
+    classical._sin2pi(np.array([v, -v]), out, scratch)
+    assert abs(out[0] - math.sin(2.0 * math.pi * v)) <= 2.0 * np.spacing(1.0)
+    assert out[1].tobytes() == (-out[0]).tobytes()
+
+
 def test_free_portrait_is_horizontal_lines():
     points = phase_portrait("sm", 0.0, n_orbits=25, steps=40, seed=1)
     ps = points[:, 1].reshape(41, 25)
@@ -199,6 +218,12 @@ def test_measure_agrees_with_the_hypot_closeness(family, k, k2):
     np.testing.assert_allclose(value, hypot, rtol=1e-13, atol=0.0)
 
 
+def _sin_2pi(v):
+    """sin(2 pi v) as 2t / (1 + t*t), t = tan(pi v), written out here."""
+    t = np.tan(math.pi * v)
+    return 2.0 * t / (1.0 + t * t)
+
+
 def _reference_orbit(family, k, k2, x0, p0, steps):
     """(x, p, wx, wp) at t = 0 .. steps from a step that forms K/2pi every
     step and multiplies by the constants as given, so a (2, 1) column goes
@@ -209,17 +234,17 @@ def _reference_orbit(family, k, k2, x0, p0, steps):
     history = [(x, p, wx, wp)]
     for _ in range(steps):
         if family == "sm":
-            p = p + k / (2.0 * math.pi) * np.sin(2.0 * math.pi * x)
+            p = p + k / (2.0 * math.pi) * _sin_2pi(x)
             w = np.rint(p)
             wp, p = wp + w, p - w
             x = x + p
             w = np.rint(x)
             wx, x = wx + w + wp, x - w
         else:
-            p = p - np.sin(2.0 * math.pi * x) * k
+            p = p - _sin_2pi(x) * k
             w = np.rint(p)
             wp, p = wp + w, p - w
-            x = x + np.sin(2.0 * math.pi * p) * k2
+            x = x + _sin_2pi(p) * k2
             w = np.rint(x)
             wx, x = wx + w, x - w
         history.append((x, p, wx, wp))

@@ -103,13 +103,16 @@ def _sweep_spec(**changes):
     (lambda: _sweep_spec(t_max=2.5), "t_max must be an integer, got 2.5"),
     (lambda: _sweep_spec(kind="pure-average", s=2.0), "grid side must be an integer, got 2.0"),
     (lambda: _sweep_spec(kind="pure-average", s=0), "grid side must be >= 1, got 0"),
+    (lambda: _sweep_spec(s=-7), "grid side must be >= 1, got -7"),
+    (lambda: _sweep_spec(s=2.5), "grid side must be an integer, got 2.5"),
     (lambda: blp_sampled(_SERIES, n_pairs=2.5), "n_pairs must be an integer, got 2.5"),
     (lambda: blp_sampled(_SERIES, n_pairs=True), "n_pairs must be an integer, got True"),
     (lambda: blp_sampled(_SERIES, n_pairs=0), "n_pairs must be >= 1, got 0"),
 ], ids=["mapspec-n-float", "mapspec-n-fraction", "mapspec-n-bool", "mapspec-n-1",
         "trace-t-bool", "trace-t-float", "trace-t-0", "pure-t-fraction", "scan-s-float",
         "scan-t-bool", "scan-s-0", "line-t-float", "sweep-t-fraction", "average-s-float",
-        "average-s-0", "blp-pairs-fraction", "blp-pairs-bool", "blp-pairs-0"])
+        "average-s-0", "sweep-s-negative", "sweep-s-fraction", "blp-pairs-fraction",
+        "blp-pairs-bool", "blp-pairs-0"])
 def test_every_count_has_one_rule(monkeypatch, call, message):
     def propagate(*args):
         raise AssertionError("propagated before the count check")
@@ -118,6 +121,15 @@ def test_every_count_has_one_rule(monkeypatch, call, message):
     monkeypatch.setattr(scans, "_overlaps", propagate)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_fidelity_pure_refuses_t_before_building_its_state(monkeypatch):
+    calls = []
+    for name in ("coherent_state", "_overlaps"):
+        monkeypatch.setattr(echo, name, lambda *args, name=name: calls.append(name))
+    with pytest.raises(ValueError, match="^t_max must be >= 1, got 0$"):
+        fidelity_pure(_PAIR, _CENTER, 0)
+    assert calls == []
 
 
 def test_numpy_integer_counts_are_counts():

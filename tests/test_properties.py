@@ -316,15 +316,19 @@ def test_sweep_does_not_depend_on_worker_count(family, kind, k_values, dkh_value
 
 
 # every example runs a command twice, so fewer of them
-@settings(derandomize=True, max_examples=20, deadline=None)
+@settings(derandomize=True, max_examples=35, deadline=None)
 @given(
-    command=st.sampled_from(["fidelity-trace", "fidelity-pure", "nm-sweep", "phase-scan"]),
+    command=st.sampled_from(["fidelity-trace", "fidelity-pure", "nm-sweep", "phase-scan",
+                             "classical-portrait", "diffusion", "classical-nm"]),
     family=st.sampled_from(["sm", "hm"]),
     k=st.floats(0.0, 3.0),
     dkh_values=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3),
     n=st.integers(2, 24),
     t_max=st.integers(1, 12),
 )
+@example(command="classical-portrait", family="hm", k=0.9, dkh_values=[0.5], n=9, t_max=12)
+@example(command="diffusion", family="sm", k=0.0, dkh_values=[0.5, 0.98, 2.5], n=16, t_max=12)
+@example(command="classical-nm", family="sm", k=0.0, dkh_values=[0.5, 0.98, 2.5], n=4, t_max=12)
 def test_cli_reruns_are_byte_identical(tmp_path_factory, command, family, k, dkh_values, n,
                                        t_max):
     # both runs write to a relative `out`, so the config echo lines agree too
@@ -336,6 +340,14 @@ def test_cli_reruns_are_byte_identical(tmp_path_factory, command, family, k, dkh
                           "--q0", "0.25", "--p0", "0.5"],
         "nm-sweep": ["nm-sweep", *base, "--dkh-values", dkh],
         "phase-scan": ["phase-scan", *base, "--dkh", dkh_values[0], "--s", "2"],
+        # the classical runs take n as their orbit count or grid side, T as
+        # their steps, and the dkh draws as their K grid
+        "classical-portrait": ["classical-portrait", "--map", family, "--k", repr(k),
+                               "--orbits", n, "--steps", t_max],
+        "diffusion": ["diffusion", "--map", family, "--k-values", dkh, "--horizon", t_max,
+                      "--orbits", n],
+        "classical-nm": ["classical-nm", "--map", family, "--k-values", dkh,
+                         "--delta-k", dkh_values[0], "--t", t_max, "--grid", n],
     }[command]
     runs = []
     for _ in range(2):
@@ -389,19 +401,27 @@ def test_grid_file_round_trip_is_bit_exact(tmp_path_factory, values):
 
 
 def _reference_step(family, k, k2, x, p, wx, wp):
-    """Textbook classical step: new arrays, wrapping into [-1/2, 1/2] by rint."""
+    """Textbook classical step: new arrays, wrapping into [-1/2, 1/2] by rint.
+
+    The kick sine is the half-angle form sin(2 pi v) = 2t / (1 + t*t),
+    t = tan(pi v), written out here.
+    """
+    def sin_2pi(v):
+        t = np.tan(np.pi * v)
+        return 2.0 * t / (1.0 + t * t)
+
     if family == "sm":
-        pn = p + (k / (2.0 * np.pi)) * np.sin(2.0 * np.pi * x)
+        pn = p + (k / (2.0 * np.pi)) * sin_2pi(x)
         pw = pn - np.rint(pn)
         wp = wp + (pn - pw)
         xn = x + pw
         xw = xn - np.rint(xn)
         wx = wx + (xn - xw) + wp
     else:
-        pn = p - k * np.sin(2.0 * np.pi * x)
+        pn = p - k * sin_2pi(x)
         pw = pn - np.rint(pn)
         wp = wp + (pn - pw)
-        xn = x + k2 * np.sin(2.0 * np.pi * pw)
+        xn = x + k2 * sin_2pi(pw)
         xw = xn - np.rint(xn)
         wx = wx + (xn - xw)
     return xw, pw, wx, wp
@@ -435,10 +455,10 @@ def test_in_place_step_matches_textbook_step_bit_for_bit(family, k, k2, points, 
     x, p = (np.array(c, dtype=float) for c in zip(*points))
     wx, wp = np.zeros_like(x), np.zeros_like(x)
     ref = (x.copy(), p.copy(), wx.copy(), wp.copy())
-    tmp = np.empty_like(x)
+    tmp, scratch = np.empty_like(x), np.empty_like(x)
     consts = _step_constants(family, k, k2, x.shape)
     for _ in range(steps):
-        _step(family, *consts, x, p, wx, wp, tmp)
+        _step(family, *consts, x, p, wx, wp, tmp, scratch)
         ref = _reference_step(family, k, k2, *ref)
         for got, want in zip((x, p, wx, wp), ref):
             assert got.tobytes() == want.tobytes()
@@ -457,14 +477,22 @@ def test_in_place_step_matches_textbook_step_bit_for_bit(family, k, k2, points, 
 )
 @example(family="sm", k=0.98, k2=0.0, points=[(0.5, 0.5), (0.25, -0.5), (1.5, 0.0)], steps=5)
 @example(family="hm", k=0.3, k2=0.45, points=[(0.5, 0.5), (0.25, -0.5), (0.0, 1.5)], steps=5)
+# the edges of the kick sine: the ends of the frame, +-1/4, signed zeros, the
+# last double below 1/2 and the smallest subnormals
+@example(family="sm", k=0.98, k2=0.0, points=[(0.5, -0.5), (-0.5, 0.25), (-0.25, 0.0),
+                                               (-0.0, 0.5 - 2.0**-54), (5e-324, -5e-324)],
+         steps=5)
+@example(family="hm", k=0.3, k2=0.45, points=[(0.5, -0.5), (-0.5, 0.25), (-0.25, 0.0),
+                                               (-0.0, 0.5 - 2.0**-54), (5e-324, -5e-324)],
+         steps=5)
 def test_classical_step_is_exactly_odd(family, k, k2, points, steps):
     x, p = (np.array(c, dtype=float) for c in zip(*points))
     plus = [x, p, np.zeros_like(x), np.zeros_like(x)]
     minus = [-v for v in plus]
-    tmp = np.empty_like(x)
+    tmp, scratch = np.empty_like(x), np.empty_like(x)
     consts = _step_constants(family, k, k2, x.shape)
     for _ in range(steps):
-        _step(family, *consts, *plus, tmp)
-        _step(family, *consts, *minus, tmp)
+        _step(family, *consts, *plus, tmp, scratch)
+        _step(family, *consts, *minus, tmp, scratch)
         for a, b in zip(plus, minus):
             assert np.array_equal(b, -a)
