@@ -8,14 +8,15 @@ keeps the wrapped coordinates for the trigonometry and carries integer
 winding numbers alongside, so the two variants agree mod 1 to rounding even
 over long runs and chaotic orbits cannot be split by argument-reduction noise.
 
-One kernel, _orbit, steps every orbit of this module.  It owns the windings
-and two scratch arrays and updates them in place, so an orbit loop allocates
-nothing per step, and it forms the step constants once per orbit: sm K/2pi,
-hm K and K2, a scalar as a scalar and an array broadcast to the block.  It
-wraps a coordinate v as w += rint(v), v -= rint(v).  v - rint(v) is exact,
-so the windings stay exact integers.  The kick sine sin(2 pi v) is taken as
-2t / (1 + t*t) with t = tan(pi v) (_sin2pi): numpy has a SIMD float64 tan
-on AVX-512 machines, where its sin calls scalar libm.  The frame is odd: a
+One kernel, _orbit, steps every orbit of this module.  It holds (x, p), the
+windings (wx, wp) and two scratch arrays as three stacked pairs and updates
+them in place, so an orbit loop allocates nothing per step, and it forms the
+step constants once per orbit: sm K/2pi, hm K and K2, a scalar as a scalar
+and an array broadcast to the block.  It wraps a coordinate v as
+w += rint(v), v -= rint(v).  v - rint(v) is exact, so the windings stay
+exact integers.  The kick sine sin(2 pi v) is taken as 2t / (1 + t*t) with
+t = tan(pi v) (_sin2pi): numpy has a SIMD float64 tan on AVX-512 machines,
+where its sin calls scalar libm.  The frame is odd: a
 step is built from multiplies by constants, tan, adds, rint (round half to
 even) and the division by 1 + t*t, which is even in t, and each of them maps
 -a to exactly -(its image of a).  Stepping -(x, p, wx, wp) therefore gives
@@ -27,7 +28,11 @@ that a tiny negative v rounds to onto 0.0.
 The grid measure and the diffusion rate run their orbits in the blocks of
 maps.blocks and join the per-orbit values before their one mean, so their
 working set is bounded and their result does not depend on the block.
-The grid measure builds its cell centers as m / (2 side) with m odd in
+The grid measure forms its closeness once per block of at most
+measures.BLOCK_ROWS steps, a block that fits the budget too: a step only
+writes the plane difference of its fiducial/perturbed pair, and
+measures.measure_rows sums the block's rises with the bits of one step at a
+time.  The grid measure builds its cell centers as m / (2 side) with m odd in
 (-side, side].  At even side the start of cell c is the exact negation of the
 start of cell side**2 - 1 - c, so it evolves the first half of the cells and
 hands each value to its partner; odd sides evolve every cell.
@@ -40,7 +45,7 @@ import math
 import numpy as np
 
 from .maps import blocks, check_count, check_map
-from .measures import measure_rows
+from .measures import BLOCK_ROWS, measure_rows
 
 __all__ = ["classical_nm_grid", "diffusion_coefficient", "iterate", "phase_portrait"]
 
@@ -109,16 +114,17 @@ def _orbit(family, k, k2, x0, p0, steps):
     The starts are copied and wrapped, so the windings begin at rint(x0), rint(p0).
     A (2, n) start with a (2, 1) constant runs two families of n orbits side by
     side; the step constants are formed once per orbit (_step_constants).
-    The orbit owns six arrays of the start's shape: x, p, their windings and
-    the two scratch buffers of _step.
+    The orbit owns three stacked arrays of twice the start's shape: s = (x, p),
+    w = (wx, wp) and the two scratch buffers of _step.  It yields views of
+    them, s[0, ...] and so on, so a 0-d start stays a 0-d array; x.base and
+    wx.base are s and w, whose sum is both plane coordinates in one call.
     """
-    x = np.array(x0, dtype=float)
-    p = np.array(p0, dtype=float)
-    wx, wp = np.zeros_like(x), np.zeros_like(x)
-    tmp, scratch = np.empty_like(x), np.empty_like(x)
+    s = np.array([x0, p0], dtype=float)
+    w, b = np.zeros_like(s), np.empty_like(s)
+    x, p, wx, wp = s[0, ...], s[1, ...], w[0, ...], w[1, ...]
+    tmp, scratch = b[0, ...], b[1, ...]
     c1, c2 = _step_constants(family, k, k2, x.shape)
-    _wrap(x, wx, tmp)
-    _wrap(p, wp, tmp)
+    _wrap(s, w, b)
     yield x, p, wx, wp
     for _ in range(steps):
         _step(family, c1, c2, x, p, wx, wp, tmp, scratch)
@@ -203,9 +209,14 @@ def _nm_batch(family, k, k2, delta_k, x0, p0, t_max):
     Both orbits run on the plane from the same start, as rows 0 and 1 of one
     (2, n) orbit block; the perturbation sits where the quantum pair puts it
     (sm kick, hm momentum kick), as a (2, 1) column of that constant, which
-    _orbit broadcasts once to the block.  The summed positive increments of
-    exp(-distance) (_closeness) are returned per orbit; the classical measure
-    carries no factor 2, so measure_rows' sum is halved.
+    _orbit broadcasts once to the block.  Each step writes the plane
+    difference of the pair, row 0 - row 1 of (x + wx, p + wp), into the next
+    row of a time-major block of at most BLOCK_ROWS steps that fits the block
+    budget, two ufunc calls per step.  Once per block the closeness
+    exp(-sqrt(dx*dx + dp*dp)) of all its rows is formed in place by numpy's
+    SIMD ufuncs (it agrees with the scalar libm hypot at rounding level), and
+    measure_rows sums its rises.  The classical measure carries no factor 2,
+    so that sum is halved.
     """
     x0, p0 = np.asarray(x0, dtype=float), np.asarray(p0, dtype=float)
     if family == "sm":
@@ -213,24 +224,26 @@ def _nm_batch(family, k, k2, delta_k, x0, p0, t_max):
     else:
         k2 = np.array([[k2], [k2 + delta_k]])
     starts = (np.broadcast_to(c, (2,) + c.shape) for c in (x0, p0))
-    rows = (_closeness(x + wx, p + wp) for x, p, wx, wp in _orbit(family, k, k2, *starts, t_max))
-    return 0.5 * measure_rows(rows)
+    orbit = _orbit(family, k, k2, *starts, t_max)
+    plane = np.empty((2, 2) + x0.shape)
+    fiducial, perturbed = plane[:, 0], plane[:, 1]
 
+    def closeness():
+        for steps in blocks(t_max + 1, 2 * x0.size, most=BLOCK_ROWS):
+            # a fresh block each time, as measure_rows reads its last row again;
+            # dx and dp are separate so that no ufunc below sees overlapping operands
+            dx, dp = diffs = np.empty((2, steps.stop - steps.start) + x0.shape)
+            for row, (x, _, wx, _) in zip(diffs.swapaxes(0, 1), orbit):
+                np.add(x.base, wx.base, out=plane)
+                np.subtract(fiducial, perturbed, out=row)
+            dx *= dx
+            dp *= dp
+            dx += dp
+            np.sqrt(dx, out=dx)
+            np.negative(dx, out=dx)
+            yield np.exp(dx, out=dx)
 
-def _closeness(xs, ps):
-    """exp(-distance) between rows 0 and 1 of the plane coordinates xs, ps.
-
-    The distance is sqrt(dx*dx + dp*dp), formed in place in dx by numpy's
-    SIMD ufuncs; it agrees with the scalar libm hypot at rounding level.
-    """
-    dx = np.subtract(*xs)
-    dp = np.subtract(*ps)
-    dx *= dx
-    dp *= dp
-    dx += dp
-    np.sqrt(dx, out=dx)
-    np.negative(dx, out=dx)
-    return np.exp(dx, out=dx)
+    return 0.5 * measure_rows(closeness())
 
 
 def _centers(index, side: int):

@@ -20,10 +20,14 @@ y_t = exp(i pi t / 4) C^dag x_t one sm step is y -> F (C^2 V) y, a single
 forward FFT.  step_phases picks this frame for sm at even N; at odd N the
 factorisation fails, and sm keeps the drift and its inverse FFT, as hm does.
 
-MapSpec.symmetries is the one table of the symmetries that hold: the
-non-identity elements of the group they form, each an affine torus map
-(q, p) -> (sq q + aq, sp p + ap) mod 1 with an antiunitary flag.  Every
-reduction by symmetry, of trace rows and of scan centers alike, reads it.
+MapSpec.symmetries is the table of the affine torus symmetries that both
+maps of every pair share: the non-identity elements of the group they form,
+each an affine torus map (q, p) -> (sq q + aq, sp p + ap) mod 1 with an
+antiunitary flag.  Every reduction by symmetry, of trace rows and of scan
+centers alike, reads it.  hm at K2 = K has one more symmetry, of U0 alone,
+which the table leaves out: the DFT F swaps the two kicks, so U0 = D V
+commutes with S = V^dag F, a quarter turn (q, p) -> (p, -q) followed by a
+kick.  S is no affine torus map, and the perturbation of K2 breaks it.
 
 Parity P sends the grid index n to -n mod N, in position and in momentum
 alike.  The kick phases and the hm drift are even functions of their index,
@@ -90,10 +94,12 @@ class GuardError(RuntimeError):
     """A resource guard was exceeded; the message names the guard."""
 
 
-def blocks(count: int, per_item: int, reserved: int = 0):
+def blocks(count: int, per_item: int, reserved: int = 0, most: int | None = None):
     """Consecutive slices of range(count): as many items of per_item elements
-    as fit BLOCK_ELEMENTS - reserved, and at least one."""
+    as fit BLOCK_ELEMENTS - reserved, at most `most` when given, and at least one."""
     size = max(1, (BLOCK_ELEMENTS - reserved) // per_item)
+    if most is not None:
+        size = min(size, most)
     return (slice(i, min(i + size, count)) for i in range(0, count, size))
 
 

@@ -3,7 +3,10 @@
 The environment only multiplies the qubit coherence by f(t): populations are
 untouched and rho_01 -> f * rho_01.  Distinguishability of two states then
 evolves through the trace distance, and sampling many pure-state pairs
-recovers the closed-form measure from below.
+recovers the closed-form measure from below.  The sampled measure forms the
+distances of all its pairs a block of at most measures.BLOCK_ROWS kicks at a
+time, within the block budget, and measures.measure_rows sums their rises
+with the bits of one kick at a time.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .maps import check_count
-from .measures import measure_rows, measure_value
+from .maps import blocks, check_count
+from .measures import BLOCK_ROWS, measure_rows, measure_value
 
 if TYPE_CHECKING:
     from .echo import FidelitySeries
@@ -73,7 +76,8 @@ def blp_sampled(series: FidelitySeries, n_pairs: int = 500, seed: int = 7) -> fl
     For an antipodal pair (n, -n) the dephased difference is n . sigma with
     its xy part scaled by f, so the trace distance after each kick is
     sqrt(nz^2 + |f|^2 (nx^2 + ny^2)); before the first kick it is |n|.  The
-    distances of all pairs form one row per kick, positive jumps are summed
+    distances of all pairs form one row per kick, in blocks of at most
+    BLOCK_ROWS kicks that fit the block budget; positive jumps are summed
     along the rows, and the best pair is kept.  The same factor 2 as in the
     closed form is applied, so the estimate converges to measure_value(|f|)
     from below as n_pairs grows.
@@ -81,8 +85,10 @@ def blp_sampled(series: FidelitySeries, n_pairs: int = 500, seed: int = 7) -> fl
     check_count("n_pairs", n_pairs)
     nx, ny, nz = _random_pure_pairs(n_pairs, seed)[:, 0].T
     nxy2, nz2 = nx * nx + ny * ny, nz * nz
-    rows = (np.sqrt(nz2 + g * nxy2) for g in np.abs(series.values[1:]) ** 2)
-    return float(np.max(measure_rows(chain([np.sqrt(nxy2 + nz2)], rows))))
+    g = np.abs(series.values[1:]) ** 2
+    rows = (np.sqrt(nz2 + g[kicks, None] * nxy2)
+            for kicks in blocks(g.size, n_pairs, most=BLOCK_ROWS))
+    return float(np.max(measure_rows(chain([np.sqrt(nxy2 + nz2)[None]], rows))))
 
 
 def closed_form(series: FidelitySeries) -> float:

@@ -145,8 +145,12 @@ def _orbit_representatives(u0: MapSpec, centers):
 
 
 def _measure(passes) -> np.ndarray:
-    """The measure of each map of each pass (and each row), summed kick by kick, in pass order."""
-    return np.concatenate([measure_rows(chain([1.0], map(np.abs, kicks))) for kicks in passes])
+    """The measure of each map of each pass (and each row), summed kick by kick, in pass order.
+
+    f(0) = 1 opens every series; each kick is then a block of one row.
+    """
+    return np.concatenate([measure_rows(chain([np.ones(1)], (np.abs(f)[None] for f in kicks)))
+                           for kicks in passes])
 
 
 def _measure_columns(u0: MapSpec, u1s: list, centers, t_max: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from torus_echo.classical import (
     iterate,
     phase_portrait,
 )
+from torus_echo.measures import BLOCK_ROWS
 
 
 def _step(family, k, k2, x, p):
@@ -196,12 +197,15 @@ def test_nm_batch_matches_two_plane_histories(family, k, k2):
     # agree from t = 0
     rng = np.random.default_rng(7)
     x0, p0 = rng.random(40), rng.random(40)
-    delta_k, steps = 1e-3, 300
-    rises = _two_plane_rises(family, k, k2, delta_k, x0, p0, steps,
-                             lambda dx, dp: np.exp(-np.sqrt(dx * dx + dp * dp)))
-    value = _nm_batch(family, k, k if k2 is None else k2, delta_k, x0, p0, steps)
-    assert np.array_equal(value, rises)
-    assert sum(1 for _ in _orbit(family, k, k2, x0, p0, steps)) == steps + 1
+    delta_k = 1e-3
+    # t_max + 1 rows of closeness end just short of a block edge, on it or one row past it
+    for steps in [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS,
+                  2 * BLOCK_ROWS + 1, 300]:
+        rises = _two_plane_rises(family, k, k2, delta_k, x0, p0, steps,
+                                 lambda dx, dp: np.exp(-np.sqrt(dx * dx + dp * dp)))
+        value = _nm_batch(family, k, k if k2 is None else k2, delta_k, x0, p0, steps)
+        assert np.array_equal(value, rises), steps
+    assert sum(1 for _ in _orbit(family, k, k2, x0, p0, 300)) == 301
     assert sum(1 for _ in _orbit(family, k, k2, x0, p0, 0)) == 1
 
 
@@ -327,19 +331,42 @@ def _orbit_spy(monkeypatch):
     return starts, peak
 
 
+def _block_spy(monkeypatch, module):
+    """Patch module.measure_rows; returns the shape of every block it is handed."""
+    shapes, reduce = [], module.measure_rows
+
+    def spy(blocks):
+        def seen():
+            for block in blocks:
+                shapes.append(np.shape(block))
+                yield block
+        return reduce(seen())
+
+    monkeypatch.setattr(module, "measure_rows", spy)
+    return shapes
+
+
 def test_classical_orbits_run_in_blocks_of_the_budget(monkeypatch):
     def results():
         return (classical_nm_grid("hm", 0.3, 0.4, 1e-3, 5, 40),
                 classical_nm_grid("sm", 0.9, None, 1e-3, 4, 40),
                 diffusion_coefficient("sm", 2.5, horizon=40, n_orbits=50, seed=1))
 
+    shapes = _block_spy(monkeypatch, classical)
     expected = results()
+    # the 41 rows of closeness of each grid run in blocks of BLOCK_ROWS steps
+    assert shapes == [(BLOCK_ROWS, 25), (41 - BLOCK_ROWS, 25),
+                      (BLOCK_ROWS, 8), (41 - BLOCK_ROWS, 8)]
+    shapes.clear()
     starts, peak = _orbit_spy(monkeypatch)
     monkeypatch.setattr(maps, "BLOCK_ELEMENTS", 7)
     assert results() == expected
     # two orbits per evolved grid cell (fiducial and perturbed): every cell at
     # odd side, half of them at even side; one orbit per diffusion start
     assert peak[0] <= 7 and sum(starts) == 2 * 25 + 16 + 50
+    # a closeness block holds dx and dp of every cell at each of its steps
+    assert all(2 * rows * cells <= 7 for rows, cells in shapes)
+    assert sum(rows for rows, _ in shapes) == 41 * (9 + 3)
 
 
 def test_classical_imports_without_the_quantum_scans():

@@ -1,7 +1,9 @@
 """Property tests: the split-operator routes against dense matrices, unitary
 map matrices, every entry of the symmetry table against the map matrix, the
 symmetry-reduced trace against the full basis, the real Harper trace at even
-N, the stored measure against the streamed rise sum, the chirp factorisation of the sm drift at even N,
+N, the stored measure against the streamed rise sum and any cut of a series
+into time-major blocks against the row-by-row sum, the chirp factorisation
+of the sm drift at even N,
 symmetry-paired scans against every center evolved, scan representatives
 against a brute-force lattice rule,
 the in-place classical step against a textbook out-of-place step and its exact
@@ -368,7 +370,33 @@ def test_cli_reruns_are_byte_identical(tmp_path_factory, command, family, k, dkh
                                st.integers(1, 3)), max_size=400))
 def test_stored_measure_adds_rises_in_streamed_order(runs):
     absvals = np.repeat([v for v, _ in runs], [r for _, r in runs]).astype(float)
-    assert measure_value(absvals) == float(measure_rows(iter(absvals)))
+    streamed = (absvals[t:t + 1] for t in range(absvals.size))
+    assert measure_value(absvals) == float(measure_rows(streamed))
+
+
+def _row_by_row(rows):
+    """Twice the rises of rows[t] over rows[t - 1], added to the total one row at a time."""
+    total = 0.0
+    for prev, row in zip(rows[:-1], rows[1:]):
+        total = total + np.maximum(row - prev, 0.0)
+    return 2.0 * total
+
+
+# scalar rows (one series), (G,) rows and (G, rows) rows, as the callers form
+# them; the values come from a generator, so that their sums round
+@derandomized
+@given(t=st.integers(1, 70), shape=st.sampled_from([(), (3,), (2, 4)]),
+       seed=st.integers(0, 2**32 - 1),
+       cuts=st.one_of(st.lists(st.integers(1, 69), max_size=12), st.just(list(range(1, 70)))))
+@example(t=40, shape=(), seed=1, cuts=[])
+@example(t=40, shape=(2, 4), seed=2, cuts=[1])
+def test_block_partitions_give_the_row_by_row_bits(t, shape, seed, cuts):
+    rng = np.random.default_rng(seed)
+    rows = rng.random((t, *shape))
+    plateaus = np.flatnonzero(rng.random(t) < 0.2)
+    rows[plateaus[plateaus > 0]] = rows[plateaus[plateaus > 0] - 1]
+    blocks = np.split(rows, sorted({c for c in cuts if c < t}))
+    assert np.array_equal(measure_rows(blocks), _row_by_row(rows))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -5,8 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from torus_echo import maps, qubit
 from torus_echo.echo import FidelitySeries, fidelity_trace
 from torus_echo.maps import MapSpec, PerturbedPair
+from torus_echo.measures import BLOCK_ROWS
 from torus_echo.qubit import (
     _apply_channel,
     _random_pure_pairs,
@@ -191,3 +193,47 @@ def test_sampled_measure_memory_does_not_grow_with_horizon():
             tracemalloc.stop()
     # a pairs x T float buffer at T=5000 would be 20 MB
     assert peaks[5000] - peaks[200] < n_pairs * 5000 * 8 / 8
+
+
+def _blp_per_kick(series, n_pairs, seed):
+    """The sampled measure from one row of pair distances per kick, each rise
+    added to the running total as its kick arrives."""
+    nx, ny, nz = _random_pure_pairs(n_pairs, seed)[:, 0].T
+    nxy2, nz2 = nx * nx + ny * ny, nz * nz
+    prev, total = np.sqrt(nxy2 + nz2), 0.0
+    for g in np.abs(series.values[1:]) ** 2:
+        row = np.sqrt(nz2 + g * nxy2)
+        total = total + np.maximum(row - prev, 0.0)
+        prev = row
+    return float(np.max(2.0 * total))
+
+
+# T kicks end short of a block edge, on it or one kick past it
+@pytest.mark.parametrize("t_max", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1])
+def test_sampled_measure_in_blocks_of_kicks_has_the_per_kick_bits(t_max):
+    rng = np.random.default_rng(t_max)
+    series = FidelitySeries(np.r_[1.0, rng.uniform(0, 1, t_max) * np.exp(2j * rng.random(t_max))])
+    assert blp_sampled(series, 300, 5) == _blp_per_kick(series, 300, 5)
+
+
+def test_sampled_measure_runs_in_blocks_of_the_budget(monkeypatch):
+    shapes, reduce = [], qubit.measure_rows
+
+    def spy(blocks):
+        def seen():
+            for block in blocks:
+                shapes.append(np.shape(block))
+                yield block
+        return reduce(seen())
+
+    monkeypatch.setattr(qubit, "measure_rows", spy)
+    series = _trace_series(2.5, 2 * BLOCK_ROWS + 5)
+    expected = blp_sampled(series, n_pairs=3, seed=4)
+    # the start row, then blocks of at most BLOCK_ROWS kicks x pairs
+    assert shapes == [(1, 3), (BLOCK_ROWS, 3), (BLOCK_ROWS, 3), (5, 3)]
+    shapes.clear()
+    monkeypatch.setattr(maps, "BLOCK_ELEMENTS", 7)
+    assert blp_sampled(series, n_pairs=3, seed=4) == expected
+    assert all(rows * pairs <= 7 for rows, pairs in shapes)
+    assert sum(rows for rows, _ in shapes) == 2 * BLOCK_ROWS + 6
